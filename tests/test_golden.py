@@ -1,0 +1,136 @@
+"""Golden outputs: sha256 digests of transcripts and Monte Carlo results.
+
+The digests pin the exact bytes of ``Transcript.to_json()`` and of
+``json.dumps(monte_carlo(...), sort_keys=True)``, so a refactor of the
+hashing or protocol layers that changes any drawn value, any decision or
+any float shows up here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from pdckit.dists import convolve, depolarizing
+from pdckit.gf import FieldVec
+from pdckit.protocol import (AdversaryMode, ProtocolConfig, monte_carlo,
+                             run_protocol1, run_protocol3)
+from pdckit.wiretap import identity_code, repetition_code
+
+
+def _config(name: str, master_seed: int) -> ProtocolConfig:
+    if name == "p2-repetition":
+        P = depolarizing(0.05, 2)
+        return ProtocolConfig(p=2, n=8, n1=4, n2=1, n3=2, P=P, P_tilde=P,
+                              code=repetition_code(2, 4, 4, convolve(P, P)),
+                              master_seed=master_seed)
+    if name == "p3-identity":
+        P = depolarizing(0.1, 3)
+        return ProtocolConfig(p=3, n=3, n1=6, n2=2, n3=2, P=P, P_tilde=P,
+                              code=identity_code(3, 3), master_seed=master_seed)
+    if name == "readme-simulate":
+        # the simulate config from the README
+        P = depolarizing(0.05, 2)
+        return ProtocolConfig(p=2, n=8, n1=4, n2=1, n3=2, P=P, P_tilde=P,
+                              code=repetition_code(2, 4, 4, convolve(P, P)),
+                              master_seed=7)
+    if name == "p2-identity":
+        P = depolarizing(0.02, 2)
+        return ProtocolConfig(p=2, n=6, n1=12, n2=3, n3=4, P=P, P_tilde=P,
+                              code=identity_code(2, 6), master_seed=master_seed)
+    raise KeyError(name)
+
+
+def _adversary(kind: str, p: int) -> AdversaryMode:
+    def shift_some(x_hat, rng):
+        # a custom rule, called once per received word
+        return (x_hat + (rng.random(x_hat.shape) < 0.3)) % p
+
+    return {"none": AdversaryMode.none(), "tamper": AdversaryMode.tamper(),
+            "tamper_fn": AdversaryMode.tamper(shift_some),
+            "intercept": AdversaryMode.intercept()}[kind]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the ten transcripts (master seeds 0..9) joined by newlines
+TRANSCRIPT_DIGESTS = {
+    "p2-repetition/run_protocol1/none":
+        "0cf05754fa76a173dd59069fc67587adeb14a673fd64bb4a2bcbbb80bef84741",
+    "p2-repetition/run_protocol1/tamper":
+        "e3d207edf05aae1841b576b36eb6b40cbb9fcbb7d8e03980dc4c39753c2d4265",
+    "p2-repetition/run_protocol1/tamper_fn":
+        "1f9d3140c8b47f58de770f0858918b921e723dd1ae6f0407517861af3ff5aff9",
+    "p2-repetition/run_protocol1/intercept":
+        "f50e06fcce9407e67032f19825ceb94c2c9f8fd927e9e83101bbb6d7e05dd20d",
+    "p2-repetition/run_protocol3/none":
+        "5aa6a21f3fba80832eeefdc5b835a35bab12a47337b1c815a17e884fe559ccae",
+    "p2-repetition/run_protocol3/tamper":
+        "85e78a4e2ea865b47758a3a0f510d48218aa33d46921e1bc834535d9691561ff",
+    "p2-repetition/run_protocol3/tamper_fn":
+        "3d98234e305e6a00823c8c6658bd6124e020f2c2a7fc387f9c52a757bbb239ad",
+    "p2-repetition/run_protocol3/intercept":
+        "f373c742423d7f834fcf900acb1b008818fcc557888a81c3bb4561192c389b4a",
+    "p3-identity/run_protocol1/none":
+        "b1f681903990d6ac2e9b98248c99244dd03744d438991c18382623794489b909",
+    "p3-identity/run_protocol1/tamper":
+        "255eb6d2d7d4e06a54bca904cf4a365012fc830eb70fc4830c11f10ab8c141ab",
+    "p3-identity/run_protocol1/tamper_fn":
+        "a6604b3e4ea89f38ae7d875bb1bfc0074652ce8bc12e09cdc6b8f6473271829e",
+    "p3-identity/run_protocol1/intercept":
+        "6b786d2debc390806adafb01f71b6d10ee48d57c39ecfdc1654690905e41d795",
+    "p3-identity/run_protocol3/none":
+        "59398f38de84e5bb624bcc2ec2559e3bac26766a253b2e50317c47eb59f0a64f",
+    "p3-identity/run_protocol3/tamper":
+        "e47508cca83aebf9af9ea4e36b85a07467972e72a9f10e68333ed55d8c0371b6",
+    "p3-identity/run_protocol3/tamper_fn":
+        "eca9c5156a797e32adbb56d78f57d21506ead0bf6dff6cc91f5f5d50e26261fd",
+    "p3-identity/run_protocol3/intercept":
+        "e1d2d08264146820dd9e2a2c16ac2edbe9c3928a2175025f0010287774a8d83b",
+}
+
+# sha256 of json.dumps(monte_carlo(config, trials, adversary), sort_keys=True)
+MC_DIGESTS = {
+    "readme-simulate/10000/none":
+        "9b95b7f94416c9b5c27d159549ed92ff0907e5fc455124c35088cdb669d5bd7b",
+    "readme-simulate/10000/tamper":
+        "b4006c851af113601853741072273b6064a10e3adf3aef8ae8cc051374836084",
+    "readme-simulate/10000/tamper_fn":
+        "454b1e1df1aeefc7dde9f1e8d91c8e5b1062bc5176e64fc39aac93fba2aa6553",
+    "p2-identity/2000/none":
+        "de83f824e4d76a389e7325570a4248f845a1d0e4077b0a32e73a9cb677ca07a4",
+    "p2-identity/2000/tamper":
+        "0da24608604b4f634e59e1f4a12913a10c2f87ad6c43de49574bea9c565864b6",
+    "p2-identity/2000/tamper_fn":
+        "dcb725c609c4eafada29dbfe06c7c95f8a7f529f2f1218c8804da5af5b1b5d2a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TRANSCRIPT_DIGESTS))
+def test_transcript_bytes_pinned(key):
+    name, runner, kind = key.split("/")
+    run = {"run_protocol1": run_protocol1, "run_protocol3": run_protocol3}[runner]
+    lines = []
+    for master_seed in range(10):
+        cfg = _config(name, master_seed)
+        msg = FieldVec([(master_seed + j) % cfg.p for j in range(cfg.n2)], cfg.p)
+        lines.append(run(cfg, msg, _adversary(kind, cfg.p)).to_json())
+    assert _digest("\n".join(lines)) == TRANSCRIPT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(MC_DIGESTS))
+def test_monte_carlo_bytes_pinned(key):
+    name, trials, kind = key.split("/")
+    cfg = _config(name, 11)
+    stats = monte_carlo(cfg, int(trials), _adversary(kind, cfg.p))
+    assert _digest(json.dumps(stats, sort_keys=True)) == MC_DIGESTS[key]
+
+
+def test_pinned_cases_cover_every_mode():
+    kinds = {key.split("/")[2] for key in TRANSCRIPT_DIGESTS}
+    runners = {key.split("/")[1] for key in TRANSCRIPT_DIGESTS}
+    assert kinds == {"none", "tamper", "tamper_fn", "intercept"}
+    assert runners == {"run_protocol1", "run_protocol3"}
+    assert {key.split("/")[2] for key in MC_DIGESTS} == {"none", "tamper", "tamper_fn"}
