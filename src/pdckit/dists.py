@@ -16,18 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldElem, _check_prime
+from .gf import _check_prime
 
 _NORMALIZE_TOL = 1e-9
 _MASS_FLOOR = 1e-15
-
-
-def _as_residue(v, p: int) -> int:
-    if isinstance(v, FieldElem):
-        if v.p != p:
-            raise ValueError(f"modulus mismatch: {p} vs {v.p}")
-        return v.value
-    return int(v) % p
 
 
 def _validated_probs(probs, n: int, what: str) -> np.ndarray:
@@ -59,7 +51,7 @@ class PauliDist:
 
     def __getitem__(self, xz) -> float:
         x, z = xz
-        return float(self.probs[_as_residue(x, self.p), _as_residue(z, self.p)])
+        return float(self.probs[int(x) % self.p, int(z) % self.p])
 
     def flat(self) -> np.ndarray:
         return self.probs.reshape(-1)
@@ -103,7 +95,7 @@ class MarginalDist:
         self.probs = _validated_probs(probs, self.p, "MarginalDist")
 
     def __getitem__(self, s) -> float:
-        return float(self.probs[_as_residue(s, self.p)])
+        return float(self.probs[int(s) % self.p])
 
     def __repr__(self) -> str:
         return f"MarginalDist(p={self.p}, probs={self.probs.tolist()})"
@@ -139,8 +131,8 @@ def convolve(P: PauliDist, Q: PauliDist) -> PauliDist:
 def shift(P: PauliDist, x, z) -> PauliDist:
     """Translate indices: F_{x,z}[P](x', z') = P(x'-x, z'-z)."""
     p = P.p
-    dx = _as_residue(x, p)
-    dz = _as_residue(z, p)
+    dx = int(x) % p
+    dz = int(z) % p
     return PauliDist(np.roll(P.probs, (dx, dz), axis=(0, 1)), p)
 
 
@@ -168,8 +160,8 @@ def renyi_entropy(probs, alpha: float) -> float:
 def marginal(P: PauliDist, l, k) -> MarginalDist:
     """Law of lX - kZ: probs[s] = sum over (x,z) with lx - kz = s of P(x,z)."""
     p = P.p
-    li = _as_residue(l, p)
-    ki = _as_residue(k, p)
+    li = int(l) % p
+    ki = int(k) % p
     if li == 0 and ki == 0:
         raise ValueError("(l, k) = (0, 0) has no informative marginal")
     out = np.zeros(p)
@@ -183,8 +175,8 @@ def marginal(P: PauliDist, l, k) -> MarginalDist:
 def char_value(P: PauliDist, l, k) -> complex:
     """Characteristic value E[omega^{lX - kZ}] with omega = e^{2 pi i / p}."""
     p = P.p
-    li = _as_residue(l, p)
-    ki = _as_residue(k, p)
+    li = int(l) % p
+    ki = int(k) % p
     if li == 0 and ki == 0:
         return complex(1.0)
     m = marginal(P, li, ki)

@@ -1,9 +1,11 @@
-"""Prime-field arithmetic, vectors, and Toeplitz-matrix application.
+"""Prime-field vectors, F_p enumeration, and the batched Toeplitz product.
 
 Everything downstream (hashing, coding, protocol transcripts) works with
-residues modulo a prime p.  Vectors are thin wrappers around int64 numpy
-arrays; Toeplitz application is the naive O(d1*d2) matrix-vector product,
-which is all a desk-scale run ever needs.
+residues modulo a prime p held in int64 numpy arrays.  FieldVec is the
+validated message type at the API edge; inside, vectors are plain arrays
+with leading batch axes.  ``toeplitz_apply_batch`` is the one Toeplitz
+product in the package: a strided-window einsum over any batch of seeds,
+guarded against int64 overflow.
 
 Index convention for Toeplitz matrices: with a seed vector V of length
 d1+d2-1 (1-based entries V_1..V_{d1+d2-1}), the d1 x d2 matrix is
@@ -15,9 +17,8 @@ so every diagonal is constant and the whole seed is consumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 def is_prime(n: int) -> bool:
@@ -43,54 +44,11 @@ def _check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """A residue in F_p.  Validates 0 <= value < p and that p is prime."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_prime(self.p))
-        object.__setattr__(self, "value", int(self.value) % self.p)
-
-    def _coerce(self, other) -> "FieldElem":
-        if isinstance(other, FieldElem):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other
-        return FieldElem(int(other), self.p)
-
-    def add(self, other) -> "FieldElem":
-        o = self._coerce(other)
-        return FieldElem((self.value + o.value) % self.p, self.p)
-
-    def sub(self, other) -> "FieldElem":
-        o = self._coerce(other)
-        return FieldElem((self.value - o.value) % self.p, self.p)
-
-    def mul(self, other) -> "FieldElem":
-        o = self._coerce(other)
-        return FieldElem((self.value * o.value) % self.p, self.p)
-
-    def inv(self) -> "FieldElem":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no inverse in F_p")
-        return FieldElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
-
-    def __int__(self) -> int:
-        return self.value
-
-
 class FieldVec:
     """A nonempty vector over F_p with a uniform modulus.
 
-    Stores an int64 numpy array of residues; arithmetic is componentwise
-    modular.  Use ``.values`` for the raw array when speed matters.
+    Stores an int64 numpy array of residues in ``.values``, the form the
+    batched hashing and protocol layers consume.
     """
 
     __slots__ = ("p", "values")
@@ -115,81 +73,40 @@ class FieldVec:
     def __repr__(self) -> str:
         return f"FieldVec({self.values.tolist()}, p={self.p})"
 
-    def _check(self, other: "FieldVec") -> None:
-        if not isinstance(other, FieldVec):
-            raise TypeError("expected a FieldVec")
-        if other.p != self.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-        if len(other) != len(self):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-
-    def add(self, other: "FieldVec") -> "FieldVec":
-        self._check(other)
-        return FieldVec((self.values + other.values) % self.p, self.p)
-
-    def sub(self, other: "FieldVec") -> "FieldVec":
-        self._check(other)
-        return FieldVec((self.values - other.values) % self.p, self.p)
-
-    def scale(self, a) -> "FieldVec":
-        a = int(a) % self.p
-        return FieldVec((self.values * a) % self.p, self.p)
-
-    def concat(self, other: "FieldVec") -> "FieldVec":
-        if other.p != self.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-        return FieldVec(np.concatenate([self.values, other.values]), self.p)
-
-    def slice(self, start: int, stop: int) -> "FieldVec":
-        return FieldVec(self.values[start:stop], self.p)
-
     def tolist(self) -> list[int]:
         return self.values.tolist()
 
 
-@dataclass(frozen=True)
-class ToeplitzSeed:
-    """Seed vector defining the d1 x d2 Toeplitz matrix T[i,j] = V_{i-j+d2}."""
-
-    entries: FieldVec
-    d1: int
-    d2: int
-
-    def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("Toeplitz shape must be positive")
-        if len(self.entries) != self.d1 + self.d2 - 1:
-            raise ValueError(
-                f"seed length {len(self.entries)} != d1+d2-1 = {self.d1 + self.d2 - 1}"
-            )
-
-    @property
-    def p(self) -> int:
-        return self.entries.p
-
-    def matrix(self) -> np.ndarray:
-        """Materialize the dense matrix (int64, entries in [0, p))."""
-        v = self.entries.values
-        i = np.arange(1, self.d1 + 1)[:, None]
-        j = np.arange(1, self.d2 + 1)[None, :]
-        return v[i - j + self.d2 - 1]
+def _check_int64_dot(p: int, length: int) -> None:
+    """Raise ValueError unless a sum of ``length`` products of residues fits int64."""
+    if (p - 1) ** 2 * length >= 2**63:
+        raise ValueError(
+            f"a length-{length} dot product of residues mod {p} can overflow int64")
 
 
-def toeplitz_matrix(seed_values: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Dense Toeplitz matrix from a raw seed array (no FieldVec wrapping)."""
-    v = np.asarray(seed_values, dtype=np.int64)
-    if v.size != d1 + d2 - 1:
-        raise ValueError(f"seed length {v.size} != d1+d2-1 = {d1 + d2 - 1}")
-    i = np.arange(1, d1 + 1)[:, None]
-    j = np.arange(1, d2 + 1)[None, :]
-    return v[i - j + d2 - 1]
+def all_vectors(p: int, length: int) -> np.ndarray:
+    """All p**length vectors over F_p, one per row, in lexicographic order."""
+    idx = np.arange(p**length, dtype=np.int64)
+    return idx[:, None] // p ** np.arange(length - 1, -1, -1, dtype=np.int64) % p
 
 
-def toeplitz_apply(seed: ToeplitzSeed, x: FieldVec) -> FieldVec:
-    """Apply the Toeplitz matrix of ``seed`` to ``x``: y_i = sum_j V_{i-j+d2} x_j mod p."""
-    if x.p != seed.p:
-        raise ValueError(f"modulus mismatch: {seed.p} vs {x.p}")
-    if len(x) != seed.d2:
-        raise ValueError(f"length mismatch: expected d2={seed.d2}, got {len(x)}")
-    y = seed.matrix() @ x.values
-    return FieldVec(y % seed.p, seed.p)
+def toeplitz_apply_batch(seeds, xs, d1: int, d2: int, p: int) -> np.ndarray:
+    """Row-wise y = T(seed) x mod p; leading batch axes of seeds and xs broadcast.
+
+    ``seeds`` has shape (..., d1+d2-1) and ``xs`` (..., d2); the result has
+    shape (..., d1).  With 0-based indices y[i] = sum_k V[i+k] x[d2-1-k], so
+    each seed is viewed through a read-only (d1, d2) strided window and
+    contracted with x reversed; no matrix is ever materialized.  Entries must
+    be residues in [0, p), which is what the overflow guard assumes.
+    """
+    _check_int64_dot(p, d2)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.int64)
+    if seeds.shape[-1:] != (d1 + d2 - 1,):
+        raise ValueError(f"seed shape {seeds.shape} needs a last axis of d1+d2-1 = {d1 + d2 - 1}")
+    if xs.shape[-1:] != (d2,):
+        raise ValueError(f"input shape {xs.shape} needs a last axis of d2 = {d2}")
+    step = seeds.strides[-1]
+    window = as_strided(seeds, seeds.shape[:-1] + (d1, d2),
+                        seeds.strides[:-1] + (step, step), writeable=False)
+    return np.einsum("...ik,...k->...i", window, xs[..., ::-1]) % p

@@ -10,8 +10,11 @@ Two seeded linear hash families over F_p and the matching encoder:
 
 The combined message block M' is always ordered (Y || M): the covering
 variable Y occupies the first n3 symbols and the message M the last n2.
-Seeds are plain FieldVecs drawn by the protocol layer from its seeded RNG
-stream; hashing itself is deterministic.
+Everything is batch-first: a seed holds an int array of shape (..., length)
+and every input is an int array whose last axis is the vector; leading
+axes broadcast, so one call hashes a whole Monte Carlo batch and a single
+vector is just the unbatched case.  Seeds are drawn by the protocol layer
+from its seeded RNG streams; hashing itself is deterministic.
 """
 
 from __future__ import annotations
@@ -19,114 +22,108 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import FieldVec, ToeplitzSeed, toeplitz_apply
+import numpy as np
+
+from .gf import FieldVec, _check_prime, toeplitz_apply_batch
+
+
+def _check_len(name: str, arr: np.ndarray, length: int) -> None:
+    if arr.shape[-1:] != (length,):
+        raise ValueError(f"{name} shape {arr.shape} needs a last axis of length {length}")
+
+
+def _seed_array(vec, length: int, p: int) -> np.ndarray:
+    arr = np.asarray(vec, dtype=np.int64) % p
+    _check_len("seed", arr, length)
+    return arr
 
 
 @dataclass(frozen=True)
 class SeedS:
-    """Seed for f_S: a vector of length n1 - 1 plus the (n1, n2, n3) split."""
+    """Seeds for f_S: an int array (..., n1 - 1) plus the (n1, n2, n3) split."""
 
-    vec: FieldVec
+    vec: np.ndarray
     n1: int
     n2: int
     n3: int
+    p: int
 
     def __post_init__(self):
         if not (self.n1 > self.n2 + self.n3 > 0):
             raise ValueError(f"need n1 > n2 + n3 > 0, got {(self.n1, self.n2, self.n3)}")
-        if len(self.vec) != self.n1 - 1:
-            raise ValueError(f"seed length {len(self.vec)} != n1 - 1 = {self.n1 - 1}")
-
-    @property
-    def p(self) -> int:
-        return self.vec.p
-
-    def toeplitz(self) -> ToeplitzSeed:
-        """The (n2+n3) x (n1-(n2+n3)) Toeplitz block consuming the full seed."""
-        k = self.n2 + self.n3
-        return ToeplitzSeed(self.vec, k, self.n1 - k)
+        object.__setattr__(self, "p", _check_prime(self.p))
+        object.__setattr__(self, "vec", _seed_array(self.vec, self.n1 - 1, self.p))
 
 
 @dataclass(frozen=True)
 class SeedSPrime:
-    """Seed for g_S': a vector of length n2 + n3 - 1."""
+    """Seeds for g_S': an int array (..., n2 + n3 - 1)."""
 
-    vec: FieldVec
+    vec: np.ndarray
     n2: int
     n3: int
+    p: int
 
     def __post_init__(self):
         if self.n2 < 1 or self.n3 < 1:
             raise ValueError(f"need n2, n3 >= 1, got {(self.n2, self.n3)}")
-        if len(self.vec) != self.n2 + self.n3 - 1:
-            raise ValueError(
-                f"seed length {len(self.vec)} != n2 + n3 - 1 = {self.n2 + self.n3 - 1}"
-            )
-
-    @property
-    def p(self) -> int:
-        return self.vec.p
-
-    def toeplitz(self) -> ToeplitzSeed:
-        return ToeplitzSeed(self.vec, self.n3, self.n2)
+        object.__setattr__(self, "p", _check_prime(self.p))
+        object.__setattr__(self, "vec", _seed_array(self.vec, self.n2 + self.n3 - 1, self.p))
 
 
-def f_s(seed: SeedS, L: FieldVec) -> FieldVec:
-    """M' = L1 + T(S) L2, with L1 the first n2+n3 symbols of L.
+def f_s(seed: SeedS, L) -> np.ndarray:
+    """M' = L1 + T(S) L2 row-wise, with L1 the first n2+n3 symbols of L.
 
-    The output packs (Y, M): Y = M'[:n3], M = M'[n3:].
+    The output packs (Y, M): Y = M'[..., :n3], M = M'[..., n3:].
     """
-    if L.p != seed.p:
-        raise ValueError("modulus mismatch between seed and input")
-    if len(L) != seed.n1:
-        raise ValueError(f"input length {len(L)} != n1 = {seed.n1}")
+    L = np.asarray(L, dtype=np.int64)
+    _check_len("input", L, seed.n1)
     k = seed.n2 + seed.n3
-    l1 = L.slice(0, k)
-    l2 = L.slice(k, seed.n1)
-    return l1.add(toeplitz_apply(seed.toeplitz(), l2))
+    t = toeplitz_apply_batch(seed.vec, L[..., k:], k, seed.n1 - k, seed.p)
+    return (L[..., :k] + t) % seed.p
 
 
-def f_s_split(seed: SeedS, L: FieldVec) -> tuple[FieldVec, FieldVec]:
+def f_s_split(seed: SeedS, L) -> tuple[np.ndarray, np.ndarray]:
     """f_S with the (Y, M) slots returned separately."""
     mp = f_s(seed, L)
-    return mp.slice(0, seed.n3), mp.slice(seed.n3, seed.n2 + seed.n3)
+    return mp[..., :seed.n3], mp[..., seed.n3:]
 
 
-def g_sprime(seed: SeedSPrime, M: FieldVec, Y: FieldVec) -> FieldVec:
-    """Error-verification hash C = Y + T(S') M."""
-    if M.p != seed.p or Y.p != seed.p:
-        raise ValueError("modulus mismatch between seed and inputs")
-    if len(M) != seed.n2 or len(Y) != seed.n3:
-        raise ValueError(
-            f"lengths ({len(M)}, {len(Y)}) != (n2, n3) = ({seed.n2}, {seed.n3})"
-        )
-    return Y.add(toeplitz_apply(seed.toeplitz(), M))
+def _t_sprime(seed: SeedSPrime, M) -> np.ndarray:
+    M = np.asarray(M, dtype=np.int64)
+    _check_len("M", M, seed.n2)
+    return toeplitz_apply_batch(seed.vec, M, seed.n3, seed.n2, seed.p)
 
 
-def y_of(M: FieldVec, seed: SeedSPrime, C: FieldVec) -> FieldVec:
+def g_sprime(seed: SeedSPrime, M, Y) -> np.ndarray:
+    """Error-verification hash C = Y + T(S') M, row-wise."""
+    Y = np.asarray(Y, dtype=np.int64)
+    _check_len("Y", Y, seed.n3)
+    return (Y + _t_sprime(seed, M)) % seed.p
+
+
+def y_of(M, seed: SeedSPrime, C) -> np.ndarray:
     """The unique Y with g_S'(M, Y) = C, namely Y = C - T(S') M."""
-    if len(C) != seed.n3:
-        raise ValueError(f"C length {len(C)} != n3 = {seed.n3}")
-    return C.sub(toeplitz_apply(seed.toeplitz(), M))
+    C = np.asarray(C, dtype=np.int64)
+    _check_len("C", C, seed.n3)
+    return (C - _t_sprime(seed, M)) % seed.p
 
 
-def psi_s(seed: SeedS, M: FieldVec, Y: FieldVec, L2: FieldVec) -> FieldVec:
+def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
     """Randomized preimage (M' - T(S) L2, L2) of M' = (Y || M) under f_S.
 
     This is the information word handed to the error-correcting encoder;
     f_s(seed, psi_s(seed, M, Y, L2)) = (Y || M) for every L2 by cancellation.
+    M, Y and L2 share their leading axes; the seed's broadcast against them.
     """
-    if len(M) != seed.n2 or len(Y) != seed.n3:
-        raise ValueError(
-            f"lengths ({len(M)}, {len(Y)}) != (n2, n3) = ({seed.n2}, {seed.n3})"
-        )
-    if len(L2) != seed.n1 - (seed.n2 + seed.n3):
-        raise ValueError(
-            f"L2 length {len(L2)} != n1 - (n2+n3) = {seed.n1 - seed.n2 - seed.n3}"
-        )
-    mprime = Y.concat(M)
-    head = mprime.sub(toeplitz_apply(seed.toeplitz(), L2))
-    return head.concat(L2)
+    M, Y, L2 = (np.asarray(v, dtype=np.int64) for v in (M, Y, L2))
+    _check_len("M", M, seed.n2)
+    _check_len("Y", Y, seed.n3)
+    k = seed.n2 + seed.n3
+    _check_len("L2", L2, seed.n1 - k)
+    t = toeplitz_apply_batch(seed.vec, L2, k, seed.n1 - k, seed.p)
+    head = (np.concatenate([Y, M], axis=-1) - t) % seed.p
+    return np.concatenate([head, L2 % seed.p], axis=-1)
 
 
 def collision_probability(l: FieldVec, lp: FieldVec, n1: int, n2: int, n3: int) -> Fraction:
@@ -143,8 +140,6 @@ def collision_probability(l: FieldVec, lp: FieldVec, n1: int, n2: int, n3: int) 
     if len(l) != n1 or len(lp) != n1:
         raise ValueError("inputs must have length n1")
     k = n2 + n3
-    p = l.p
-    dl2 = l.slice(k, n1).sub(lp.slice(k, n1))
-    if not dl2.values.any():
+    if np.array_equal(l.values[k:], lp.values[k:]):
         return Fraction(0)
-    return Fraction(1, p**k)
+    return Fraction(1, l.p**k)

@@ -8,8 +8,11 @@ oracle in the tests.  The masked variant (run_protocol3) adds a public
 uniform one-time pad X_bar and decodes on X_under - X_bar; under coupled
 randomness it is verdict-identical to the unmasked run.
 
-Randomness discipline: one master seed derives a fixed tuple of named
-substreams (seed-S, seed-S', Y, L2, channel noise, mask, adversary), so
+One batched engine runs the protocol for every caller: Monte Carlo passes
+a (trials, n2) batch of messages, and a transcript is row 0 of a
+trials = 1 pass.  Randomness discipline: one master seed derives a fixed
+tuple of named substreams (seed-S, seed-S', Y, L2, channel noise, mask,
+adversary, message), and each stream gets exactly one (trials, .) draw, so
 transcripts are reproducible byte for byte and the masked/unmasked pair can
 be coupled.  Secrecy under interception is never sampled; intercept mode
 aborts at reception and reports the analytic secrecy bound instead.
@@ -27,7 +30,7 @@ from scipy.optimize import linprog
 from .bounds import eps_E_bound
 from .dists import PauliDist, convolve
 from .qexact import SizeCapError
-from .gf import FieldVec, toeplitz_matrix
+from .gf import FieldVec, _check_int64_dot, all_vectors
 from .hashing import SeedS, SeedSPrime, f_s_split, g_sprime, psi_s
 from .wiretap import ClassicalChannelWc, LinearCodeSpec
 
@@ -117,65 +120,92 @@ class Transcript:
         return json.dumps(payload, sort_keys=True)
 
 
-def verify(seed_sprime: SeedSPrime, m_hat: FieldVec, y_hat: FieldVec,
-           c: FieldVec) -> bool:
-    """Accept iff g_S'(M_hat, Y_hat) = C."""
-    return g_sprime(seed_sprime, m_hat, y_hat) == c
+def verify(seed_sprime: SeedSPrime, m_hat, y_hat, c) -> np.ndarray:
+    """Accept iff g_S'(M_hat, Y_hat) = C, row-wise."""
+    return (g_sprime(seed_sprime, m_hat, y_hat) == c).all(axis=-1)
 
 
-def _draw_common(config: ProtocolConfig, M: FieldVec, streams):
-    p = config.p
-    seed_s = SeedS(FieldVec(streams["s"].integers(0, p, config.n1 - 1), p),
-                   config.n1, config.n2, config.n3)
-    seed_sp = SeedSPrime(
-        FieldVec(streams["s_prime"].integers(0, p, config.n2 + config.n3 - 1), p),
-        config.n2, config.n3)
-    y = FieldVec(streams["y"].integers(0, p, config.n3), p)
-    l2 = FieldVec(streams["l2"].integers(0, p, config.n1 - config.n2 - config.n3), p)
-    c = g_sprime(seed_sp, M, y)
-    info = psi_s(seed_s, M, y, l2)
-    x = config.code.encode(info.values)
-    return seed_s, seed_sp, y, l2, c, x
+def _engine(config: ProtocolConfig, msgs: np.ndarray, streams,
+            adversary: AdversaryMode, masked: bool = False) -> dict:
+    """One batched protocol pass; every returned array has one row per trial.
+
+    Draws seeds, covers, L2 and (masked) the public pad, encodes, and in
+    intercept mode stops there.  Otherwise
+    the words cross the channel, are tampered with if asked (the default
+    rule is one bulk uniform draw, a custom rule is called per row), and are
+    decoded, hashed back and verified.
+    """
+    p, n1, n2, n3 = config.p, config.n1, config.n2, config.n3
+    k = n2 + n3
+    trials = msgs.shape[0]
+    seed_s = SeedS(streams["s"].integers(0, p, (trials, n1 - 1)), n1, n2, n3, p)
+    seed_sp = SeedSPrime(streams["s_prime"].integers(0, p, (trials, k - 1)), n2, n3, p)
+    ys = streams["y"].integers(0, p, (trials, n3))
+    l2s = streams["l2"].integers(0, p, (trials, n1 - k))
+    infos = psi_s(seed_s, msgs, ys, l2s)
+    code = config.code
+    # encode row by row or through the generator matrix, whichever calls
+    # encode fewer times; both give the same words for a linear code
+    if trials < n1:
+        x = np.empty((trials, 2 * config.n), dtype=np.int64)
+        for row, info in zip(x, infos):
+            row[:] = code.encode(info)
+    else:
+        _check_int64_dot(p, n1)
+        G = np.stack([code.encode(e) for e in np.eye(n1, dtype=np.int64)], axis=1)
+        x = infos @ G.T % p
+    x_bar = streams["mask"].integers(0, p, (trials, 2 * config.n)) if masked else None
+    run = {"s": seed_s.vec, "s_prime": seed_sp.vec, "c": g_sprime(seed_sp, msgs, ys),
+           "x": x, "infos": infos, "x_bar": x_bar, "x_hat": None, "m_hat": None,
+           "y_hat": None, "accept": None}
+    if adversary.kind == "intercept":
+        return run
+    channel = ClassicalChannelWc(config.effective_noise())
+    if masked:
+        x_hat = (channel.sample_batch((x + x_bar) % p, streams["noise"]) - x_bar) % p
+    else:
+        x_hat = channel.sample_batch(x, streams["noise"])
+    if adversary.kind == "tamper":
+        rng = streams["adversary"]
+        if adversary.tamper_fn is None:
+            x_hat = rng.integers(0, p, x_hat.shape)
+        else:
+            x_hat = np.stack([adversary.tamper_fn(r, rng) for r in x_hat])
+    if code.decode_batch is not None:
+        decoded = code.decode_batch(x_hat)
+    else:
+        decoded = np.stack([code.decode(r) for r in x_hat])
+    y_hat, m_hat = f_s_split(seed_s, decoded)
+    run.update(x_hat=x_hat, decoded=decoded, y_hat=y_hat, m_hat=m_hat,
+               accept=verify(seed_sp, m_hat, y_hat, run["c"]))
+    return run
 
 
-def _finish(config: ProtocolConfig, seed_s, seed_sp, c, x_hat_arr,
-            events) -> tuple:
-    y_hat, m_hat = None, None
-    info = FieldVec(config.code.decode(x_hat_arr), config.p)
-    y_hat, m_hat = f_s_split(seed_s, info)
-    events.append("decode")
-    ok = verify(seed_sp, m_hat, y_hat, c)
-    events.append("verdict")
-    return m_hat, y_hat, ("accept" if ok else "abort")
+def _transcript(config: ProtocolConfig, M: FieldVec, adversary: AdversaryMode | None,
+                masked: bool) -> Transcript:
+    """Row 0 of a trials = 1 engine pass, with the public-communication events."""
+    adversary = adversary or AdversaryMode.none()
+    if M.p != config.p:
+        raise ValueError(f"message modulus {M.p} != config modulus {config.p}")
+    run = _engine(config, M.values[None, :], config.streams(), adversary, masked)
+    events = ["encode", "transmit_masked" if masked else "transmit"]
+    if adversary.kind == "intercept":
+        events.append("intercepted")
+    else:
+        events += ["reception_ack", "public:s,s_prime,c,x_bar" if masked else "public:s,s_prime,c"]
+        if adversary.kind == "tamper":
+            events.append("tampered")
+        events += ["decode", "verdict"]
+    rows = {key: None if run[key] is None else run[key][0].tolist()
+            for key in ("s", "s_prime", "c", "x_bar", "x", "x_hat", "m_hat", "y_hat")}
+    accepted = run["accept"] is not None and bool(run["accept"][0])
+    return Transcript(**rows, verdict="accept" if accepted else "abort", events=events)
 
 
 def run_protocol1(config: ProtocolConfig, M: FieldVec,
                   adversary: AdversaryMode | None = None) -> Transcript:
     """One unmasked run: encode, channel, reception, public S/S'/C, decode."""
-    adversary = adversary or AdversaryMode.none()
-    streams = config.streams()
-    seed_s, seed_sp, y, l2, c, x = _draw_common(config, M, streams)
-    events = ["encode", "transmit"]
-    if adversary.kind == "intercept":
-        events.append("intercepted")
-        return Transcript(
-            s=seed_s.vec.tolist(), s_prime=seed_sp.vec.tolist(), c=c.tolist(),
-            x_bar=None, x=x.tolist(), x_hat=None, m_hat=None, y_hat=None,
-            verdict="abort", events=events)
-    channel = ClassicalChannelWc(config.effective_noise())
-    x_hat = channel.sample(x, streams["noise"])
-    events.append("reception_ack")
-    events.append("public:s,s_prime,c")
-    if adversary.kind == "tamper":
-        fn = adversary.tamper_fn or uniform_tamper(config.p)
-        x_hat = fn(x_hat, streams["adversary"])
-        events.append("tampered")
-    m_hat, y_hat, verdict = _finish(config, seed_s, seed_sp, c, x_hat, events)
-    return Transcript(
-        s=seed_s.vec.tolist(), s_prime=seed_sp.vec.tolist(), c=c.tolist(),
-        x_bar=None, x=x.tolist(), x_hat=x_hat.tolist(),
-        m_hat=m_hat.tolist(), y_hat=y_hat.tolist(), verdict=verdict,
-        events=events)
+    return _transcript(config, M, adversary, masked=False)
 
 
 def run_protocol3(config: ProtocolConfig, M: FieldVec,
@@ -185,41 +215,7 @@ def run_protocol3(config: ProtocolConfig, M: FieldVec,
     Under the same master seed the pad cancels exactly, so the verdict and
     recovered message coincide with run_protocol1's.
     """
-    adversary = adversary or AdversaryMode.none()
-    streams = config.streams()
-    seed_s, seed_sp, y, l2, c, x = _draw_common(config, M, streams)
-    x_bar = streams["mask"].integers(0, config.p, 2 * config.n)
-    events = ["encode", "transmit_masked"]
-    if adversary.kind == "intercept":
-        events.append("intercepted")
-        return Transcript(
-            s=seed_s.vec.tolist(), s_prime=seed_sp.vec.tolist(), c=c.tolist(),
-            x_bar=x_bar.tolist(), x=x.tolist(), x_hat=None, m_hat=None,
-            y_hat=None, verdict="abort", events=events)
-    channel = ClassicalChannelWc(config.effective_noise())
-    x_under = channel.sample((x + x_bar) % config.p, streams["noise"])
-    events.append("reception_ack")
-    events.append("public:s,s_prime,c,x_bar")
-    x_hat = (x_under - x_bar) % config.p
-    if adversary.kind == "tamper":
-        fn = adversary.tamper_fn or uniform_tamper(config.p)
-        x_hat = fn(x_hat, streams["adversary"])
-        events.append("tampered")
-    m_hat, y_hat, verdict = _finish(config, seed_s, seed_sp, c, x_hat, events)
-    return Transcript(
-        s=seed_s.vec.tolist(), s_prime=seed_sp.vec.tolist(), c=c.tolist(),
-        x_bar=x_bar.tolist(), x=x.tolist(), x_hat=x_hat.tolist(),
-        m_hat=m_hat.tolist(), y_hat=y_hat.tolist(), verdict=verdict,
-        events=events)
-
-
-def uniform_tamper(p: int):
-    """Default substitution attack: replace the reception with a uniform word."""
-
-    def fn(x_hat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, p, x_hat.shape)
-
-    return fn
+    return _transcript(config, M, adversary, masked=True)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -246,7 +242,6 @@ def monte_carlo(config: ProtocolConfig, trials: int,
         raise ValueError("trials must be >= 1")
     adversary = adversary or AdversaryMode.none()
     p, n1, n2, n3 = config.p, config.n1, config.n2, config.n3
-    k = n2 + n3
     if adversary.kind == "intercept":
         return {
             "trials": trials, "abort_rate": 1.0, "undetected_error_rate": 0.0,
@@ -256,38 +251,11 @@ def monte_carlo(config: ProtocolConfig, trials: int,
             "eps_E_bound": eps_E_bound(config.n, n1 - n2 - n3, config.P),
         }
     streams = config.streams()
-    rng = streams["noise"]
     msgs = streams["message"].integers(0, p, (trials, n2))
-    seeds_s = streams["s"].integers(0, p, (trials, n1 - 1))
-    seeds_sp = streams["s_prime"].integers(0, p, (trials, k - 1))
-    ys = streams["y"].integers(0, p, (trials, n3))
-    l2s = streams["l2"].integers(0, p, (trials, n1 - k))
-
-    mprime = np.concatenate([ys, msgs], axis=1)
-    head = (mprime - _batch_toeplitz(seeds_s, l2s, k, n1 - k, p)) % p
-    infos = np.concatenate([head, l2s], axis=1)
-    G = np.stack([config.code.encode(e) for e in np.eye(n1, dtype=np.int64)], axis=1)
-    words = infos @ G.T % p
-    channel = ClassicalChannelWc(config.effective_noise())
-    received = channel.sample_batch(words, rng)
-    if adversary.kind == "tamper":
-        if adversary.tamper_fn is not None:
-            received = np.stack([adversary.tamper_fn(r, streams["adversary"])
-                                 for r in received])
-        else:
-            received = streams["adversary"].integers(0, p, received.shape)
-    if config.code.decode_batch is not None:
-        decoded = config.code.decode_batch(received)
-    else:
-        decoded = np.stack([config.code.decode(r) for r in received])
-    block_err = int(np.sum(np.any(decoded != infos, axis=1)))
-
-    mprime_hat = (decoded[:, :k] + _batch_toeplitz(seeds_s, decoded[:, k:], k, n1 - k, p)) % p
-    y_hat, m_hat = mprime_hat[:, :n3], mprime_hat[:, n3:]
-    c = (ys + _batch_toeplitz(seeds_sp, msgs, n3, n2, p)) % p
-    c_hat = (y_hat + _batch_toeplitz(seeds_sp, m_hat, n3, n2, p)) % p
-    accept = np.all(c_hat == c, axis=1)
-    wrong = np.any(m_hat != msgs, axis=1)
+    run = _engine(config, msgs, streams, adversary)
+    block_err = int(np.sum(np.any(run["decoded"] != run["infos"], axis=1)))
+    accept = run["accept"]
+    wrong = np.any(run["m_hat"] != msgs, axis=1)
 
     n_accept = int(accept.sum())
     n_abort = trials - n_accept
@@ -321,17 +289,6 @@ def stats_csv(stats: dict) -> str:
            "" if ecc is None else ecc]
     fmt = [str(row[0])] + [f"{v:.12g}" if v != "" else "" for v in row[1:]]
     return ",".join(header) + "\n" + ",".join(fmt) + "\n"
-
-
-def _batch_toeplitz(seeds: np.ndarray, xs: np.ndarray, d1: int, d2: int,
-                    p: int) -> np.ndarray:
-    """Row-wise T(seed_r) @ x_r for per-trial seeds; output (trials, d1)."""
-    trials = seeds.shape[0]
-    out = np.zeros((trials, d1), dtype=np.int64)
-    for i in range(1, d1 + 1):
-        for j in range(1, d2 + 1):
-            out[:, i - 1] += seeds[:, i - j + d2 - 1] * xs[:, j - 1]
-    return out % p
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +350,6 @@ def lnm_check(p: int, n2: int, n3: int, eve_kernel: np.ndarray) -> tuple[float, 
     if m_count * y_count * s_count * e_count > 10**6:
         raise SizeCapError("instance too large for exact enumeration")
 
-    def unrank(idx, length):
-        out = np.zeros(length, dtype=np.int64)
-        for j in range(length - 1, -1, -1):
-            out[j] = idx % p
-            idx //= p
-        return out
-
     # d(M'; E'): joint over (m', e')
     joint_me = np.zeros((m_count * y_count, e_count))
     for mp in range(m_count * y_count):
@@ -407,20 +357,15 @@ def lnm_check(p: int, n2: int, n3: int, eve_kernel: np.ndarray) -> tuple[float, 
     right = _min_sigma_distance(joint_me)
 
     # d(M; E' S' C): joint over (m, (e', s', c))
+    seeds = SeedSPrime(all_vectors(p, n2 + n3 - 1), n2, n3, p)
+    c_weights = p ** np.arange(n3 - 1, -1, -1)
     joint = np.zeros((m_count, e_count * s_count * y_count))
-    for m_idx in range(m_count):
-        mv = unrank(m_idx, n2)
-        for y_idx in range(y_count):
-            yv = unrank(y_idx, n3)
+    for m_idx, mv in enumerate(all_vectors(p, n2)):
+        for y_idx, yv in enumerate(all_vectors(p, n3)):
             mp_idx = y_idx * m_count + m_idx
+            c_idx = g_sprime(seeds, mv, yv) @ c_weights  # one C per seed S'
             for s_idx in range(s_count):
-                sv = unrank(s_idx, n2 + n3 - 1)
-                tmat = toeplitz_matrix(sv, n3, n2)
-                cv = (yv + tmat @ mv) % p
-                c_idx = 0
-                for v in cv:
-                    c_idx = c_idx * p + int(v)
-                col_base = (s_idx * y_count + c_idx) * e_count
+                col_base = (s_idx * y_count + int(c_idx[s_idx])) * e_count
                 w = 1.0 / (m_count * y_count * s_count)
                 joint[m_idx, col_base:col_base + e_count] += w * kernel[:, mp_idx]
     left = _min_sigma_distance(joint)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qexact
 from .dists import PauliDist
-from .gf import FieldVec, toeplitz_matrix
+from .gf import _check_int64_dot, all_vectors, toeplitz_apply_batch
 from .hashing import SeedS, f_s_split, psi_s
 
 _ENUM_CAP = 10**6
@@ -39,7 +39,8 @@ class LinearCodeSpec:
 
     ``encode`` maps an (n1,) int array to a (2n,) codeword; ``decode`` maps a
     (2n,) word back to an (n1,) information vector.  ``decode_batch`` is an
-    optional vectorized decoder on (m, 2n) arrays used by Monte Carlo runs.
+    optional vectorized decoder on (m, 2n) arrays; the protocol engine uses it
+    when present and falls back to ``decode`` per row.
     """
 
     p: int
@@ -56,12 +57,7 @@ class LinearCodeSpec:
         if total > _ENUM_CAP:
             raise qexact.SizeCapError(
                 f"enumeration of {total} messages exceeds cap {_ENUM_CAP}")
-        idx = np.arange(total)
-        out = np.zeros((total, self.n1), dtype=np.int64)
-        for j in range(self.n1 - 1, -1, -1):
-            out[:, j] = idx % self.p
-            idx //= self.p
-        return out
+        return all_vectors(self.p, self.n1)
 
     def all_codewords(self) -> np.ndarray:
         msgs = self.all_messages()
@@ -115,6 +111,7 @@ def identity_code(p: int, n: int) -> LinearCodeSpec:
 def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist,
                     name: str) -> LinearCodeSpec:
     n1 = G.shape[1]
+    _check_int64_dot(p, n1)  # encode's G @ v must not overflow int64
 
     def encode(v):
         v = np.asarray(v, dtype=np.int64) % p
@@ -233,11 +230,6 @@ class ClassicalChannelWc:
         return (cw + noise) % p
 
 
-def channel_sample(codeword: np.ndarray, channel: ClassicalChannelWc,
-                   rng: np.random.Generator) -> np.ndarray:
-    return channel.sample(np.asarray(codeword, dtype=np.int64), rng)
-
-
 class ClassicalEveChannel:
     """Eve observes the codeword through a classical channel W[e, word-index].
 
@@ -342,38 +334,44 @@ class QuantumEveChannel:
 # wiretap code operations
 # ---------------------------------------------------------------------------
 
-def wiretap_encode(code: LinearCodeSpec, seed: SeedS, M: FieldVec, Y: FieldVec,
+def wiretap_encode(code: LinearCodeSpec, seed: SeedS, M, Y,
                    rng: np.random.Generator) -> np.ndarray:
-    """Draw L2 uniformly and transmit phi_e(psi_S(M, Y, L2))."""
+    """Draw L2 uniformly and transmit phi_e(psi_S(M, Y, L2)) for one seed."""
     if seed.n1 != code.n1 or seed.p != code.p:
         raise ValueError("seed parameters do not match the code")
-    l2 = FieldVec(rng.integers(0, code.p, seed.n1 - seed.n2 - seed.n3), code.p)
-    info = psi_s(seed, M, Y, l2)
-    return code.encode(info.values)
+    l2 = rng.integers(0, code.p, seed.n1 - seed.n2 - seed.n3)
+    return code.encode(psi_s(seed, M, Y, l2))
 
 
 def wiretap_decode(code: LinearCodeSpec, seed: SeedS,
-                   received: np.ndarray) -> tuple[FieldVec, FieldVec]:
+                   received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Y_hat, M_hat) = f_S(phi_d(received))."""
-    info = FieldVec(code.decode(np.asarray(received, dtype=np.int64)), code.p)
-    return f_s_split(seed, info)
+    return f_s_split(seed, code.decode(np.asarray(received, dtype=np.int64)))
 
 
-def _all_vectors(p: int, length: int) -> np.ndarray:
-    total = p**length
-    idx = np.arange(total)
-    out = np.zeros((total, length), dtype=np.int64)
-    for j in range(length - 1, -1, -1):
-        out[:, j] = idx % p
-        idx //= p
-    return out
+def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
+    """Per seed, the list of ||tau_{E|m'} - tau_E||_1 over m' in index order.
 
-
-def _hash_values(p: int, n1: int, k: int, seed_vec: np.ndarray,
-                 infos: np.ndarray) -> np.ndarray:
-    """f_S over a batch of information words, as M' row vectors."""
-    T = toeplitz_matrix(seed_vec, k, n1 - k)
-    return (infos[:, :k] + infos[:, k:] @ T.T) % p
+    Hashes every information word to M' = L1 + T(S) L2 (the f_S map, with
+    n1 = k allowed) and averages Eve's states over each preimage.
+    """
+    p, n1 = code.p, code.n1
+    infos = all_vectors(p, n1)
+    states = [eve.state(code.encode(v)) for v in infos]
+    avg = sum(states) / len(states)
+    weights = p ** np.arange(k - 1, -1, -1)
+    for seed_vec in seeds:
+        mvals = (infos[:, :k] + toeplitz_apply_batch(seed_vec, infos[:, k:], k, n1 - k, p)) % p
+        midx = mvals @ weights
+        norms = []
+        for m in range(p**k):
+            members = np.nonzero(midx == m)[0]
+            diff = sum(states[i] for i in members) / len(members) - avg
+            if eve.is_quantum:
+                norms.append(float(np.abs(np.linalg.eigvalsh(diff)).sum()))
+            else:
+                norms.append(float(np.abs(diff).sum()))
+        yield norms
 
 
 def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
@@ -394,30 +392,14 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
     if total_states > _ENUM_CAP:
         raise qexact.SizeCapError(
             f"enumeration of {total_states} states exceeds cap {_ENUM_CAP}")
-    infos = _all_vectors(p, n1)
-    words = np.stack([code.encode(v) for v in infos])
-    states = [eve.state(w) for w in words]
-    avg = sum(states) / len(states)
     if seeds is None:
-        seeds = _all_vectors(p, n1 - 1)
-
-    def one_norm(mat):
-        if eve.is_quantum:
-            return float(np.abs(np.linalg.eigvalsh(mat)).sum())
-        return float(np.abs(mat).sum())
-
+        seeds = all_vectors(p, n1 - 1)
     mprime_count = p**k
     total = 0.0
-    for seed_vec in seeds:
-        mvals = _hash_values(p, n1, k, seed_vec, infos)
-        midx = np.zeros(len(infos), dtype=np.int64)
-        for j in range(k):
-            midx = midx * p + mvals[:, j]
+    for norms in _message_norms(code, k, eve, seeds):
         d_s = 0.0
-        for m in range(mprime_count):
-            members = np.nonzero(midx == m)[0]
-            cond = sum(states[i] for i in members) / len(members)
-            d_s += one_norm(cond - avg) / mprime_count
+        for norm in norms:
+            d_s += norm / mprime_count
         total += d_s
     return total / len(seeds)
 
@@ -425,28 +407,7 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
 def per_message_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
                         seed_vec: np.ndarray) -> np.ndarray:
     """||tau_{E|m'} - tau_E||_1 for every m' at one fixed seed."""
-    p, n1 = code.p, code.n1
-    k = n2 + n3
-    infos = _all_vectors(p, n1)
-    words = np.stack([code.encode(v) for v in infos])
-    states = [eve.state(w) for w in words]
-    avg = sum(states) / len(states)
-    mvals = _hash_values(p, n1, k, seed_vec, infos)
-    midx = np.zeros(len(infos), dtype=np.int64)
-    for j in range(k):
-        midx = midx * p + mvals[:, j]
-
-    def one_norm(mat):
-        if eve.is_quantum:
-            return float(np.abs(np.linalg.eigvalsh(mat)).sum())
-        return float(np.abs(mat).sum())
-
-    out = np.empty(p**k)
-    for m in range(p**k):
-        members = np.nonzero(midx == m)[0]
-        cond = sum(states[i] for i in members) / len(members)
-        out[m] = one_norm(cond - avg)
-    return out
+    return np.array(next(_message_norms(code, n2 + n3, eve, [seed_vec])))
 
 
 def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,

@@ -17,7 +17,7 @@ from pdckit.dists import PauliDist, convolve, depolarizing, marginal, shannon
 from pdckit.estimation import (char_table_from_marginals,
                                estimate, reconstruct, settings,
                                twirled_statistics_check)
-from pdckit.gf import FieldVec, toeplitz_matrix
+from pdckit.gf import FieldVec, toeplitz_apply_batch
 from pdckit.hashing import SeedS, f_s
 from pdckit.identities import check_identities, random_pauli_dist
 from pdckit.protocol import (ProtocolConfig, monte_carlo, run_protocol1,
@@ -158,9 +158,8 @@ def test_criterion_5_error_verification_exactness():
                         hits = 0
                         for sidx in range(n_seed):
                             sv = [(sidx >> j) & 1 for j in range(n2 + n3 - 1)]
-                            tm = toeplitz_matrix(np.array(sv), n3, n2)
-                            c = (np.array(yv) + tm @ np.array(mv)) % p
-                            ch = (np.array(yhv) + tm @ np.array(mhv)) % p
+                            c = (np.array(yv) + toeplitz_apply_batch(sv, mv, n3, n2, p)) % p
+                            ch = (np.array(yhv) + toeplitz_apply_batch(sv, mhv, n3, n2, p)) % p
                             hits += int(np.array_equal(c, ch))
                         frac = hits / n_seed
                         ok = ok and (abs(frac - p**-n3) < 1e-15)
@@ -175,10 +174,8 @@ def test_criterion_5_error_verification_exactness():
     yhs = rng.integers(0, p, (trials, n3))
     m = np.zeros((trials, n2), dtype=np.int64)
     mh = np.ones((trials, n2), dtype=np.int64)
-    from pdckit.protocol import _batch_toeplitz
-
-    c = (ys + _batch_toeplitz(seeds, m, n3, n2, p)) % p
-    ch = (yhs + _batch_toeplitz(seeds, mh, n3, n2, p)) % p
+    c = (ys + toeplitz_apply_batch(seeds, m, n3, n2, p)) % p
+    ch = (yhs + toeplitz_apply_batch(seeds, mh, n3, n2, p)) % p
     acc = np.mean(np.all(c == ch, axis=1))
     q = 2.0**-10
     sigma = math.sqrt(q * (1 - q) / trials)
@@ -274,15 +271,15 @@ def test_criterion_8_uhf_exactness():
         for k in range(1, n1):
             # the collision and balance laws depend only on k = n2 + n3
             n2, n3 = (k - 1, 1) if k > 1 else (k, 0)
-            seeds = [SeedS(FieldVec([(si >> j) & 1 for j in range(n1 - 1)], p),
-                           n1, n2, n3) for si in range(p ** (n1 - 1))]
+            seeds = [SeedS([(si >> j) & 1 for j in range(n1 - 1)],
+                           n1, n2, n3, p) for si in range(p ** (n1 - 1))]
             vecs = [np.array(v) for v in product(range(p), repeat=n1)]
             for lv in vecs:
                 for lpv in vecs:
                     if np.array_equal(lv, lpv):
                         continue
                     hits = sum(
-                        f_s(s, FieldVec(lv, p)) == f_s(s, FieldVec(lpv, p))
+                        np.array_equal(f_s(s, lv), f_s(s, lpv))
                         for s in seeds)
                     frac = hits / len(seeds)
                     expect = 0.0 if np.array_equal(lv[k:], lpv[k:]) else p**-k
@@ -291,7 +288,7 @@ def test_criterion_8_uhf_exactness():
             for s in seeds:
                 counts = {}
                 for lv in vecs:
-                    key = tuple(f_s(s, FieldVec(lv, p)).tolist())
+                    key = tuple(f_s(s, lv).tolist())
                     counts[key] = counts.get(key, 0) + 1
                 ok = ok and len(counts) == p**k
                 ok = ok and all(c == p ** (n1 - k) for c in counts.values())

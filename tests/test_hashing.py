@@ -14,7 +14,11 @@ def all_vecs(p, length):
 
 
 def make_seed(sv, p, n1, n2, n3):
-    return SeedS(FieldVec(sv, p), n1, n2, n3)
+    return SeedS(sv, n1, n2, n3, p)
+
+
+def same(a, b) -> bool:
+    return np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------
@@ -24,10 +28,10 @@ def make_seed(sv, p, n1, n2, n3):
 def test_f_zero_seed_and_zero_l2():
     p, n1, n2, n3 = 3, 5, 1, 2
     seed = make_seed([0] * (n1 - 1), p, n1, n2, n3)
-    L = FieldVec([1, 2, 0, 1, 2], p)
+    L = [1, 2, 0, 1, 2]
     assert f_s(seed, L).tolist() == [1, 2, 0]
     seed2 = make_seed([1, 2, 0, 1], p, n1, n2, n3)
-    L2zero = FieldVec([1, 2, 0, 0, 0], p)
+    L2zero = [1, 2, 0, 0, 0]
     assert f_s(seed2, L2zero).tolist() == [1, 2, 0]
 
 
@@ -41,12 +45,11 @@ def test_f_collision_exhaustive_p2_n1_3():
         for lpv in vecs:
             if lv == lpv:
                 continue
-            l = FieldVec(lv, p)
-            lp = FieldVec(lpv, p)
-            hits = sum(f_s(s, l) == f_s(s, lp) for s in seeds)
+            hits = sum(same(f_s(s, lv), f_s(s, lpv)) for s in seeds)
             prob = Fraction(hits, len(seeds))
             expect = Fraction(0) if lv[k:] == lpv[k:] else Fraction(1, p**k)
             assert prob == expect
+            l, lp = FieldVec(lv, p), FieldVec(lpv, p)
             assert collision_probability(l, lp, n1, n2, n3) == expect
             assert prob <= Fraction(1, p**k)
 
@@ -59,8 +62,8 @@ def test_collision_closed_form_matches_enumeration_p3():
         lv, lpv = rng.integers(0, p, n1).tolist(), rng.integers(0, p, n1).tolist()
         if lv == lpv:
             continue
+        hits = sum(same(f_s(s, lv), f_s(s, lpv)) for s in seeds)
         l, lp = FieldVec(lv, p), FieldVec(lpv, p)
-        hits = sum(f_s(s, l) == f_s(s, lp) for s in seeds)
         assert Fraction(hits, len(seeds)) == collision_probability(l, lp, n1, n2, n3)
 
 
@@ -73,7 +76,7 @@ def test_balanced_condition_exhaustive():
             seed = make_seed(sv, p, n1, n2, n3)
             counts = {}
             for lv in all_vecs(p, n1):
-                key = tuple(f_s(seed, FieldVec(lv, p)).tolist())
+                key = tuple(f_s(seed, lv).tolist())
                 counts[key] = counts.get(key, 0) + 1
             assert len(counts) == p**k
             assert all(c == p ** (n1 - k) for c in counts.values())
@@ -84,11 +87,11 @@ def test_f_linearity():
     p, n1, n2, n3 = 5, 6, 2, 1
     seed = make_seed(rng.integers(0, p, n1 - 1), p, n1, n2, n3)
     for _ in range(50):
-        a, b = FieldVec(rng.integers(0, p, n1), p), FieldVec(rng.integers(0, p, n1), p)
+        a, b = rng.integers(0, p, n1), rng.integers(0, p, n1)
         c = int(rng.integers(0, p))
-        lhs = f_s(seed, a.add(b.scale(c)))
-        rhs = f_s(seed, a).add(f_s(seed, b).scale(c))
-        assert lhs == rhs
+        lhs = f_s(seed, (a + c * b) % p)
+        rhs = (f_s(seed, a) + c * f_s(seed, b)) % p
+        assert same(lhs, rhs)
 
 
 # ---------------------------------------------------------------
@@ -97,17 +100,17 @@ def test_f_linearity():
 
 def test_g_trivial_cases():
     p, n2, n3 = 3, 2, 2
-    sp = SeedSPrime(FieldVec([1, 2, 0], p), n2, n3)
-    y = FieldVec([1, 2], p)
-    assert g_sprime(sp, FieldVec([0, 0], p), y) == y
-    sp_zero = SeedSPrime(FieldVec([0, 0, 0], p), n2, n3)
-    assert g_sprime(sp_zero, FieldVec([2, 1], p), y) == y
+    sp = SeedSPrime([1, 2, 0], n2, n3, p)
+    y = [1, 2]
+    assert same(g_sprime(sp, [0, 0], y), y)
+    sp_zero = SeedSPrime([0, 0, 0], n2, n3, p)
+    assert same(g_sprime(sp_zero, [2, 1], y), y)
 
 
 def test_g_collision_p2_n2_n3_1():
     # enumerate both seeds: collision frequency is exactly 1/2 for m != m'
     p = 2
-    seeds = [SeedSPrime(FieldVec([v], p), 1, 1) for v in range(p)]
+    seeds = [SeedSPrime([v], 1, 1, p) for v in range(p)]
     for m in range(p):
         for mh in range(p):
             if m == mh:
@@ -115,8 +118,7 @@ def test_g_collision_p2_n2_n3_1():
             for y in range(p):
                 for yh in range(p):
                     hits = sum(
-                        g_sprime(s, FieldVec([m], p), FieldVec([y], p))
-                        == g_sprime(s, FieldVec([mh], p), FieldVec([yh], p))
+                        same(g_sprime(s, [m], [y]), g_sprime(s, [mh], [yh]))
                         for s in seeds)
                     assert Fraction(hits, len(seeds)) == Fraction(1, 2)
 
@@ -124,9 +126,9 @@ def test_g_collision_p2_n2_n3_1():
 def test_c3_bijectivity_exhaustive():
     p, n2, n3 = 2, 2, 2
     for sv in all_vecs(p, n2 + n3 - 1):
-        sp = SeedSPrime(FieldVec(sv, p), n2, n3)
+        sp = SeedSPrime(sv, n2, n3, p)
         for mv in all_vecs(p, n2):
-            images = {tuple(g_sprime(sp, FieldVec(mv, p), FieldVec(yv, p)).tolist())
+            images = {tuple(g_sprime(sp, mv, yv).tolist())
                       for yv in all_vecs(p, n3)}
             assert len(images) == p**n3
 
@@ -134,13 +136,12 @@ def test_c3_bijectivity_exhaustive():
 def test_y_of_round_trip():
     p, n2, n3 = 2, 2, 1
     for sv in all_vecs(p, n2 + n3 - 1):
-        sp = SeedSPrime(FieldVec(sv, p), n2, n3)
-        for mv in all_vecs(p, n2):
-            for yv in all_vecs(p, n3):
-                m, y = FieldVec(mv, p), FieldVec(yv, p)
+        sp = SeedSPrime(sv, n2, n3, p)
+        for m in all_vecs(p, n2):
+            for y in all_vecs(p, n3):
                 c = g_sprime(sp, m, y)
-                assert y_of(m, sp, c) == y
-                assert g_sprime(sp, m, y_of(m, sp, c)) == c
+                assert same(y_of(m, sp, c), y)
+                assert same(g_sprime(sp, m, y_of(m, sp, c)), c)
 
 
 # ---------------------------------------------------------------
@@ -150,7 +151,7 @@ def test_y_of_round_trip():
 def test_psi_zero_seed_concatenates():
     p, n1, n2, n3 = 2, 4, 1, 1
     seed = make_seed([0, 0, 0], p, n1, n2, n3)
-    out = psi_s(seed, FieldVec([1], p), FieldVec([0], p), FieldVec([1, 1], p))
+    out = psi_s(seed, [1], [0], [1, 1])
     assert out.tolist() == [0, 1, 1, 1]  # (Y || M) then L2
 
 
@@ -161,9 +162,8 @@ def test_f_of_psi_identity_exhaustive():
         for mv in all_vecs(p, n2):
             for yv in all_vecs(p, n3):
                 for l2v in all_vecs(p, n1 - n2 - n3):
-                    m, y, l2 = (FieldVec(v, p) for v in (mv, yv, l2v))
-                    y2, m2 = f_s_split(seed, psi_s(seed, m, y, l2))
-                    assert m2 == m and y2 == y
+                    y2, m2 = f_s_split(seed, psi_s(seed, mv, yv, l2v))
+                    assert same(m2, mv) and same(y2, yv)
 
 
 def test_f_of_psi_identity_random_p3():
@@ -171,22 +171,30 @@ def test_f_of_psi_identity_random_p3():
     p, n1, n2, n3 = 3, 7, 2, 2
     for _ in range(1000):
         seed = make_seed(rng.integers(0, p, n1 - 1), p, n1, n2, n3)
-        m = FieldVec(rng.integers(0, p, n2), p)
-        y = FieldVec(rng.integers(0, p, n3), p)
-        l2 = FieldVec(rng.integers(0, p, n1 - n2 - n3), p)
+        m = rng.integers(0, p, n2)
+        y = rng.integers(0, p, n3)
+        l2 = rng.integers(0, p, n1 - n2 - n3)
         y2, m2 = f_s_split(seed, psi_s(seed, m, y, l2))
-        assert m2 == m and y2 == y
+        assert same(m2, m) and same(y2, y)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        SeedS(FieldVec([0, 0], 2), 3, 1, 2)  # n1 = n2 + n3
+        SeedS([0, 0], 3, 1, 2, 2)  # n1 = n2 + n3
     with pytest.raises(ValueError):
-        SeedS(FieldVec([0], 2), 3, 1, 1)  # wrong seed length
+        SeedS([0], 3, 1, 1, 2)  # wrong seed length
     with pytest.raises(ValueError):
-        SeedSPrime(FieldVec([0], 2), 0, 2)
-    seed = SeedS(FieldVec([0, 0, 0], 2), 4, 1, 1)
+        SeedSPrime([0], 0, 2, 2)
     with pytest.raises(ValueError):
-        f_s(seed, FieldVec([0, 0, 0], 2))
+        SeedSPrime([0, 0], 2, 2, 2)  # wrong seed length
+    with pytest.raises(ValueError):
+        SeedS([0, 0, 0], 4, 1, 1, 4)  # modulus not prime
+    seed = SeedS([0, 0, 0], 4, 1, 1, 2)
+    with pytest.raises(ValueError):
+        f_s(seed, [0, 0, 0])
+    with pytest.raises(ValueError):
+        psi_s(seed, [0], [0], [0])  # L2 needs n1 - n2 - n3 = 2 symbols
+    with pytest.raises(ValueError):
+        g_sprime(SeedSPrime([0, 0], 2, 1, 2), [0], [0])  # M needs n2 = 2
     with pytest.raises(ValueError):
         collision_probability(FieldVec([0, 0, 0], 2), FieldVec([0, 0, 0], 2), 3, 1, 1)

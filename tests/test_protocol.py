@@ -76,9 +76,8 @@ def test_accept_implies_hash_match():
         cfg = dep_config(seed)
         tr = run_protocol1(cfg, FieldVec([1], 2))
         if tr.verdict == "accept":
-            sp = SeedSPrime(FieldVec(tr.s_prime, 2), cfg.n2, cfg.n3)
-            assert verify(sp, FieldVec(tr.m_hat, 2), FieldVec(tr.y_hat, 2),
-                          FieldVec(tr.c, 2))
+            sp = SeedSPrime(tr.s_prime, cfg.n2, cfg.n3, 2)
+            assert verify(sp, tr.m_hat, tr.y_hat, tr.c)
 
 
 # ---------------------------------------------------------------
@@ -128,10 +127,9 @@ def test_verify_exhaustive_tightness():
                 for yh in range(p):
                     accepts = 0
                     for s in range(p ** (n2 + n3 - 1)):
-                        sp = SeedSPrime(FieldVec([s], p), n2, n3)
-                        c = FieldVec([(y + s * m) % p], p)
-                        accepts += verify(sp, FieldVec([mh], p),
-                                          FieldVec([yh], p), c)
+                        sp = SeedSPrime([s], n2, n3, p)
+                        c = [(y + s * m) % p]
+                        accepts += verify(sp, [mh], [yh], c)
                     assert accepts == p ** (n2 + n3 - 1 - n3) * 1  # = 1 of 2
 
 
@@ -202,3 +200,24 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(p=p, n=8, n1=4, n2=2, n3=2, P=d, P_tilde=d,
                        code=repetition_code(p, 4, 4, eff))
+
+
+def test_message_validation():
+    cfg = dep_config(1)
+    with pytest.raises(ValueError):
+        run_protocol1(cfg, FieldVec([1], 3))  # modulus differs from the config's
+    with pytest.raises(ValueError):
+        run_protocol3(cfg, FieldVec([1, 0], 2))  # n2 = 1
+
+
+def test_verify_rowwise_batch():
+    p, n2, n3 = 3, 2, 2
+    rng = np.random.default_rng(4)
+    sp = SeedSPrime(rng.integers(0, p, (5, n2 + n3 - 1)), n2, n3, p)
+    m = rng.integers(0, p, (5, n2))
+    y = rng.integers(0, p, (5, n3))
+    c = (y + np.stack([[sum(int(sp.vec[r, i - j + n2 - 1]) * int(m[r, j]) for j in range(n2))
+                        for i in range(n3)] for r in range(5)])) % p
+    assert verify(sp, m, y, c).tolist() == [True] * 5
+    c[2, 0] = (c[2, 0] + 1) % p
+    assert verify(sp, m, y, c).tolist() == [True, True, False, True, True]

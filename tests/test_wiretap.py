@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pdckit.dists import PauliDist, convolve, depolarizing
-from pdckit.gf import FieldVec
-from pdckit.hashing import SeedS, f_s
+from pdckit.gf import all_vectors
+from pdckit.hashing import SeedS, f_s, psi_s
 from pdckit.qexact import SizeCapError
 from pdckit.wiretap import (ClassicalChannelWc, QuantumEveChannel,
-                            channel_sample, check_code_conformance,
+                            check_code_conformance,
                             eve_additive, eve_constant, eve_first_symbol,
                             eve_noiseless, exact_leakage, identity_code,
                             per_message_leakage, random_linear_code,
@@ -26,7 +26,7 @@ def test_channel_noiseless():
     rng = np.random.default_rng(0)
     ch = ClassicalChannelWc(PauliDist.point_mass(0, 0, 2))
     w = rng.integers(0, 2, 16)
-    assert np.array_equal(channel_sample(w, ch, rng), w)
+    assert np.array_equal(ch.sample(w, rng), w)
 
 
 def test_channel_uniform_noise():
@@ -92,13 +92,13 @@ def test_wiretap_round_trip_noiseless():
     rng = np.random.default_rng(4)
     p, n1, n2, n3 = 2, 4, 1, 1
     code = repetition_code(p, n1, 4, dep2())
-    seed = SeedS(FieldVec(rng.integers(0, p, n1 - 1), p), n1, n2, n3)
+    seed = SeedS(rng.integers(0, p, n1 - 1), n1, n2, n3, p)
     for _ in range(20):
-        m = FieldVec(rng.integers(0, p, n2), p)
-        y = FieldVec(rng.integers(0, p, n3), p)
+        m = rng.integers(0, p, n2)
+        y = rng.integers(0, p, n3)
         word = wiretap_encode(code, seed, m, y, rng)
         y2, m2 = wiretap_decode(code, seed, word)
-        assert m2 == m and y2 == y
+        assert np.array_equal(m2, m) and np.array_equal(y2, y)
 
 
 def test_encode_preimage_uniformity():
@@ -107,15 +107,13 @@ def test_encode_preimage_uniformity():
     p, n1, n2, n3 = 2, 3, 1, 1
     # n1 = 3 needs 2n >= 3, so use a random linear code with n = 2
     code = random_linear_code(p, 2, n1, dep2(), np.random.default_rng(5))
-    seed = SeedS(FieldVec([1, 0], p), n1, n2, n3)
-    m, y = FieldVec([1], p), FieldVec([0], p)
-    from pdckit.hashing import psi_s
-
+    seed = SeedS([1, 0], n1, n2, n3, p)
+    m, y = [1], [0]
     hits = set()
     for l2v in ([0], [1]):
-        info = psi_s(seed, m, y, FieldVec(l2v, p))
+        info = psi_s(seed, m, y, l2v)
         assert f_s(seed, info).tolist() == [0, 1]  # (Y || M)
-        hits.add(tuple(code.encode(info.values).tolist()))
+        hits.add(tuple(code.encode(info).tolist()))
     assert len(hits) == 2  # one codeword per preimage element
 
 
@@ -124,19 +122,16 @@ def test_encode_marginal_uniform_over_code():
     # full enumeration hits every codeword exactly once
     from itertools import product as iproduct
 
-    from pdckit.hashing import psi_s
-
     p, n1, n2, n3 = 2, 3, 1, 1
     code = random_linear_code(p, 2, n1, dep2(), np.random.default_rng(7))
     for seed_vec in iproduct(range(p), repeat=n1 - 1):
-        seed = SeedS(FieldVec(list(seed_vec), p), n1, n2, n3)
+        seed = SeedS(list(seed_vec), n1, n2, n3, p)
         hits = {}
         for mv in iproduct(range(p), repeat=n2):
             for yv in iproduct(range(p), repeat=n3):
                 for l2v in iproduct(range(p), repeat=n1 - n2 - n3):
-                    info = psi_s(seed, FieldVec(list(mv), p),
-                                 FieldVec(list(yv), p), FieldVec(list(l2v), p))
-                    w = tuple(code.encode(info.values).tolist())
+                    info = psi_s(seed, list(mv), list(yv), list(l2v))
+                    w = tuple(code.encode(info).tolist())
                     hits[w] = hits.get(w, 0) + 1
         assert len(hits) == p**n1
         assert all(c == 1 for c in hits.values())
@@ -150,23 +145,21 @@ def test_cko_coupled_error_domination():
     for code in (repetition_code(p, n1, 4, noise),
                  identity_code(p, 2),
                  random_linear_code(p, 3, 4, noise, rng)):
-        seed = SeedS(FieldVec(rng.integers(0, p, n1 - 1), p), n1, n2, n3)
+        seed = SeedS(rng.integers(0, p, n1 - 1), n1, n2, n3, p)
         ch = ClassicalChannelWc(noise)
         ecc_err = 0
         wt_err = 0
         for _ in range(400):
-            m = FieldVec(rng.integers(0, p, n2), p)
-            y = FieldVec(rng.integers(0, p, n3), p)
-            from pdckit.hashing import psi_s
-
-            l2 = FieldVec(rng.integers(0, p, n1 - n2 - n3), p)
+            m = rng.integers(0, p, n2)
+            y = rng.integers(0, p, n3)
+            l2 = rng.integers(0, p, n1 - n2 - n3)
             info = psi_s(seed, m, y, l2)
-            word = code.encode(info.values)
+            word = code.encode(info)
             rec = ch.sample(word, rng)
             dec = code.decode(rec)
-            ecc_bad = not np.array_equal(dec, info.values)
-            got = f_s(seed, FieldVec(dec, p))
-            wt_bad = got.tolist() != y.concat(m).tolist()
+            ecc_bad = not np.array_equal(dec, info)
+            got = f_s(seed, dec)
+            wt_bad = got.tolist() != np.concatenate([y, m]).tolist()
             ecc_err += ecc_bad
             wt_err += wt_bad
             assert not (wt_bad and not ecc_bad)
@@ -177,13 +170,13 @@ def test_decode_single_flip_deterministic():
     # identity code at n = 2: a flipped symbol lands in f_S of the corrupted word
     p = 2
     code = identity_code(p, 2)
-    seed = SeedS(FieldVec([1, 0, 1], p), 4, 1, 1)
+    seed = SeedS([1, 0, 1], 4, 1, 1, p)
     word = np.array([1, 0, 1, 1])
     corrupted = word.copy()
     corrupted[2] ^= 1
     y2, m2 = wiretap_decode(code, seed, corrupted)
-    expect = f_s(seed, FieldVec(corrupted, p))
-    assert y2.concat(m2) == expect
+    expect = f_s(seed, corrupted)
+    assert np.array_equal(np.concatenate([y2, m2]), expect)
 
 
 # ---------------------------------------------------------------
@@ -249,15 +242,14 @@ def test_leakage_d_matches_wiretap_enumeration():
     # build the cq state (M' classical, Eve quantum) of one fixed seed and
     # compare the oracle's leakage pair against the wiretap enumeration
     from pdckit import qexact as qx
-    from pdckit.wiretap import _all_vectors, _hash_values
 
     p, n2, n3 = 2, 1, 0
     code = identity_code(p, 1)
     eve = QuantumEveChannel(depolarizing(0.25, p), 1)
-    seed_vec = np.array([1])
-    infos = _all_vectors(p, code.n1)
+    seed = SeedS(np.array([1]), code.n1, n2, n3, p)
+    infos = all_vectors(p, code.n1)
     states = [eve.state(code.encode(v)) for v in infos]
-    mvals = _hash_values(p, code.n1, n2 + n3, seed_vec, infos)
+    mvals = f_s(seed, infos)
     rho = np.zeros((2 * 8, 2 * 8), dtype=complex)
     for m in range(2):
         members = [i for i in range(len(infos)) if mvals[i, 0] == m]
@@ -282,3 +274,13 @@ def test_quantum_eve_caps():
         QuantumEveChannel(depolarizing(0.1, 3), 1)
     with pytest.raises(ValueError):
         QuantumEveChannel(depolarizing(0.1, 2), 3)
+
+
+def test_generator_code_overflow_guard():
+    # encode computes G @ v in int64: at p = 2^31 - 1 three products of
+    # maximal residues already overflow, so the code is refused up front
+    from pdckit.wiretap import _generator_code
+
+    G = np.ones((4, 3), dtype=np.int64)
+    with pytest.raises(ValueError):
+        _generator_code(G, 2**31 - 1, 2, dep2(), "too-wide")
