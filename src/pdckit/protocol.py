@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,24 @@ from .hashing import SeedS, SeedSPrime, f_s_split, g_sprime, psi_s
 from .wiretap import ClassicalChannelWc, LinearCodeSpec
 
 _STREAMS = ("s", "s_prime", "y", "l2", "noise", "mask", "adversary", "message")
+_STREAM_INDEX = {name: i for i, name in enumerate(_STREAMS)}
+
+
+class _Streams(dict):
+    """The named substreams of one master seed, each built on first use.
+
+    Stream i is seeded with the i-th child of SeedSequence(master_seed), the
+    same child ``spawn`` would hand out, whichever streams are used first.
+    """
+
+    def __init__(self, master_seed: int):
+        super().__init__()
+        self.master_seed = master_seed
+
+    def __missing__(self, name: str) -> np.random.Generator:
+        child = np.random.SeedSequence(self.master_seed, spawn_key=(_STREAM_INDEX[name],))
+        rng = self[name] = np.random.default_rng(child)
+        return rng
 
 
 @dataclass(frozen=True)
@@ -65,7 +84,7 @@ class AdversaryMode:
         return AdversaryMode("tamper", fn)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     p: int
     n: int
@@ -87,12 +106,17 @@ class ProtocolConfig:
         if self.code.p != self.p or self.code.n != self.n or self.code.n1 != self.n1:
             raise ValueError("code parameters do not match the config")
 
-    def effective_noise(self) -> PauliDist:
+    @cached_property
+    def _effective_noise(self) -> PauliDist:
         return convolve(self.P_tilde, self.P)
 
+    def effective_noise(self) -> PauliDist:
+        """Bob's pair noise P_tilde * P, convolved once per config."""
+        return self._effective_noise
+
     def streams(self) -> dict[str, np.random.Generator]:
-        children = np.random.SeedSequence(self.master_seed).spawn(len(_STREAMS))
-        return {name: np.random.default_rng(c) for name, c in zip(_STREAMS, children)}
+        """Fresh named substreams of the master seed, built on first use."""
+        return _Streams(self.master_seed)
 
 
 @dataclass

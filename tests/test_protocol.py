@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,32 @@ def test_monte_carlo_noiseless():
 
 def test_monte_carlo_abort_below_block_error():
     stats = monte_carlo(dep_config(9), 10**4)
+    assert stats["abort_rate"] <= stats["ecc_block_error_rate"] + 1e-12
+
+
+def test_monte_carlo_long_repetition_code():
+    # p^n1 = 2^64 codewords: far past the enumeration cap, decoded per symbol
+    p, n1, r = 2, 64, 6
+    d = depolarizing(0.05, p)
+    eff = convolve(d, d)
+    # exact symbol error: under depolarizing noise ML picks the value with
+    # the most identity-labelled pairs among the symbol's r/2, ties to 0
+    q = eff.flat()
+    e_sym = 0.0
+    for s in range(p):
+        for labels in itertools.product(range(p * p), repeat=r // 2):
+            pairs = [((s + lab // p) % p, (s + lab % p) % p) for lab in labels]
+            counts = [sum(pair == (c, c) for pair in pairs) for c in range(p)]
+            if int(np.argmax(counts)) != s:
+                e_sym += math.prod(q[lab] for lab in labels) / p
+    exact = 1.0 - (1.0 - e_sym) ** n1
+    cfg = ProtocolConfig(p=p, n=r * n1 // 2, n1=n1, n2=8, n3=8, P=d, P_tilde=d,
+                         code=repetition_code(p, n1, r, eff), master_seed=5)
+    trials = 2000
+    stats = monte_carlo(cfg, trials)
+    errors = round(stats["ecc_block_error_rate"] * trials)
+    lo, hi = wilson_interval(errors, trials)
+    assert lo <= exact <= hi
     assert stats["abort_rate"] <= stats["ecc_block_error_rate"] + 1e-12
 
 

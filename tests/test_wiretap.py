@@ -6,7 +6,7 @@ from pdckit.gf import all_vectors
 from pdckit.hashing import SeedS, f_s, psi_s
 from pdckit.qexact import SizeCapError
 from pdckit.wiretap import (ClassicalChannelWc, QuantumEveChannel,
-                            check_code_conformance,
+                            _batch_ml_decoder, check_code_conformance,
                             eve_additive, eve_constant, eve_first_symbol,
                             eve_noiseless, exact_leakage, identity_code,
                             per_message_leakage, random_linear_code,
@@ -58,9 +58,10 @@ def test_channel_pair_error_rate():
 def test_code_conformance_baselines():
     rng = np.random.default_rng(3)
     check_code_conformance(identity_code(2, 4))
-    check_code_conformance(repetition_code(2, 4, 4, dep2()))
-    check_code_conformance(repetition_code(3, 2, 2, depolarizing(0.1, 3)))
-    check_code_conformance(random_linear_code(2, 3, 3, dep2(), rng))
+    check_code_conformance(repetition_code(2, 4, 4, dep2()), noise=dep2())
+    dep3 = depolarizing(0.1, 3)
+    check_code_conformance(repetition_code(3, 2, 2, dep3), noise=dep3)
+    check_code_conformance(random_linear_code(2, 3, 3, dep2(), rng), noise=dep2())
 
 
 def test_broken_code_rejected():
@@ -68,6 +69,73 @@ def test_broken_code_rejected():
     code.encode = lambda v: (np.asarray(v) + 1) % 2  # affine, not linear
     with pytest.raises(ValueError):
         check_code_conformance(code)
+
+
+def _zero_label_decisions(words, p, n1, r):
+    """Exact ML of the even-r repetition code under depolarizing noise.
+
+    Every non-identity pair label is equally likely and less likely than the
+    identity, so each symbol goes to the value c with the most received
+    pairs equal to (c, c), ties to the smallest c.
+    """
+    rec = words.reshape(len(words), n1, r // 2, 2)
+    counts = np.stack([np.all(rec == c, axis=3).sum(axis=2) for c in range(p)], axis=2)
+    return np.argmax(counts, axis=2)
+
+
+@pytest.mark.parametrize("p,n1,r", [(2, 10, 6), (3, 4, 6), (2, 4, 4)])
+def test_exhaustive_ml_tie_rule(p, n1, r):
+    # float sums of log-likelihoods round differently per codeword; ties in
+    # exact arithmetic must still go to the lexicographically smallest message
+    noise = convolve(depolarizing(0.05, p), depolarizing(0.05, p))
+    code = repetition_code(p, n1, r, noise)
+    decode = _batch_ml_decoder(code.all_codewords(), code.all_messages(), noise)
+    words = np.random.default_rng(11).integers(0, p, (2000, n1 * r))
+    expect = _zero_label_decisions(words, p, n1, r)
+    assert np.array_equal(decode(words), expect)
+    assert np.array_equal(code.decode_batch(words), expect)
+
+
+def test_exhaustive_ml_impossible_pairs():
+    # dephasing-only noise: a word no codeword can produce is decoded by
+    # the fewest impossible pairs, then by likelihood, then lexicographically
+    noise = PauliDist([[0.7, 0.3], [0.0, 0.0]], 2)
+    table = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
+    decode = _batch_ml_decoder(table, np.array([[0], [1]]), noise)
+    # x parts (0, 1): each codeword explains one pair; the z parts favour 1
+    assert decode(np.array([0, 1, 1, 1])).tolist() == [[1]]
+    # one impossible pair each and equal likelihoods: the smaller message
+    assert decode(np.array([0, 0, 1, 1])).tolist() == [[0]]
+
+
+@pytest.mark.parametrize("p,n1,r", [(2, 4, 4), (2, 6, 2), (3, 3, 4), (2, 4, 3),
+                                    (3, 2, 3), (2, 6, 1)])
+def test_repetition_decoder_is_exhaustive_ml(p, n1, r):
+    # even r decodes per symbol; odd r pairs straddle two symbols; the
+    # noises are depolarizing, asymmetric, and X-only with zero entries
+    rng = np.random.default_rng(12)
+    noises = [convolve(depolarizing(0.2, p), depolarizing(0.2, p)),
+              PauliDist(np.r_[0.6, np.zeros(p * p - 1)] + 0.4 * rng.dirichlet(np.ones(p * p)), p),
+              PauliDist(np.r_[0.6, np.zeros(p - 1), 0.4, np.zeros(p * p - p - 1)], p)]
+    for noise in noises:
+        code = repetition_code(p, n1, r, noise)
+        check_code_conformance(code, rng, samples=300, noise=noise)
+
+
+def test_conformance_rejects_non_ml_decoder():
+    noise = dep2()
+    code = repetition_code(2, 4, 4, noise)
+    code.decode_batch = lambda w: np.zeros((len(w), 4), dtype=np.int64)
+    with pytest.raises(ValueError, match="exhaustive ML"):
+        check_code_conformance(code, noise=noise)
+
+
+def test_repetition_code_beyond_enumeration_cap():
+    code = repetition_code(2, 64, 6, dep2())
+    info = np.random.default_rng(13).integers(0, 2, 64)
+    assert np.array_equal(code.decode(code.encode(info)), info)
+    with pytest.raises(SizeCapError):
+        code.all_messages()
 
 
 def test_repetition_decodes_small_noise():
