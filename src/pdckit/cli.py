@@ -198,6 +198,24 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _build_eve(spec: str, p: int, n: int):
+    kind, _, param = spec.partition(":")
+    try:
+        if kind == "noiseless":
+            return wiretap.eve_noiseless(p, n)
+        if kind == "constant":
+            return wiretap.eve_constant(p, n)
+        if kind == "additive":
+            return wiretap.eve_additive(depolarizing(float(param), p), n)
+        if kind == "first-symbol":
+            return wiretap.eve_first_symbol(p, n)
+        if kind == "quantum":
+            return wiretap.QuantumEveChannel(depolarizing(float(param), p), n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"eve model {spec!r}: {exc}") from exc
+    raise argparse.ArgumentTypeError(f"unknown eve model {spec!r}")
+
+
 def cmd_leakage(args) -> int:
     p = args.p
     noise = depolarizing(args.mix, p)
@@ -208,19 +226,7 @@ def cmd_leakage(args) -> int:
         code = _build_code(args.code, p, args.n, args.n1, noise,
                            args.seed)
         n1 = args.n1
-    kind, _, param = args.eve.partition(":")
-    if kind == "noiseless":
-        eve = wiretap.eve_noiseless(p, args.n)
-    elif kind == "constant":
-        eve = wiretap.eve_constant(p, args.n)
-    elif kind == "additive":
-        eve = wiretap.eve_additive(depolarizing(float(param), p), args.n)
-    elif kind == "first-symbol":
-        eve = wiretap.eve_first_symbol(p, args.n)
-    elif kind == "quantum":
-        eve = wiretap.QuantumEveChannel(depolarizing(float(param), p), args.n)
-    else:
-        raise argparse.ArgumentTypeError(f"unknown eve model {args.eve!r}")
+    eve = _build_eve(args.eve, p, args.n)
     sacrifice = n1 - args.n2 - args.n3
     if sacrifice < 1:
         raise InfeasibleTargets("need at least one sacrificed symbol")

@@ -16,11 +16,25 @@ unconstrained PSD factorization (sigma = X X^dag up to trace, with analytic
 Daleckii-Krein gradients), seeded at the reduced state, with a projected
 gradient descent fallback.  Correctness is validated against the closed
 classical forms available in the Weyl-Heisenberg setting.
+
+When the states are one orbit U_c W U_c^dag of a group of Weyl-type
+unitaries under uniform weights (quantum Eve's states over a linear code),
+the solver takes the single state W and the group.  For alpha > 1 the
+objective is convex in sigma and invariant under every U_c, so twirling a
+minimiser, T(sigma) = mean_c U_c sigma U_c^dag, gives another one; on the
+commutant all terms equal the W term.  The objective is evaluated at
+T(X X^dag) and its gradient twirled back, with T applied as an index
+gather because each U_c is a permutation times phases.  Every returned
+sigma is a density matrix in the commutant, where the one-state value is
+the exact orbit objective, so bounds built on it stay certified.
 """
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize
 
 from .dists import PauliDist
@@ -31,6 +45,8 @@ _EIG_CLIP = 1e-12
 _HERM_TOL = 1e-10
 
 LN2 = np.log(2.0)
+
+_log = logging.getLogger("pdckit")
 
 
 class SizeCapError(ValueError):
@@ -399,6 +415,21 @@ def cond_entropy_down(rho_ab: DensityMatrix, alpha: float) -> float:
 # sandwiched infimum solver
 # ---------------------------------------------------------------------------
 
+def _eigh(mat: np.ndarray):
+    """np.linalg.eigh, retried with LAPACK's MRRR routine where it fails.
+
+    numpy's divide-and-conquer routine (zheevd) can fail to converge on a
+    finite Hermitian matrix with tightly clustered eigenvalues, which the
+    solver's iterates produce; the MRRR routine (zheevr) handles them.
+    """
+    try:
+        return np.linalg.eigh(mat)
+    except np.linalg.LinAlgError:
+        stack = mat.reshape(-1, *mat.shape[-2:])
+        lam, vecs = map(np.stack, zip(*(scipy.linalg.eigh(m, driver="evr") for m in stack)))
+        return lam.reshape(mat.shape[:-1]), vecs.reshape(mat.shape)
+
+
 def _dk_phi(lam: np.ndarray, s: float) -> np.ndarray:
     """Daleckii-Krein first divided differences of f(x) = x^{-s}."""
     f = lam ** (-s)
@@ -422,7 +453,7 @@ def _xi_value_and_grad(omega: np.ndarray, states: np.ndarray,
     batched.
     """
     sp = (alpha - 1.0) / (2.0 * alpha)
-    lam, v = np.linalg.eigh(omega)
+    lam, v = _eigh(omega)
     lam = np.clip(lam, 1e-18, None)
     oms_small = (v * lam ** (-sp)) @ v.conj().T
     da = trace_first
@@ -432,7 +463,7 @@ def _xi_value_and_grad(omega: np.ndarray, states: np.ndarray,
         oms = oms_small
     phi = _dk_phi(lam, sp)
     M = oms @ states @ oms
-    mu, q = np.linalg.eigh(M)
+    mu, q = _eigh(M)
     mu = np.clip(mu, 0.0, None)
     F = float(np.sum(weights * np.sum(mu**alpha, axis=1)))
     m_am1 = (q * mu[:, None, :] ** (alpha - 1.0)) @ np.conj(np.swapaxes(q, 1, 2))
@@ -449,7 +480,7 @@ def _xi_value_and_grad(omega: np.ndarray, states: np.ndarray,
 
 def _simplex_project_psd(mat: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {sigma >= 0, Tr sigma = 1} via eigenvalues."""
-    lam, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    lam, v = _eigh(0.5 * (mat + mat.conj().T))
     # project the eigenvalue vector onto the probability simplex
     u = np.sort(lam)[::-1]
     css = np.cumsum(u)
@@ -461,16 +492,61 @@ def _simplex_project_psd(mat: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
+def monomial_form(unitaries) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) with U[..., i, perm[..., i]] = phase[..., i].
+
+    Every Weyl operator, and every tensor product of Weyl operators and
+    identities, has exactly one nonzero entry per row; this is the form
+    ``_minimize_xi``'s ``group`` argument takes.
+    """
+    us = np.asarray(unitaries, dtype=complex)
+    perm = np.argmax(np.abs(us), axis=-1)
+    phase = np.take_along_axis(us, perm[..., None], axis=-1)[..., 0]
+    rebuilt = np.zeros_like(us)
+    np.put_along_axis(rebuilt, perm[..., None], phase[..., None], axis=-1)
+    if (np.max(np.abs(us - rebuilt)) > _HERM_TOL
+            or np.max(np.abs(np.abs(phase) - 1.0)) > _HERM_TOL):
+        raise ValueError("unitary is not a permutation times phases")
+    return perm, phase
+
+
+def _group_twirl(perm: np.ndarray, phase: np.ndarray):
+    """T(m) = mean_c U_c m U_c^dag for monomial unitaries U_c, given as
+    (|C|, D) ``monomial_form`` arrays.
+
+    Applied as an index gather, (U m U^dag)[i, j] = ph_i conj(ph_j) m[perm_i, perm_j],
+    averaged over c.  When the U_c form a group up to phases, T is the
+    orthogonal projection onto their commutant: idempotent, self-adjoint,
+    trace preserving and unital.
+    """
+    dim = perm.shape[1]
+    index = perm[:, :, None] * dim + perm[:, None, :]
+    outer = phase[:, :, None] * phase.conj()[:, None, :] / perm.shape[0]
+
+    def twirl(m):
+        return np.sum(m.reshape(-1)[index] * outer, axis=0)
+
+    return twirl
+
+
 def _pgd_minimize(states, weights, alpha, sigma0, trace_first=None,
-                  iters: int = 300):
-    """Projected gradient descent fallback on the density-matrix simplex."""
+                  iters: int = 300, twirl=None):
+    """Projected gradient descent fallback on the density-matrix simplex.
+
+    With ``twirl`` the gradient is twirled; the simplex projection is a
+    spectral map, so iterates stay in the commutant.
+    """
     sigma = sigma0.copy()
     f, g = _xi_value_and_grad(sigma, states, weights, alpha, trace_first)
+    if twirl is not None:
+        g = twirl(g)
     step = 1.0
     for _ in range(iters):
         cand = _simplex_project_psd(sigma - step * g)
         fc, gc = _xi_value_and_grad(cand, states, weights, alpha, trace_first)
         if fc < f - 1e-15:
+            if twirl is not None:
+                gc = twirl(gc)
             sigma, f, g = cand, fc, gc
             step *= 1.3
         else:
@@ -481,42 +557,65 @@ def _pgd_minimize(states, weights, alpha, sigma0, trace_first=None,
 
 
 def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
-                 maxiter: int = 500):
+                 maxiter: int = 500, group=None):
     """min over density sigma of sum_x w_x Xi_alpha(W_x || sigma-side).
 
     Returns (min value of the weighted Xi sum, minimizing sigma).  Uses the
     scale-invariant objective log F(X X^dag) + t log Tr X X^dag over an
     unconstrained complex factor X, then falls back to projected gradient
     descent if the quasi-Newton path misbehaves.
+
+    ``group`` = (perm, phase), the ``monomial_form`` of unitaries U_c that
+    form a group up to phases, declares the problem to be the uniform
+    mixture of U_c W U_c^dag over c for the single state W passed in
+    ``states``.  The objective is then evaluated at the twirl T(X X^dag),
+    where every term equals the one for W, and its gradient is twirled back
+    (T is self-adjoint).  Without ``group`` the solver is unreduced.  Logs
+    one DEBUG record per call on the ``pdckit`` logger.
     """
     t = alpha - 1.0
     states = np.asarray(states, dtype=complex)
     if states.ndim == 2:
         states = states[None, :, :]
-    d = states.shape[1] if trace_first is None else states.shape[1] // trace_first
     weights = np.asarray(weights, dtype=float)
+    twirl = None
+    order = 1
+    if group is not None:
+        if trace_first is not None:
+            raise ValueError("the group reduction needs trace_first=None")
+        twirl = _group_twirl(*group)
+        order = len(group[0])
 
+    supp = None
     if trace_first is None:
         # the optimum is supported on the joint support of the states:
         # pinching onto it never increases the divergence and any mass off
         # it only wastes normalization.  Restricting shrinks and conditions
-        # the problem when the states are rank deficient.
+        # the problem when the states are rank deficient.  The twirled mean
+        # is the mean over the whole orbit, so the support is the same.
         mean = np.tensordot(weights, states, axes=(0, 0))
+        if twirl is not None:
+            mean = twirl(mean)
         lam_m, v_m = np.linalg.eigh(mean)
         supp = v_m[:, lam_m > 1e-12 * max(lam_m.max(), 1e-300)]
-        if supp.shape[1] < d:
-            sub_states = np.einsum("ia,xij,jb->xab", supp.conj(), states, supp)
-            sub_sigma0 = None
+        if supp.shape[1] < mean.shape[0]:
+            states = np.einsum("ia,xij,jb->xab", supp.conj(), states, supp)
             if sigma0 is not None:
-                sub_sigma0 = supp.conj().T @ sigma0 @ supp
-                tr0 = np.trace(sub_sigma0).real
-                sub_sigma0 = sub_sigma0 / tr0 if tr0 > 1e-12 else None
-            f, sub_sigma = _minimize_xi(sub_states, weights, alpha,
-                                        sigma0=sub_sigma0, maxiter=maxiter)
-            return f, supp @ sub_sigma @ supp.conj().T
+                sigma0 = supp.conj().T @ sigma0 @ supp
+                tr0 = np.trace(sigma0).real
+                sigma0 = sigma0 / tr0 if tr0 > 1e-12 else None
+            if twirl is not None:
+                # the support is invariant under every U_c
+                full_twirl = twirl
+                twirl = lambda m: supp.conj().T @ full_twirl(supp @ m @ supp.conj().T) @ supp
+        else:
+            supp = None
+    d = states.shape[1] if trace_first is None else states.shape[1] // trace_first
 
     if sigma0 is None:
         sigma0 = np.eye(d) / d
+    elif twirl is not None:
+        sigma0 = twirl(sigma0)
     lam0, v0 = np.linalg.eigh(sigma0)
     x0 = (v0 * np.sqrt(np.clip(lam0, 1e-9, None))) @ v0.conj().T
 
@@ -527,15 +626,21 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
         n = d * d
         return vec[:n].reshape(d, d) + 1j * vec[n:].reshape(d, d)
 
+    def gram(x):
+        omega = x @ x.conj().T
+        return omega if twirl is None else twirl(omega)
+
     def objective(vec):
         x = unpack(vec)
-        omega = x @ x.conj().T
+        omega = gram(x)
         tr = np.trace(omega).real
         f, g_omega = _xi_value_and_grad(omega, states, weights, alpha, trace_first)
         if not np.isfinite(f) or f <= 0:
             return 1e6, np.zeros_like(vec)
         val = np.log(f) + t * np.log(tr)
         g_total = g_omega / f + t / tr * np.eye(d)
+        if twirl is not None:
+            g_total = twirl(g_total)
         cg = 2.0 * (g_total @ x)
         return val, pack(cg)
 
@@ -543,19 +648,24 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
                    options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-11})
     best_f = np.inf
     best_sigma = sigma0
+    path = "seed"
     if np.isfinite(res.fun):
-        x = unpack(res.x)
-        omega = x @ x.conj().T
+        omega = gram(unpack(res.x))
         sigma = omega / np.trace(omega).real
         f, _ = _xi_value_and_grad(sigma, states, weights, alpha, trace_first)
-        best_f, best_sigma = f, sigma
+        best_f, best_sigma, path = f, sigma, "lbfgs"
     f0, _ = _xi_value_and_grad(sigma0, states, weights, alpha, trace_first)
     if f0 < best_f:
-        best_f, best_sigma = f0, sigma0
+        best_f, best_sigma, path = f0, sigma0, "seed"
     if not np.isfinite(best_f) or best_f > f0 * (1 + 1e-6):
-        f_pgd, sigma_pgd = _pgd_minimize(states, weights, alpha, sigma0, trace_first)
+        f_pgd, sigma_pgd = _pgd_minimize(states, weights, alpha, sigma0,
+                                         trace_first, twirl=twirl)
         if f_pgd < best_f:
-            best_f, best_sigma = f_pgd, sigma_pgd
+            best_f, best_sigma, path = f_pgd, sigma_pgd, "pgd"
+    _log.debug("_minimize_xi: path=%s lbfgs_iters=%d group_order=%d "
+               "value=%.17g seed_value=%.17g", path, res.nit, order, best_f, f0)
+    if supp is not None:
+        best_sigma = supp @ best_sigma @ supp.conj().T
     return best_f, best_sigma
 
 
@@ -663,6 +773,9 @@ def leakage_d(rho_me: DensityMatrix) -> tuple[float, float]:
     d_bar fixes the comparison state at tau_E; d minimizes over sigma_E
     (convex-solver refinement, certified by exact re-evaluation at the
     returned point, so d <= d_bar always holds).  Values range up to 2.
+    The refinement needs the optional cvxpy (the ``sdp`` extra); without
+    it, or when the solver fails, d = d_bar and a WARNING on the ``pdckit``
+    logger says so.
     Requires M uniform is NOT assumed: the actual P_M block weights are used.
     """
     pm, conds = _classical_blocks(rho_me)
@@ -676,7 +789,10 @@ def leakage_d(rho_me: DensityMatrix) -> tuple[float, float]:
     d = d_bar
     try:
         import cvxpy as cp
-
+    except ImportError:
+        _log.warning("leakage_d: cvxpy is not installed; d fell back to d_bar")
+        return float(d), float(d_bar)
+    try:
         de = tau_e.shape[0]
         sigma = cp.Variable((de, de), hermitian=True)
         cost = 0
@@ -694,9 +810,9 @@ def leakage_d(rho_me: DensityMatrix) -> tuple[float, float]:
         if sigma.value is not None:
             cand = _simplex_project_psd(np.asarray(sigma.value))
             d = min(d, objective(cand))
-    except Exception:
-        # solver unavailable or failed: fall back to the tau_E upper bound
-        pass
+    except Exception as exc:  # any solver failure leaves the d_bar upper bound
+        _log.warning("leakage_d: SDP solver failed (%s: %s); d fell back to d_bar",
+                     type(exc).__name__, exc)
     return float(d), float(d_bar)
 
 

@@ -179,6 +179,19 @@ def test_leakage_size_cap_exit(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "3", "--eve", "quantum:0.25"),
+    ("--p", "3", "--eve", "quantum:0.25"),
+    ("--eve", "quantum:abc"),
+])
+def test_leakage_bad_eve_exit(capsys, argv):
+    code = main(["leakage", "--n2", "1", "--n3", "0", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+
+
 def test_verify_identities_passes(capsys):
     code, out = run_cli(capsys, "verify-identities", "--p", "2", "--count", "2",
                         "--seed", "0")

@@ -1,9 +1,9 @@
 """Golden outputs: sha256 digests of transcripts and Monte Carlo results.
 
-The digests pin the exact bytes of ``Transcript.to_json()`` and of
-``json.dumps(monte_carlo(...), sort_keys=True)``, so a refactor of the
-hashing or protocol layers that changes any drawn value, any decision or
-any float shows up here.
+The digests pin the exact bytes of ``Transcript.to_json()``, of
+``json.dumps(monte_carlo(...), sort_keys=True)`` and of CLI stdout, so a
+refactor of the hashing, protocol or solver layers that changes any drawn
+value, any decision or any printed float shows up here.
 """
 
 import hashlib
@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from pdckit.cli import main
 from pdckit.dists import convolve, depolarizing
 from pdckit.gf import FieldVec
 from pdckit.protocol import (AdversaryMode, ProtocolConfig, monte_carlo,
@@ -134,3 +135,17 @@ def test_pinned_cases_cover_every_mode():
     assert kinds == {"none", "tamper", "tamper_fn", "intercept"}
     assert runners == {"run_protocol1", "run_protocol3"}
     assert {key.split("/")[2] for key in MC_DIGESTS} == {"none", "tamper", "tamper_fn"}
+
+
+# sha256 of the stdout of ``pdckit <argv>``
+CLI_DIGESTS = {
+    # quantum-Eve leakage: exact enumeration and the group-reduced solver
+    "leakage --n 1 --n2 1 --n3 0 --code identity --eve quantum:0.25":
+        "c5b0ae775152968190f0aa368c1e532ca37aaa79a0ed98eeb8026f47c74de43c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS))
+def test_cli_stdout_pinned(argv, capsys):
+    assert main(argv.split()) == 0
+    assert _digest(capsys.readouterr().out) == CLI_DIGESTS[argv]

@@ -1,7 +1,7 @@
 import numpy as np
 
 from pdckit import qexact as qx
-from pdckit.dists import convolve, depolarizing
+from pdckit.dists import PauliDist, convolve, depolarizing
 from pdckit.identities import (check_identities, omega_state,
                                random_pauli_dist)
 
@@ -27,6 +27,22 @@ def test_identity_suite_small_grid():
         Pt = random_pauli_dist(p, rng)
         res = check_identities(P, Pt, ts=np.array([0.1, 0.5, 0.9]))
         assert res.within(1e-8), res
+
+
+def test_identity_suite_clustered_solver_iterate():
+    # a p = 3 pair (drawn by random_pauli_dist) on which one solver iterate
+    # has eigenvalues clustered so tightly that numpy's eigh (zheevd) fails
+    # to converge with OpenBLAS 0.3.31; the suite must still complete
+    P = PauliDist(np.array([
+        0.04814191202844321, 0.1482559001857877, 0.26772679968158586,
+        0.03033910575148311, 0.018331453493898153, 0.19391729492036566,
+        0.004923076213155137, 0.2644485086420934, 0.02391594908318768]).reshape(3, 3), 3)
+    Pt = PauliDist(np.array([
+        0.058102981617161875, 0.12221584503616073, 0.20964361963601089,
+        0.0072678801123554695, 0.019001415788496047, 0.08451540762277457,
+        0.0042771133198681, 0.47792517698133474, 0.017050559885837726]).reshape(3, 3), 3)
+    res = check_identities(P, Pt)
+    assert res.within(1e-8), res
 
 
 def test_identity_suite_depolarizing():

@@ -218,6 +218,24 @@ def test_solver_gradient_matches_finite_differences():
         assert abs(fd - an) < 1e-6 * max(1.0, abs(an))
 
 
+def test_eigh_falls_back_when_numpy_fails(monkeypatch):
+    rng = np.random.default_rng(11)
+    single = random_density(5, rng).matrix
+    batch = np.stack([random_density(5, rng).matrix for _ in range(3)])
+    expected = [np.linalg.eigvalsh(single), np.linalg.eigvalsh(batch)]
+
+    def no_convergence(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(qx.np.linalg, "eigh", no_convergence)
+    for mat, lam_ref in zip((single, batch), expected):
+        lam, v = qx._eigh(mat)
+        assert lam.shape == lam_ref.shape and v.shape == mat.shape
+        assert np.allclose(lam, lam_ref, atol=1e-14)
+        rebuilt = (v * lam[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+        assert np.allclose(rebuilt, mat, atol=1e-14)
+
+
 def test_solver_descends_from_cold_start():
     # the solver must find the Sibson optimum from the uniform seed
     rng = np.random.default_rng(10)
@@ -229,6 +247,116 @@ def test_solver_descends_from_cold_start():
     for alpha in (1.2, 1.9):
         got = qx.sandwiched_mutual_info_down_cq(px, states, alpha)
         assert abs(got - sibson_mutual_info(px, W, alpha)) < 1e-9
+
+
+def weyl_group_n1(p=2, extra=2):
+    """U_c = W(x, z) x I over all p^2 labels, as dense stack and monomial form."""
+    us = np.stack([np.kron(qx.weyl(x, z, p).matrix, np.eye(extra))
+                   for x in range(p) for z in range(p)])
+    return us, qx.monomial_form(us)
+
+
+def test_monomial_form_round_trip_and_rejects_dense():
+    us, (perm, phase) = weyl_group_n1(3, 2)
+    for u, pm, ph in zip(us, perm, phase):
+        assert np.allclose(u[np.arange(u.shape[0]), pm], ph)
+        assert np.count_nonzero(np.abs(u) > 1e-12) == u.shape[0]
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    with pytest.raises(ValueError):
+        qx.monomial_form(hadamard)
+
+
+def test_group_twirl_is_the_commutant_projection():
+    rng = np.random.default_rng(12)
+    us, group = weyl_group_n1(2, 3)
+    tw = qx._group_twirl(*group)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    dense = np.mean([u @ a @ u.conj().T for u in us], axis=0)
+    assert np.allclose(tw(a), dense, atol=1e-14)
+    assert np.allclose(tw(tw(a)), tw(a), atol=1e-14)  # idempotent
+    # self-adjoint in the Hilbert-Schmidt inner product
+    assert abs(np.vdot(a, tw(b)) - np.vdot(tw(a), b)) < 1e-12
+    assert abs(np.trace(tw(a)) - np.trace(a)) < 1e-12
+    assert np.allclose(tw(np.eye(6)), np.eye(6))
+    for u in us:
+        assert np.allclose(u @ tw(a), tw(a) @ u, atol=1e-14)
+
+
+def test_twirled_gradient_matches_finite_differences():
+    # the reduced objective is G(omega) = F_W(T omega), with gradient T grad F_W
+    rng = np.random.default_rng(13)
+    _, group = weyl_group_n1(2, 2)
+    tw = qx._group_twirl(*group)
+    state = random_density(4, rng).matrix[None]
+    omega = random_density(4, rng).matrix
+    _, g = qx._xi_value_and_grad(tw(omega), state, np.ones(1), 1.6)
+    g = tw(g)
+    eps = 1e-6
+    for _ in range(5):
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = (h + h.conj().T) / 2
+        h /= np.linalg.norm(h)
+        fp, _ = qx._xi_value_and_grad(tw(omega + eps * h), state, np.ones(1), 1.6)
+        fm, _ = qx._xi_value_and_grad(tw(omega - eps * h), state, np.ones(1), 1.6)
+        fd = (fp - fm) / (2 * eps)
+        an = np.trace(g @ h).real
+        assert abs(fd - an) < 1e-6 * max(1.0, abs(an))
+
+
+@pytest.mark.parametrize("rank", [6, 2])
+def test_group_reduced_solver_matches_unreduced(rank):
+    # full-rank and rank-deficient orbit means (the latter restricts to the support)
+    rng = np.random.default_rng(14 + rank)
+    us, group = weyl_group_n1(2, 3)
+    a = rng.normal(size=(6, rank)) + 1j * rng.normal(size=(6, rank))
+    w0 = a @ a.conj().T
+    w0 /= np.trace(w0).real
+    orbit = np.stack([u @ w0 @ u.conj().T for u in us])
+    weights = np.full(len(us), 1.0 / len(us))
+    for alpha in (1.1, 1.5, 2.0):
+        f_full, _ = qx._minimize_xi(orbit, weights, alpha)
+        f_red, sigma = qx._minimize_xi(w0, [1.0], alpha, group=group)
+        assert abs(f_red - f_full) <= 1e-9 * f_full
+        # sigma is a density matrix in the commutant, where the one-state
+        # value is the exact orbit objective: the reduced value is certified
+        assert abs(np.trace(sigma).real - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(sigma).min() > -1e-12
+        for u in us:
+            assert np.linalg.norm(u @ sigma @ u.conj().T - sigma) < 1e-10
+        f_check, _ = qx._xi_value_and_grad(sigma, orbit, weights, alpha)
+        assert abs(f_check - f_red) <= 1e-12 * f_red
+
+
+def test_group_reduced_pgd_stays_in_commutant():
+    rng = np.random.default_rng(16)
+    us, group = weyl_group_n1(2, 3)
+    w0 = random_density(6, rng).matrix
+    orbit = np.stack([u @ w0 @ u.conj().T for u in us])
+    weights = np.full(len(us), 1.0 / len(us))
+    tw = qx._group_twirl(*group)
+    f_full, _ = qx._pgd_minimize(orbit, weights, 1.5, np.eye(6) / 6, iters=40)
+    f_red, sigma = qx._pgd_minimize(w0[None], np.ones(1), 1.5, np.eye(6) / 6,
+                                    iters=40, twirl=tw)
+    assert abs(f_red - f_full) <= 1e-9 * f_full
+    for u in us:
+        assert np.linalg.norm(u @ sigma @ u.conj().T - sigma) < 1e-10
+
+
+def test_solver_logs_one_debug_record_per_call(caplog):
+    rng = np.random.default_rng(17)
+    _, group = weyl_group_n1(2, 2)
+    w0 = random_density(4, rng).matrix
+    with caplog.at_level("DEBUG", logger="pdckit"):
+        qx._minimize_xi(w0, [1.0], 1.5)
+        qx._minimize_xi(w0, [1.0], 1.5, group=group)
+    records = [r for r in caplog.records if r.name == "pdckit"]
+    assert len(records) == 2
+    msgs = [r.getMessage() for r in records]
+    assert "group_order=1 " in msgs[0] and "group_order=4 " in msgs[1]
+    for msg in msgs:
+        assert "path=lbfgs" in msg or "path=seed" in msg or "path=pgd" in msg
+        assert "lbfgs_iters=" in msg and "seed_value=" in msg
 
 
 # ---------------------------------------------------------------
@@ -253,6 +381,34 @@ def test_leakage_d_product_and_correlated():
     assert abs(dbar - 1.0) < 1e-12
     assert abs(d - 1.0) < 1e-6
     assert d <= dbar + 1e-12
+
+
+def test_leakage_d_warns_on_fallback(caplog, monkeypatch):
+    import sys
+    import types
+
+    prod = np.kron(np.eye(2) / 2, np.diag([0.7, 0.3])).astype(complex)
+    rho = qx.DensityMatrix(prod, [2, 2])
+    monkeypatch.setitem(sys.modules, "cvxpy", None)  # import fails
+    with caplog.at_level("WARNING", logger="pdckit"):
+        d, dbar = qx.leakage_d(rho)
+    assert d == dbar
+    [record] = [r for r in caplog.records if r.name == "pdckit"]
+    assert record.levelname == "WARNING"
+    assert "cvxpy is not installed" in record.getMessage()
+    assert "fell back to d_bar" in record.getMessage()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver exploded")
+
+    caplog.clear()
+    monkeypatch.setitem(sys.modules, "cvxpy", types.SimpleNamespace(Variable=broken))
+    with caplog.at_level("WARNING", logger="pdckit"):
+        d, dbar = qx.leakage_d(rho)
+    assert d == dbar
+    [record] = [r for r in caplog.records if r.name == "pdckit"]
+    assert "solver exploded" in record.getMessage()
+    assert "fell back to d_bar" in record.getMessage()
 
 
 def test_leakage_d_rejects_non_classical():

@@ -331,6 +331,59 @@ def test_leakage_d_matches_wiretap_enumeration():
     assert d <= bound + 1e-9 and dbar <= bound + 1e-9
 
 
+def _unreduced_curve(l2_size, eve, code, t_grid):
+    """theorem1_bound's curve from the |C|-state solver, without the group."""
+    from pdckit import qexact as qx
+
+    words = code.all_codewords()
+    states = np.stack([eve.state(w) for w in words])
+    weights = np.full(len(words), 1.0 / len(words))
+    sigma = None
+    curve = []
+    for t in t_grid:
+        f, sigma = qx._minimize_xi(states, weights, 1.0 + t, sigma0=sigma)
+        info = np.log2(f) / t
+        log2_val = (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (-np.log2(l2_size) + info)
+        curve.append(min(2.0, float(np.exp2(log2_val))))
+    return curve
+
+
+QUANTUM_BOUND_CASES = {
+    # the three criterion-4 quantum instances, then a random linear code
+    "identity-n1": lambda: (identity_code(2, 1), 1, 0, depolarizing(0.25, 2), 1),
+    "repetition": lambda: (repetition_code(2, 2, 2, depolarizing(0.5, 2)), 1, 0,
+                           depolarizing(0.1, 2), 2),
+    "identity-n2": lambda: (identity_code(2, 2), 1, 1, depolarizing(0.3, 2), 2),
+    "random-linear": lambda: (random_linear_code(2, 2, 3, depolarizing(0.2, 2),
+                                                 np.random.default_rng(0)), 1, 1,
+                              depolarizing(0.2, 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUANTUM_BOUND_CASES))
+def test_theorem_bound_group_reduction_matches_unreduced(name):
+    code, n2, n3, P, n = QUANTUM_BOUND_CASES[name]()
+    eve = QuantumEveChannel(P, n)
+    l2_size = 2 ** (code.n1 - n2 - n3)
+    best, curve = theorem1_bound(l2_size, eve, code, return_curve=True)
+    reference = _unreduced_curve(l2_size, eve, code, [t for t, _ in curve])
+    assert len(curve) == 20
+    for (_, got), ref in zip(curve, reference):
+        assert abs(got - ref) <= 1e-9 * ref
+    assert best == min(v for _, v in curve)
+
+
+def test_quantum_eve_weyl_group():
+    code = repetition_code(2, 2, 2, depolarizing(0.5, 2))
+    eve = QuantumEveChannel(depolarizing(0.1, 2), 2)
+    words = code.all_codewords()
+    perm, phase = eve.weyl_group(words)
+    base = eve.state(np.zeros(4, dtype=np.int64))
+    for word, pm, ph in zip(words, perm, phase):
+        conj = ph[:, None] * base[np.ix_(pm, pm)] * ph.conj()[None, :]
+        assert np.allclose(conj, eve.state(word), atol=1e-14)
+
+
 def test_enumeration_cap():
     code = identity_code(2, 12)
     with pytest.raises(SizeCapError):
