@@ -109,17 +109,6 @@ def asymptotic_rates(P: PauliDist, P_tilde: PauliDist) -> RateTriple:
     return RateTriple(r1, r2, r1 - r2)
 
 
-def _weyl_twirl_first(rho: qexact.DensityMatrix) -> qexact.DensityMatrix:
-    """Average over all Weyl conjugations of the first subsystem."""
-    p = rho.dims[0]
-    out = np.zeros_like(rho.matrix)
-    for x in range(p):
-        for z in range(p):
-            full = qexact._op_on(qexact.weyl(x, z, p).matrix, rho.dims, 0)
-            out += full @ rho.matrix @ full.conj().T
-    return qexact.DensityMatrix(out / p**2, rho.dims)
-
-
 def general_rate(tau_abe, channel: PauliDist | None = None) -> float:
     """Achievable private rate from the exact oracle.
 
@@ -135,8 +124,9 @@ def general_rate(tau_abe, channel: PauliDist | None = None) -> float:
     tau_ab = qexact.partial_trace(rho, [0, 1])
     tau_ae = qexact.partial_trace(rho, [0, 2])
     lam_ab = tau_ab if channel is None else qexact.pauli_channel(tau_ab, channel, 0)
-    r1 = qexact.vn_entropy(_weyl_twirl_first(lam_ab)) - qexact.vn_entropy(lam_ab)
-    r2 = qexact.vn_entropy(_weyl_twirl_first(tau_ae)) - qexact.vn_entropy(tau_ae)
+    twirl = PauliDist.uniform(rho.dims[0])
+    r1 = qexact.vn_entropy(qexact.pauli_channel(lam_ab, twirl, 0)) - qexact.vn_entropy(lam_ab)
+    r2 = qexact.vn_entropy(qexact.pauli_channel(tau_ae, twirl, 0)) - qexact.vn_entropy(tau_ae)
     return float(r1 - r2)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds, estimation, identities, protocol, wiretap
 from .bounds import InfeasibleTargets, SecurityTargets
-from .dists import depolarizing
+from .dists import PauliDist, depolarizing
 from .gf import FieldVec
 from .qexact import SizeCapError
 
@@ -57,6 +57,14 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.arange(start, stop + step / 2, step)
 
 
+def _depolarizing(mix: float, p: int) -> PauliDist:
+    """``depolarizing`` on user input: a bad mix or modulus is exit 2."""
+    try:
+        return depolarizing(mix, p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_int_list(spec: str) -> list[int]:
     try:
         return [int(v) for v in spec.split(",") if v]
@@ -71,9 +79,9 @@ def _parse_int_list(spec: str) -> list[int]:
 def cmd_rates(args) -> int:
     rows = []
     for mix in _parse_grid(args.mix_grid):
-        P = depolarizing(float(mix), args.p)
-        Pt = depolarizing(float(args.mix_tilde) if args.mix_tilde is not None else float(mix),
-                          args.p)
+        P = _depolarizing(float(mix), args.p)
+        Pt = _depolarizing(float(args.mix_tilde) if args.mix_tilde is not None else float(mix),
+                           args.p)
         rt = bounds.asymptotic_rates(P, Pt)
         rows.append([float(mix), rt.R1_star, rt.R2_star, 0.0, rt.R_star])
     if args.format == "json":
@@ -87,7 +95,7 @@ def cmd_rates(args) -> int:
 
 def cmd_finite(args) -> int:
     targets = SecurityTargets(args.eps_c, args.eps_e, args.eps_b)
-    P = depolarizing(args.mix, args.p)
+    P = _depolarizing(args.mix, args.p)
     rows = []
     feasible_any = False
     for n in _parse_int_list(args.n_grid):
@@ -117,11 +125,16 @@ def _build_code(spec: str, p: int, n: int, n1: int, noise, seed: int):
             raise InfeasibleTargets("identity code requires n1 = 2n")
         return wiretap.identity_code(p, n)
     if kind == "repetition":
-        r = int(param or 0)
+        try:
+            r = int(param or 0)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"repetition code needs an integer r, got {param!r}")
         if r < 1 or r * n1 != 2 * n:
             raise InfeasibleTargets(f"repetition code needs r*n1 = 2n, got r={r}")
         return wiretap.repetition_code(p, n1, r, noise)
     if kind == "random_linear":
+        if n1 > 2 * n:
+            raise InfeasibleTargets(f"random linear code needs n1 <= 2n, got n1={n1}, n={n}")
         return wiretap.random_linear_code(p, n, n1, noise,
                                           np.random.default_rng(seed))
     raise argparse.ArgumentTypeError(f"unknown code {spec!r}")
@@ -136,8 +149,8 @@ def _load_config(path: str, seed_override: int | None) -> protocol.ProtocolConfi
     if missing:
         raise argparse.ArgumentTypeError(f"config missing keys {missing}")
     p = int(raw["p"])
-    P = depolarizing(float(raw["mix_bob_to_alice"]), p)
-    Pt = depolarizing(float(raw["mix_alice_to_bob"]), p)
+    P = _depolarizing(float(raw["mix_bob_to_alice"]), p)
+    Pt = _depolarizing(float(raw["mix_alice_to_bob"]), p)
     from .dists import convolve
 
     seed = int(raw["seed"]) if seed_override is None else seed_override
@@ -190,7 +203,9 @@ def _roundtree(obj):
 
 
 def cmd_estimate(args) -> int:
-    P = depolarizing(args.mix, args.p)
+    if args.shots < 0:
+        raise argparse.ArgumentTypeError(f"--shots must be >= 0, got {args.shots}")
+    P = _depolarizing(args.mix, args.p)
     rng = np.random.default_rng(args.seed)
     report = estimation.estimate(P, args.shots, rng)
     _emit(json.dumps(_roundtree(report.to_json_dict()), sort_keys=True) + "\n",
@@ -218,7 +233,7 @@ def _build_eve(spec: str, p: int, n: int):
 
 def cmd_leakage(args) -> int:
     p = args.p
-    noise = depolarizing(args.mix, p)
+    noise = _depolarizing(args.mix, p)
     if args.code.startswith("identity"):
         code = wiretap.identity_code(p, args.n)
         n1 = 2 * args.n

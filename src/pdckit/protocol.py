@@ -31,7 +31,7 @@ from scipy.optimize import linprog
 from .bounds import eps_E_bound
 from .dists import PauliDist, convolve
 from .qexact import SizeCapError
-from .gf import FieldVec, _check_int64_dot, all_vectors
+from .gf import FieldVec, all_vectors
 from .hashing import SeedS, SeedSPrime, f_s_split, g_sprime, psi_s
 from .wiretap import ClassicalChannelWc, LinearCodeSpec
 
@@ -167,17 +167,7 @@ def _engine(config: ProtocolConfig, msgs: np.ndarray, streams,
     ys = streams["y"].integers(0, p, (trials, n3))
     l2s = streams["l2"].integers(0, p, (trials, n1 - k))
     infos = psi_s(seed_s, msgs, ys, l2s)
-    code = config.code
-    # encode row by row or through the generator matrix, whichever calls
-    # encode fewer times; both give the same words for a linear code
-    if trials < n1:
-        x = np.empty((trials, 2 * config.n), dtype=np.int64)
-        for row, info in zip(x, infos):
-            row[:] = code.encode(info)
-    else:
-        _check_int64_dot(p, n1)
-        G = np.stack([code.encode(e) for e in np.eye(n1, dtype=np.int64)], axis=1)
-        x = infos @ G.T % p
+    x = config.code.encode(infos)
     x_bar = streams["mask"].integers(0, p, (trials, 2 * config.n)) if masked else None
     run = {"s": seed_s.vec, "s_prime": seed_sp.vec, "c": g_sprime(seed_sp, msgs, ys),
            "x": x, "infos": infos, "x_bar": x_bar, "x_hat": None, "m_hat": None,
@@ -195,10 +185,7 @@ def _engine(config: ProtocolConfig, msgs: np.ndarray, streams,
             x_hat = rng.integers(0, p, x_hat.shape)
         else:
             x_hat = np.stack([adversary.tamper_fn(r, rng) for r in x_hat])
-    if code.decode_batch is not None:
-        decoded = code.decode_batch(x_hat)
-    else:
-        decoded = np.stack([code.decode(r) for r in x_hat])
+    decoded = config.code.decode_batch(x_hat)
     y_hat, m_hat = f_s_split(seed_s, decoded)
     run.update(x_hat=x_hat, decoded=decoded, y_hat=y_hat, m_hat=m_hat,
                accept=verify(seed_sp, m_hat, y_hat, run["c"]))

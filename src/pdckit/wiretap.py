@@ -8,6 +8,11 @@ code with the inverse-hash randomization from the hashing module: encoding
 draws L2 uniformly and sends phi_e(psi_S(M, Y, L2)); decoding applies f_S
 to the ECC decision.
 
+A code is two batch-first callables, like the hashing module: ``encode``
+maps (..., n1) information words to (..., 2n) codewords and
+``decode_batch`` maps (..., 2n) received words to (..., n1) decisions,
+both keeping the leading axes.
+
 Baseline codes: identity (n1 = 2n), r-fold symbol repetition, and random
 linear codes.  Random linear codes are decoded by exhaustive maximum
 likelihood against all p^{n1} codewords, so they stay at desk scale.  The
@@ -40,20 +45,19 @@ _ENUM_CAP = 10**6
 
 @dataclass
 class LinearCodeSpec:
-    """Pluggable linear code phi = (encode, decode) on F_p^{n1} -> F_p^{2n}.
+    """Pluggable linear code phi = (encode, decode_batch) on F_p^{n1} -> F_p^{2n}.
 
-    ``encode`` maps an (n1,) int array to a (2n,) codeword; ``decode`` maps a
-    (2n,) word back to an (n1,) information vector.  ``decode_batch`` is an
-    optional vectorized decoder on (m, 2n) arrays; the protocol engine uses it
-    when present and falls back to ``decode`` per row.
+    ``encode`` maps (..., n1) int arrays to (..., 2n) codewords and
+    ``decode_batch`` maps (..., 2n) received words back to (..., n1)
+    information vectors.  Both keep the leading axes, so a 1-d vector is the
+    unbatched case and the protocol engine makes one call of each per pass.
     """
 
     p: int
     n: int
     n1: int
     encode: Callable[[np.ndarray], np.ndarray]
-    decode: Callable[[np.ndarray], np.ndarray]
-    decode_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    decode_batch: Callable[[np.ndarray], np.ndarray]
     name: str = "code"
 
     def all_messages(self) -> np.ndarray:
@@ -65,15 +69,14 @@ class LinearCodeSpec:
         return all_vectors(self.p, self.n1)
 
     def all_codewords(self) -> np.ndarray:
-        msgs = self.all_messages()
-        return np.stack([self.encode(m) for m in msgs])
+        return self.encode(self.all_messages())
 
 
 def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
                       noise: PauliDist):
     """Exhaustive ML decoding against a codeword table under pair noise.
 
-    Returns ``decode_batch`` on (m, 2n) received words.  A codeword scores
+    Returns ``decode_batch`` on (..., 2n) received words.  A codeword scores
     the number of its pairs the noise cannot produce, then the summed
     log-likelihood of the others.  Among the codewords with the fewest such
     pairs, the first (in table order) whose log-likelihood lies within a
@@ -99,10 +102,10 @@ def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
     chunk = max(1, 2**20 // n_codewords)
 
     def decode_batch(words: np.ndarray) -> np.ndarray:
-        words = np.atleast_2d(np.asarray(words, dtype=np.int64))
-        rec_pairs = words[:, 0::2] * p + words[:, 1::2]
-        out = np.empty((words.shape[0], messages.shape[1]), dtype=np.int64)
-        for start in range(0, words.shape[0], chunk):
+        words = np.asarray(words, dtype=np.int64)
+        rec_pairs = (words[..., 0::2] * p + words[..., 1::2]).reshape(-1, n_pairs)
+        out = np.empty((rec_pairs.shape[0], messages.shape[1]), dtype=np.int64)
+        for start in range(0, rec_pairs.shape[0], chunk):
             rp = rec_pairs[start:start + chunk]
             ll = np.zeros((rp.shape[0], n_codewords))
             bad = np.zeros((rp.shape[0], n_codewords), dtype=np.int64)
@@ -113,7 +116,7 @@ def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
             best = ll.max(axis=1, keepdims=True)
             winner = np.argmax(ll >= best - 1e-9 * np.abs(best), axis=1)
             out[start:start + chunk] = messages[winner]
-        return out
+        return out.reshape(words.shape[:-1] + messages.shape[1:])
 
     return decode_batch
 
@@ -121,29 +124,22 @@ def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
 def identity_code(p: int, n: int) -> LinearCodeSpec:
     """The trivial rate-1 code with n1 = 2n."""
     ident = lambda v: np.asarray(v, dtype=np.int64) % p
-
-    def decode_batch(words):
-        return np.atleast_2d(np.asarray(words, dtype=np.int64) % p)
-
-    return LinearCodeSpec(p=p, n=n, n1=2 * n, encode=ident, decode=ident,
-                          decode_batch=decode_batch, name="identity")
+    return LinearCodeSpec(p=p, n=n, n1=2 * n, encode=ident, decode_batch=ident,
+                          name="identity")
 
 
 def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist,
                     name: str) -> LinearCodeSpec:
     n1 = G.shape[1]
-    _check_int64_dot(p, n1)  # encode's G @ v must not overflow int64
+    _check_int64_dot(p, n1)  # encode's v @ G.T must not overflow int64
 
     def encode(v):
-        v = np.asarray(v, dtype=np.int64) % p
-        return (G @ v) % p
+        return (np.asarray(v, dtype=np.int64) % p) @ G.T % p
 
-    code = LinearCodeSpec(p=p, n=n, n1=n1, encode=encode, decode=lambda w: w,
+    msgs = all_vectors(p, n1)
+    return LinearCodeSpec(p=p, n=n, n1=n1, encode=encode,
+                          decode_batch=_batch_ml_decoder(encode(msgs), msgs, noise),
                           name=name)
-    decode_batch = _batch_ml_decoder(code.all_codewords(), code.all_messages(), noise)
-    code.decode = lambda w: decode_batch(w)[0]
-    code.decode_batch = decode_batch
-    return code
 
 
 def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec:
@@ -166,14 +162,13 @@ def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec
     decode_blocks = _batch_ml_decoder(np.repeat(inner, r, axis=1), inner, noise)
 
     def encode(v):
-        return np.repeat(np.asarray(v, dtype=np.int64) % p, r)
+        return np.repeat(np.asarray(v, dtype=np.int64) % p, r, axis=-1)
 
     def decode_batch(words):
-        words = np.atleast_2d(np.asarray(words, dtype=np.int64))
-        return decode_blocks(words.reshape(-1, g * r)).reshape(words.shape[0], n1)
+        words = np.asarray(words, dtype=np.int64)
+        return decode_blocks(words.reshape(-1, g * r)).reshape(words.shape[:-1] + (n1,))
 
     return LinearCodeSpec(p=p, n=(r * n1) // 2, n1=n1, encode=encode,
-                          decode=lambda w: decode_batch(w)[0],
                           decode_batch=decode_batch, name=f"repetition-r{r}")
 
 
@@ -216,26 +211,30 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
                            samples: int = 50, noise: PauliDist | None = None) -> None:
     """Validate the plug-in contract: linearity, injectivity, round trip.
 
-    With ``noise`` given and p^{n1} <= 4096, also checks that the code's
-    decoder agrees exactly, ties included, with exhaustive ML under that
-    pair noise, on ``samples`` uniform words and ``samples`` noisy
-    codewords.  Raises ValueError on the first violated property.
+    Linearity and the noiseless round trip are checked on a (samples, n1)
+    batch through ``encode`` and ``decode_batch``, and the batch must encode
+    row for row like the single vectors.  With ``noise`` given and
+    p^{n1} <= 4096, also checks that the code's decoder agrees exactly, ties
+    included, with exhaustive ML under that pair noise, on ``samples``
+    uniform words and ``samples`` noisy codewords.  Raises ValueError on the
+    first violated property.
     """
     rng = rng or np.random.default_rng(0)
     p, n1 = code.p, code.n1
     zero = code.encode(np.zeros(n1, dtype=np.int64))
     if zero.shape != (2 * code.n,) or zero.any():
         raise ValueError("encode(0) must be the zero word of length 2n")
-    for _ in range(samples):
-        a = rng.integers(0, p, n1)
-        b = rng.integers(0, p, n1)
-        c = int(rng.integers(0, p))
-        lhs = code.encode((a + c * b) % p)
-        rhs = (code.encode(a) + c * code.encode(b)) % p
-        if not np.array_equal(lhs % p, rhs):
-            raise ValueError("encode is not linear")
-        if not np.array_equal(code.decode(code.encode(a)) % p, a % p):
-            raise ValueError("decode(encode(x)) != x on noiseless input")
+    a = rng.integers(0, p, (samples, n1))
+    b = rng.integers(0, p, (samples, n1))
+    c = rng.integers(0, p, (samples, 1))
+    coded = code.encode(a)
+    if coded.shape != (samples, 2 * code.n) or any(
+            not np.array_equal(w, code.encode(v)) for w, v in zip(coded, a)):
+        raise ValueError("encode of a batch differs from encode of its rows")
+    if not np.array_equal(code.encode((a + c * b) % p) % p, (coded + c * code.encode(b)) % p):
+        raise ValueError("encode is not linear")
+    if not np.array_equal(code.decode_batch(coded) % p, a):
+        raise ValueError("decode_batch(encode(x)) != x on noiseless input")
     if p**n1 <= 4096:
         table = code.all_codewords()
         if len({tuple(w.tolist()) for w in table}) != p**n1:
@@ -244,10 +243,7 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
             sent = table[rng.integers(0, p**n1, samples)]
             words = np.concatenate([rng.integers(0, p, (samples, 2 * code.n)),
                                     ClassicalChannelWc(noise).sample_batch(sent, rng)])
-            if code.decode_batch is not None:
-                got = code.decode_batch(words)
-            else:
-                got = np.stack([code.decode(w) for w in words])
+            got = code.decode_batch(words)
             ml = _batch_ml_decoder(table, code.all_messages(), noise)(words)
             if not np.array_equal(np.asarray(got) % p, ml):
                 raise ValueError("decode disagrees with exhaustive ML decoding")
@@ -412,7 +408,7 @@ def wiretap_encode(code: LinearCodeSpec, seed: SeedS, M, Y,
 def wiretap_decode(code: LinearCodeSpec, seed: SeedS,
                    received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Y_hat, M_hat) = f_S(phi_d(received))."""
-    return f_s_split(seed, code.decode(np.asarray(received, dtype=np.int64)))
+    return f_s_split(seed, code.decode_batch(np.asarray(received, dtype=np.int64)))
 
 
 def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
@@ -423,7 +419,7 @@ def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
     """
     p, n1 = code.p, code.n1
     infos = all_vectors(p, n1)
-    states = [eve.state(code.encode(v)) for v in infos]
+    states = [eve.state(w) for w in code.encode(infos)]
     avg = sum(states) / len(states)
     weights = p ** np.arange(k - 1, -1, -1)
     for seed_vec in seeds:

@@ -192,6 +192,29 @@ def test_leakage_bad_eve_exit(capsys, argv):
     assert err.startswith("invalid arguments:") and err.count("\n") == 1
 
 
+# random_linear with n1 > 2n: no full-rank generator exists
+INFEASIBLE_CONFIG = {"p": 2, "n": 2, "n1": 5, "n2": 1, "n3": 1, "mix_bob_to_alice": 0.05,
+                     "mix_alice_to_bob": 0.05, "code": "random_linear", "seed": 1}
+
+
+@pytest.mark.parametrize("argv,exit_code,prefix", [
+    (("leakage", "--mix", "2"), 2, "invalid arguments:"),
+    (("leakage", "--n", "2", "--n1", "2", "--code", "repetition:x"), 2, "invalid arguments:"),
+    (("rates", "--mix-grid", "0:1.5:0.5"), 2, "invalid arguments:"),
+    (("rates", "--p", "4", "--mix-grid", "0:0.5:0.25"), 2, "invalid arguments:"),
+    (("estimate", "--mix", "0.05", "--shots", "-5"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{config}"), 3, "infeasible parameters:"),
+])
+def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(INFEASIBLE_CONFIG))
+    code = main([a.format(config=config) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_verify_identities_passes(capsys):
     code, out = run_cli(capsys, "verify-identities", "--p", "2", "--count", "2",
                         "--seed", "0")

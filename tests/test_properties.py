@@ -1,4 +1,5 @@
-"""Property-based checks of the batched Toeplitz kernel and the hash laws.
+"""Property-based checks of the batched Toeplitz kernel, the hash laws and
+the batch-first code contract.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The kernel is compared
@@ -10,8 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdckit.dists import depolarizing
 from pdckit.gf import toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s, y_of
+from pdckit.wiretap import _generator_code, identity_code, repetition_code
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -93,3 +96,49 @@ def test_g_sprime_and_y_of_round_trip(case):
     for r in range(trials):
         single = SeedSPrime(seed.vec[r], n2, n3, p)
         assert np.array_equal(g_sprime(single, m[r], y[r]), c[r])
+
+
+@st.composite
+def code_cases(draw):
+    """A baseline code, its generator matrix G (2n x n1) and a random batch."""
+    p = draw(st.sampled_from(PRIMES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["identity", "repetition", "generator"]))
+    noise = depolarizing(0.1, p)
+    if kind == "identity":
+        n = draw(st.integers(1, 4))
+        code, G = identity_code(p, n), np.eye(2 * n, dtype=np.int64)
+    elif kind == "repetition":
+        n1 = draw(st.integers(1, 6))
+        r = draw(st.integers(1, 4).filter(lambda r: r * n1 % 2 == 0))
+        code = repetition_code(p, n1, r, noise)
+        G = np.repeat(np.eye(n1, dtype=np.int64), r, axis=0)
+    else:
+        # systematic generator [I; A]: full rank, so the code is injective
+        n1 = draw(st.integers(1, 2))
+        n = draw(st.integers(1, 2).filter(lambda n: 2 * n >= n1))
+        G = np.vstack([np.eye(n1, dtype=np.int64), rng.integers(0, p, (2 * n - n1, n1))])
+        code = _generator_code(G, p, n, noise, "systematic")
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    return code, G, rng.integers(0, p, batch + (code.n1,))
+
+
+@SETTINGS
+@given(code_cases())
+def test_code_encode_is_rowwise_and_the_generator_product(case):
+    code, G, infos = case
+    words = code.encode(infos)
+    assert words.shape == infos.shape[:-1] + (2 * code.n,)
+    assert np.array_equal(words, infos @ G.T % code.p)
+    rows = infos.reshape(-1, code.n1)
+    for word, info in zip(words.reshape(len(rows), -1), rows):
+        assert np.array_equal(word, code.encode(info))
+
+
+@SETTINGS
+@given(code_cases())
+def test_code_decode_batch_inverts_encode(case):
+    code, _G, infos = case
+    decoded = code.decode_batch(code.encode(infos))
+    assert decoded.shape == infos.shape
+    assert np.array_equal(decoded, infos)

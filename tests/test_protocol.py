@@ -159,9 +159,11 @@ def test_monte_carlo_abort_below_block_error():
     assert stats["abort_rate"] <= stats["ecc_block_error_rate"] + 1e-12
 
 
-def test_monte_carlo_long_repetition_code():
-    # p^n1 = 2^64 codewords: far past the enumeration cap, decoded per symbol
-    p, n1, r = 2, 64, 6
+@pytest.mark.parametrize("n1,trials", [(64, 2000), (1000, 1000)])
+def test_monte_carlo_long_repetition_code(n1, trials):
+    # p^n1 codewords, far past the enumeration cap, decoded per symbol;
+    # n1 = 1000 is n = 3000, with fewer trials to stay well under a second
+    p, r = 2, 6
     d = depolarizing(0.05, p)
     eff = convolve(d, d)
     # exact symbol error: under depolarizing noise ML picks the value with
@@ -177,7 +179,6 @@ def test_monte_carlo_long_repetition_code():
     exact = 1.0 - (1.0 - e_sym) ** n1
     cfg = ProtocolConfig(p=p, n=r * n1 // 2, n1=n1, n2=8, n3=8, P=d, P_tilde=d,
                          code=repetition_code(p, n1, r, eff), master_seed=5)
-    trials = 2000
     stats = monte_carlo(cfg, trials)
     errors = round(stats["ecc_block_error_rate"] * trials)
     lo, hi = wilson_interval(errors, trials)
