@@ -142,6 +142,18 @@ CLI_DIGESTS = {
     # quantum-Eve leakage: exact enumeration and the group-reduced solver
     "leakage --n 1 --n2 1 --n3 0 --code identity --eve quantum:0.25":
         "c5b0ae775152968190f0aa368c1e532ca37aaa79a0ed98eeb8026f47c74de43c",
+    # the F_p x F_p kernels (convolve, reconstruct) and the bound inversions
+    "finite --p 2 --mix 0.05 --n-grid 1000,10000,100000,1000000 "
+    "--eps-c 0.2 --eps-e 1e-9 --eps-b 1e-9":
+        "b564be3be58acaa72251d156ea1ac2bd271ac29edccf13823f5b891183c2658b",
+    "estimate --p 2 --mix 0.05 --shots 10000 --seed 1":
+        "8b985ef15c4a58c91667fed5a1264267453f2af913efc4953add6b3960f77fba",
+    "rates --p 31 --mix-grid 0:0.25:0.0125":
+        "32718cc25984befd0a7904ff936012c11d0a55064e947cf999e838b7f9a56fe3",
+    "finite --p 31 --mix 0.05 --n-grid 1000,10000,100000,1000000":
+        "449f56735f721feed069580b9e5b9eddd341ccd3f8e2d23dd3a46dd386a0085b",
+    "estimate --p 31 --mix 0.05 --shots 10000 --seed 1":
+        "f63c1ec31c724e3c6997b41cb9648aeacbc6de89301ef5cb9a628f9b2523841a",
 }
 
 
