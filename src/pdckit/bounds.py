@@ -157,11 +157,55 @@ def _renyi_order_onemt(P: PauliDist, ts: np.ndarray) -> np.ndarray:
     alphas = 1.0 - ts
     out = np.empty_like(ts)
     near1 = np.abs(alphas - 1.0) < 1e-12
-    out[near1] = shannon(probs)
+    if near1.any():
+        out[near1] = shannon(probs)
     a = alphas[~near1]
     sums = np.power(probs[None, :], a[:, None]).sum(axis=1)
     out[~near1] = np.log2(sums) / (1.0 - a)
     return out
+
+
+def _t_values(t_grid) -> np.ndarray:
+    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    if ts.size == 0:
+        raise ValueError("empty t grid")
+    return ts
+
+
+def _eps_E(n: int, sacrifice_symbols: int, P: PauliDist, ts: np.ndarray,
+           h_grid: np.ndarray) -> float:
+    """eps_E_bound given h_grid = H_{1/(1+t)}(P) on ts."""
+    log_p = np.log2(P.p)
+
+    def exponent(t, h):
+        return (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (
+            n * h - sacrifice_symbols * log_p
+        )
+
+    def refine(t):
+        t = np.asarray(t, dtype=float)
+        return float(exponent(t, _renyi_order_recip(P, np.atleast_1d(t)))[0])
+
+    best = _refine_min(refine, ts, exponent(ts, h_grid))
+    if best >= 0.0:
+        return 1.0
+    return float(min(1.0, np.exp2(max(best, -1e6))))
+
+
+def _eps_C(n: int, n1: int, P_eff: PauliDist, ts: np.ndarray,
+           h_grid: np.ndarray) -> float:
+    """eps_C_bound given h_grid = H_{1-t}(P_eff) on ts."""
+    log_p = np.log2(P_eff.p)
+
+    def exponent(t, h):
+        return t * (n1 * log_p - n * (2.0 * log_p - h))
+
+    def refine(t):
+        t = np.asarray(t, dtype=float)
+        return float(exponent(t, _renyi_order_onemt(P_eff, np.atleast_1d(t)))[0])
+
+    best = _refine_min(refine, ts, exponent(ts, h_grid))
+    return float(min(1.0, 4.0 * np.exp2(max(best, -1e6))))
 
 
 def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist,
@@ -173,24 +217,8 @@ def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist,
     """
     if sacrifice_symbols < 0:
         raise ValueError("sacrifice_symbols must be >= 0")
-    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    if ts.size == 0:
-        raise ValueError("empty t grid")
-    log_p = np.log2(P.p)
-
-    def exponent(t):
-        t = np.asarray(t, dtype=float)
-        h = _renyi_order_recip(P, np.atleast_1d(t))
-        val = (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (
-            n * h - sacrifice_symbols * log_p
-        )
-        return val if val.size > 1 else float(val[0])
-
-    vals = exponent(ts)
-    best = _refine_min(exponent, ts, vals)
-    if best >= 0.0:
-        return 1.0
-    return float(min(1.0, np.exp2(max(best, -1e6))))
+    ts = _t_values(t_grid)
+    return _eps_E(n, sacrifice_symbols, P, ts, _renyi_order_recip(P, ts))
 
 
 def eps_C_bound(n: int, n1: int, P_eff: PauliDist,
@@ -201,20 +229,70 @@ def eps_C_bound(n: int, n1: int, P_eff: PauliDist,
     """
     if n1 > 2 * n:
         raise ValueError(f"n1 = {n1} exceeds 2n = {2 * n}")
-    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    if ts.size == 0:
-        raise ValueError("empty t grid")
-    log_p = np.log2(P_eff.p)
+    ts = _t_values(t_grid)
+    return _eps_C(n, n1, P_eff, ts, _renyi_order_onemt(P_eff, ts))
 
-    def exponent(t):
-        t = np.asarray(t, dtype=float)
-        h = _renyi_order_onemt(P_eff, np.atleast_1d(t))
-        val = t * (n1 * log_p - n * (2.0 * log_p - h))
-        return val if val.size > 1 else float(val[0])
 
-    vals = exponent(ts)
-    best = _refine_min(exponent, ts, vals)
-    return float(min(1.0, 4.0 * np.exp2(max(best, -1e6))))
+def _inversion(targets: SecurityTargets, n: int, P: PauliDist,
+               P_tilde: PauliDist, t_grid) -> FiniteLengthReport:
+    """The finite-length report; m_hat_lengths reads its three lengths.
+
+    The bisections compute exactly the values eps_E_bound and eps_C_bound
+    return, but H_{1/(1+t)}(P) and H_{1-t}(Ptilde * P) on the t grid are
+    built once per call and shared by every step, and the achieved values
+    are the ones the bisections already computed at m2 and m1.
+    """
+    if P.p != P_tilde.p:
+        raise ValueError(f"modulus mismatch: {P.p} vs {P_tilde.p}")
+    if n < 1:
+        raise ValueError(f"block length n must be >= 1, got {n}")
+    p = P.p
+    ts = _t_values(t_grid)
+    m3 = int(np.ceil(-np.log2(targets.eps_B) / np.log2(p) - 1e-12))
+
+    # each bisection keeps the bound value at the end it converges to
+    h_E = _renyi_order_recip(P, ts)
+    eps_E_at = _eps_E(n, 2 * n, P, ts, h_E)
+    if eps_E_at > targets.eps_E:
+        raise InfeasibleTargets(
+            f"eps_E = {targets.eps_E} unreachable even sacrificing all 2n symbols"
+        )
+    lo, hi = 0, 2 * n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        val = _eps_E(n, mid, P, ts, h_E)
+        if val <= targets.eps_E:
+            hi, eps_E_at = mid, val
+        else:
+            lo = mid + 1
+    m2 = lo
+
+    p_eff = convolve(P_tilde, P)
+    h_C = _renyi_order_onemt(p_eff, ts)
+    eps_C_at = _eps_C(n, 0, p_eff, ts, h_C)
+    if eps_C_at > targets.eps_C:
+        raise InfeasibleTargets(
+            f"eps_C = {targets.eps_C} unreachable even at coding length 0"
+        )
+    lo, hi = 0, 2 * n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        val = _eps_C(n, mid, p_eff, ts, h_C)
+        if val <= targets.eps_C:
+            lo, eps_C_at = mid, val
+        else:
+            hi = mid - 1
+    m1 = lo
+
+    log_p = np.log2(p)
+    return FiniteLengthReport(
+        n=n, m1=m1, m2=m2, m3=m3,
+        R1=m1 * log_p / n, R2=m2 * log_p / n, R3=m3 * log_p / n,
+        R=(m1 - m2 - m3) * log_p / n,
+        eps_C_achieved=eps_C_at,
+        eps_E_achieved=eps_E_at,
+        eps_B_achieved=eps_B_bound(m3, p),
+    )
 
 
 def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
@@ -226,55 +304,15 @@ def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
     sacrifice with eps_E_bound <= eps_E; m1 the largest coding length with
     eps_C_bound <= eps_C.  Raises InfeasibleTargets instead of clamping.
     """
-    if P.p != P_tilde.p:
-        raise ValueError(f"modulus mismatch: {P.p} vs {P_tilde.p}")
-    p = P.p
-    m3 = int(np.ceil(-np.log2(targets.eps_B) / np.log2(p) - 1e-12))
-
-    if eps_E_bound(n, 2 * n, P, t_grid) > targets.eps_E:
-        raise InfeasibleTargets(
-            f"eps_E = {targets.eps_E} unreachable even sacrificing all 2n symbols"
-        )
-    lo, hi = 0, 2 * n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if eps_E_bound(n, mid, P, t_grid) <= targets.eps_E:
-            hi = mid
-        else:
-            lo = mid + 1
-    m2 = lo
-
-    p_eff = convolve(P_tilde, P)
-    if eps_C_bound(n, 0, p_eff, t_grid) > targets.eps_C:
-        raise InfeasibleTargets(
-            f"eps_C = {targets.eps_C} unreachable even at coding length 0"
-        )
-    lo, hi = 0, 2 * n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if eps_C_bound(n, mid, p_eff, t_grid) <= targets.eps_C:
-            lo = mid
-        else:
-            hi = mid - 1
-    m1 = lo
-    return m1, m2, m3
+    rep = _inversion(targets, n, P, P_tilde, t_grid)
+    return rep.m1, rep.m2, rep.m3
 
 
 def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
                          P_tilde: PauliDist,
                          t_grid: np.ndarray | None = None) -> FiniteLengthReport:
     """Rates R_i = m_i log2(p) / n and the bound values achieved at them."""
-    m1, m2, m3 = m_hat_lengths(targets, n, P, P_tilde, t_grid)
-    log_p = np.log2(P.p)
-    p_eff = convolve(P_tilde, P)
-    return FiniteLengthReport(
-        n=n, m1=m1, m2=m2, m3=m3,
-        R1=m1 * log_p / n, R2=m2 * log_p / n, R3=m3 * log_p / n,
-        R=(m1 - m2 - m3) * log_p / n,
-        eps_C_achieved=eps_C_bound(n, m1, p_eff, t_grid),
-        eps_E_achieved=eps_E_bound(n, m2, P, t_grid),
-        eps_B_achieved=eps_B_bound(m3, P.p),
-    )
+    return _inversion(targets, n, P, P_tilde, t_grid)
 
 
 def leakage_exponent_lower(R2: float, P: PauliDist,

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds, estimation, identities, protocol, wiretap
 from .bounds import InfeasibleTargets, SecurityTargets
 from .dists import PauliDist, depolarizing
-from .gf import FieldVec
+from .gf import FieldVec, _check_prime
 from .qexact import SizeCapError
 
 
@@ -65,6 +65,14 @@ def _depolarizing(mix: float, p: int) -> PauliDist:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _prime(p: int) -> int:
+    """``_check_prime`` on user input: a composite modulus is exit 2."""
+    try:
+        return _check_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_int_list(spec: str) -> list[int]:
     try:
         return [int(v) for v in spec.split(",") if v]
@@ -96,9 +104,12 @@ def cmd_rates(args) -> int:
 def cmd_finite(args) -> int:
     targets = SecurityTargets(args.eps_c, args.eps_e, args.eps_b)
     P = _depolarizing(args.mix, args.p)
+    n_grid = _parse_int_list(args.n_grid)
+    if any(n < 1 for n in n_grid):
+        raise argparse.ArgumentTypeError(f"block lengths must be >= 1, got {args.n_grid!r}")
     rows = []
     feasible_any = False
-    for n in _parse_int_list(args.n_grid):
+    for n in n_grid:
         try:
             rep = bounds.finite_length_report(targets, n, P, P)
             rows.append([n, rep.R1, rep.R2, rep.R3, rep.R, "ok"])
@@ -141,8 +152,13 @@ def _build_code(spec: str, p: int, n: int, n1: int, noise, seed: int):
 
 
 def _load_config(path: str, seed_override: int | None) -> protocol.ProtocolConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"config {path!r} is not JSON: {exc}") from exc
     required = ["p", "n", "n1", "n2", "n3", "mix_bob_to_alice",
                 "mix_alice_to_bob", "code", "seed"]
     missing = [k for k in required if k not in raw]
@@ -232,6 +248,9 @@ def _build_eve(spec: str, p: int, n: int):
 
 
 def cmd_leakage(args) -> int:
+    if args.n2 < 0 or args.n3 < 0 or args.n2 + args.n3 < 1:
+        raise argparse.ArgumentTypeError(
+            f"need n2, n3 >= 0 and n2 + n3 >= 1, got n2={args.n2}, n3={args.n3}")
     p = args.p
     noise = _depolarizing(args.mix, p)
     if args.code.startswith("identity"):
@@ -259,6 +278,7 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    _prime(args.p)
     rng = np.random.default_rng(args.seed)
     tol = 1e-8
     lines = []

@@ -80,6 +80,16 @@ def reconstruct(char_table: dict[tuple[int, int], complex], p: int) -> np.ndarra
     Returns the raw real array, which may carry small negative entries when
     the characteristic values are empirical; project with simplex_project.
     Raises KeyError listing any missing (a, b) class.
+
+    The result is byte-identical to accumulating each cell's p^2 terms one
+    by one in (a, b) order, from 0, with Python complex arithmetic.  Only
+    real parts are kept: the twiddles omega^{-k} are the Python powers, each
+    term's real part is wr Re E - wi Im E (the complex product's own
+    formula, in separate float64 operations), and ``np.add.reduce`` over a
+    leading axis adds the p^2 terms of every cell in sequence.  That is still
+    O(p^4) work, but in C.  An FFT or a separable DFT along x and then z
+    would be O(p^3) or less but sums in another order, which changes the low
+    bits of the estimate and so the printed digits.
     """
     p = _check_prime(p)
     missing = [(a, b) for a in range(p) for b in range(p)
@@ -87,15 +97,22 @@ def reconstruct(char_table: dict[tuple[int, int], complex], p: int) -> np.ndarra
     if missing:
         raise KeyError(f"character table is missing entries {missing}")
     omega = np.exp(2j * np.pi / p)
-    out = np.zeros((p, p))
-    for x in range(p):
-        for z in range(p):
-            acc = 0.0 + 0.0j
-            for a in range(p):
-                for b in range(p):
-                    acc += omega ** (-((a * x + b * z) % p)) * char_table[(a, b)]
-            out[x, z] = acc.real / p**2
-    return out
+    tw = [omega ** (-k) for k in range(p)]
+    wr = np.array([w.real for w in tw])
+    wi = np.array([w.imag for w in tw])
+    E = np.array([[char_table[(a, b)] for b in range(p)] for a in range(p)],
+                 dtype=complex)
+    # terms[a, b, k] = Re(omega^{-k} E[a, b])
+    terms = np.subtract(np.multiply(E.real[:, :, None], wr),
+                        np.multiply(E.imag[:, :, None], wi))
+    ks = np.arange(p)
+    acc = np.zeros((1, p, p))
+    for a in range(p):
+        # k[b, x, z] = (a x + b z) % p; row 0 carries the running sum
+        k = (a * ks[None, :, None] + ks[:, None, None] * ks[None, None, :]) % p
+        acc = np.add.reduce(np.concatenate([acc, terms[a][ks[:, None, None], k]]),
+                            axis=0, keepdims=True)
+    return acc[0] / p**2
 
 
 def simplex_project(raw: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -204,11 +204,15 @@ INFEASIBLE_CONFIG = {"p": 2, "n": 2, "n1": 5, "n2": 1, "n3": 1, "mix_bob_to_alic
     (("rates", "--p", "4", "--mix-grid", "0:0.5:0.25"), 2, "invalid arguments:"),
     (("estimate", "--mix", "0.05", "--shots", "-5"), 2, "invalid arguments:"),
     (("simulate", "--config", "{config}"), 3, "infeasible parameters:"),
+    (("verify-identities", "--p", "4"), 2, "invalid arguments:"),
+    (("finite", "--mix", "0.05", "--n-grid", "-5"), 2, "invalid arguments:"),
+    (("leakage", "--n2", "0"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{missing}"), 2, "invalid arguments:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(INFEASIBLE_CONFIG))
-    code = main([a.format(config=config) for a in argv])
+    code = main([a.format(config=config, missing=tmp_path / "missing.json") for a in argv])
     out, err = capsys.readouterr()
     assert code == exit_code
     assert out == ""

@@ -1,17 +1,23 @@
-"""Property-based checks of the batched Toeplitz kernel, the hash laws and
-the batch-first code contract.
+"""Property-based checks of the batched Toeplitz kernel, the hash laws,
+the batch-first code contract, the F_p x F_p kernels and the bound
+inversions.
 
 Primes up to 31, random lengths and random batch shapes (including the
-batch of one that a protocol transcript uses).  The kernel is compared
-against a pure-Python-int double loop, so the reference cannot share an
-overflow or an indexing slip with the code under test.
+batch of one that a protocol transcript uses).  The Toeplitz kernel is
+compared against a pure-Python-int double loop, so the reference cannot
+share an overflow or an indexing slip with the code under test.  The
+convolution and character-inversion kernels are compared bit for bit
+against the per-cell loops they replaced, which fix the summation order.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdckit.dists import depolarizing
+from pdckit.bounds import (InfeasibleTargets, SecurityTargets, eps_C_bound,
+                           eps_E_bound, finite_length_report, m_hat_lengths)
+from pdckit.dists import PauliDist, convolve, depolarizing, marginal
+from pdckit.estimation import char_table_from_marginals, reconstruct, settings as est_settings
 from pdckit.gf import toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s, y_of
 from pdckit.wiretap import _generator_code, identity_code, repetition_code
@@ -142,3 +148,133 @@ def test_code_decode_batch_inverts_encode(case):
     decoded = code.decode_batch(code.encode(infos))
     assert decoded.shape == infos.shape
     assert np.array_equal(decoded, infos)
+
+
+# ---------------------------------------------------------------------------
+# F_p x F_p kernels
+# ---------------------------------------------------------------------------
+
+def reference_convolve(P, Q):
+    """One np.sum per output cell over the (x', z') products."""
+    p = P.p
+    out = np.zeros((p, p))
+    for x in range(p):
+        for z in range(p):
+            out[x, z] = np.sum(P.probs * Q.probs[(x - np.arange(p)) % p][:, (z - np.arange(p)) % p])
+    return PauliDist(out, p)
+
+
+def reference_reconstruct(char_table, p):
+    """Each cell's p^2 terms accumulated in (a, b) order in Python complex."""
+    omega = np.exp(2j * np.pi / p)
+    out = np.zeros((p, p))
+    for x in range(p):
+        for z in range(p):
+            acc = 0.0 + 0.0j
+            for a in range(p):
+                for b in range(p):
+                    acc += omega ** (-((a * x + b * z) % p)) * char_table[(a, b)]
+            out[x, z] = acc.real / p**2
+    return out
+
+
+@st.composite
+def pauli_dists(draw, p):
+    """Point masses, distributions with zero entries, and dense ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["point", "sparse", "dense", "uniform"]))
+    if kind == "point":
+        return PauliDist.point_mass(int(rng.integers(p)), int(rng.integers(p)), p)
+    if kind == "uniform":
+        return PauliDist.uniform(p)
+    raw = rng.random(p * p) ** 3
+    if kind == "sparse":
+        raw[rng.random(p * p) < 0.5] = 0.0
+        raw[rng.integers(p * p)] += 0.1
+    return PauliDist(raw / raw.sum(), p)
+
+
+@st.composite
+def dist_triples(draw):
+    p = draw(st.sampled_from(PRIMES))
+    return p, draw(pauli_dists(p)), draw(pauli_dists(p)), draw(pauli_dists(p))
+
+
+@SETTINGS
+@given(dist_triples())
+def test_convolve_matches_reference_bit_for_bit(case):
+    _p, P, Q, _R = case
+    assert np.array_equal(convolve(P, Q).probs, reference_convolve(P, Q).probs)
+
+
+@SETTINGS
+@given(dist_triples())
+def test_convolve_commutative_and_associative(case):
+    _p, P, Q, R = case
+    assert np.allclose(convolve(P, Q).probs, convolve(Q, P).probs, rtol=0, atol=1e-12)
+    assert np.allclose(convolve(convolve(P, Q), R).probs,
+                       convolve(P, convolve(Q, R)).probs, rtol=0, atol=1e-12)
+
+
+def _char_table(P, shots, rng):
+    margs = {}
+    for s in est_settings(P.p):
+        exact = marginal(P, s.l, s.k)
+        if shots:
+            counts = rng.multinomial(shots, exact.probs)
+            exact = type(exact)(counts / shots, P.p)
+        margs[s] = exact
+    return char_table_from_marginals(margs, P.p)
+
+
+@settings(max_examples=25, deadline=None)  # the reference takes 0.2 s at p = 31
+@given(dist_triples(), st.sampled_from([0, 50]), st.integers(0, 2**32 - 1))
+def test_reconstruct_matches_reference_bit_for_bit(case, shots, seed):
+    # shots > 0 gives empirical tables, whose inversion has negative entries
+    p, P, _Q, _R = case
+    table = _char_table(P, shots, np.random.default_rng(seed))
+    assert np.array_equal(reconstruct(table, p), reference_reconstruct(table, p))
+
+
+@SETTINGS
+@given(dist_triples())
+def test_reconstruct_inverts_exact_marginals(case):
+    p, P, _Q, _R = case
+    table = _char_table(P, 0, None)
+    assert np.allclose(reconstruct(table, p), P.probs, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bound inversion
+# ---------------------------------------------------------------------------
+
+@st.composite
+def inversion_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    P = depolarizing(draw(st.floats(0.0, 0.5)), p)
+    P_tilde = depolarizing(draw(st.floats(0.0, 0.5)), p)
+    targets = SecurityTargets(eps_C=10.0 ** -draw(st.floats(0.0, 3.0)),
+                              eps_E=10.0 ** -draw(st.floats(0.0, 12.0)),
+                              eps_B=10.0 ** -draw(st.floats(0.0, 12.0)))
+    return draw(st.integers(1, 2000)), P, P_tilde, targets
+
+
+@SETTINGS
+@given(inversion_cases())
+def test_m_hat_lengths_is_exact_inversion_of_the_public_bounds(case):
+    n, P, P_tilde, targets = case
+    p_eff = convolve(P_tilde, P)
+    try:
+        m1, m2, m3 = m_hat_lengths(targets, n, P, P_tilde)
+    except InfeasibleTargets:
+        assert (eps_E_bound(n, 2 * n, P) > targets.eps_E
+                or eps_C_bound(n, 0, p_eff) > targets.eps_C)
+        return
+    assert eps_E_bound(n, m2, P) <= targets.eps_E
+    assert m2 == 0 or targets.eps_E < eps_E_bound(n, m2 - 1, P)
+    assert eps_C_bound(n, m1, p_eff) <= targets.eps_C
+    assert m1 == 2 * n or targets.eps_C < eps_C_bound(n, m1 + 1, p_eff)
+    rep = finite_length_report(targets, n, P, P_tilde)
+    assert (rep.m1, rep.m2, rep.m3) == (m1, m2, m3)
+    assert rep.eps_C_achieved == eps_C_bound(n, m1, p_eff)
+    assert rep.eps_E_achieved == eps_E_bound(n, m2, P)
