@@ -84,7 +84,7 @@ def reconstruct(char_table: dict[tuple[int, int], complex], p: int) -> np.ndarra
     The result is byte-identical to accumulating each cell's p^2 terms one
     by one in (a, b) order, from 0, with Python complex arithmetic.  Only
     real parts are kept: the twiddles omega^{-k} are the Python powers, each
-    term's real part is wr Re E - wi Im E (the complex product's own
+    term's real part is Re w Re E - Im w Im E (the complex product's own
     formula, in separate float64 operations), and ``np.add.reduce`` over a
     leading axis adds the p^2 terms of every cell in sequence.  That is still
     O(p^4) work, but in C.  An FFT or a separable DFT along x and then z
@@ -97,22 +97,23 @@ def reconstruct(char_table: dict[tuple[int, int], complex], p: int) -> np.ndarra
     if missing:
         raise KeyError(f"character table is missing entries {missing}")
     omega = np.exp(2j * np.pi / p)
-    tw = [omega ** (-k) for k in range(p)]
-    wr = np.array([w.real for w in tw])
-    wi = np.array([w.imag for w in tw])
+    tw = np.array([omega ** (-k) for k in range(p)])
     E = np.array([[char_table[(a, b)] for b in range(p)] for a in range(p)],
                  dtype=complex)
-    # terms[a, b, k] = Re(omega^{-k} E[a, b])
-    terms = np.subtract(np.multiply(E.real[:, :, None], wr),
-                        np.multiply(E.imag[:, :, None], wi))
+    # terms[a, b, k] = Re(omega^{-k} E[a, b]), stored twice along k so that
+    # (a x % p) + (b z % p) < 2p indexes it without a modulus
+    terms = E.real[:, :, None] * tw.real - E.imag[:, :, None] * tw.imag
+    terms = np.concatenate([terms, terms], axis=2)
     ks = np.arange(p)
-    acc = np.zeros((1, p, p))
+    # flat offset of terms[a][b, (b z) % p], indexed [b, x, z]
+    base = (ks[:, None] * 2 * p + np.outer(ks, ks) % p)[:, None, :]
+    # buf[0] is the running sum, buf[1 + b] the terms of one a; reducing
+    # over the leading axis adds them to it in b order
+    buf = np.zeros((p + 1, p, p))
     for a in range(p):
-        # k[b, x, z] = (a x + b z) % p; row 0 carries the running sum
-        k = (a * ks[None, :, None] + ks[:, None, None] * ks[None, None, :]) % p
-        acc = np.add.reduce(np.concatenate([acc, terms[a][ks[:, None, None], k]]),
-                            axis=0, keepdims=True)
-    return acc[0] / p**2
+        np.take(terms[a], base + ((a * ks) % p)[None, :, None], out=buf[1:])
+        np.add.reduce(buf, axis=0, out=buf[0])
+    return buf[0] / p**2
 
 
 def simplex_project(raw: np.ndarray) -> tuple[np.ndarray, bool]:
