@@ -208,11 +208,15 @@ INFEASIBLE_CONFIG = {"p": 2, "n": 2, "n1": 5, "n2": 1, "n3": 1, "mix_bob_to_alic
     (("finite", "--mix", "0.05", "--n-grid", "-5"), 2, "invalid arguments:"),
     (("leakage", "--n2", "0"), 2, "invalid arguments:"),
     (("simulate", "--config", "{missing}"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{not_json}"), 2, "invalid arguments:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(INFEASIBLE_CONFIG))
-    code = main([a.format(config=config, missing=tmp_path / "missing.json") for a in argv])
+    not_json = tmp_path / "not.json"
+    not_json.write_text("p = 2\n")
+    paths = {"config": config, "missing": tmp_path / "missing.json", "not_json": not_json}
+    code = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert code == exit_code
     assert out == ""

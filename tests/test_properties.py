@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pdckit.bounds import (InfeasibleTargets, SecurityTargets, eps_C_bound,
                            eps_E_bound, finite_length_report, m_hat_lengths)
-from pdckit.dists import PauliDist, convolve, depolarizing, marginal
+from pdckit.dists import MarginalDist, PauliDist, convolve, depolarizing, marginal
 from pdckit.estimation import char_table_from_marginals, reconstruct, settings as est_settings
 from pdckit.gf import toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s, y_of
@@ -219,11 +219,10 @@ def test_convolve_commutative_and_associative(case):
 def _char_table(P, shots, rng):
     margs = {}
     for s in est_settings(P.p):
-        exact = marginal(P, s.l, s.k)
+        m = marginal(P, s.l, s.k)
         if shots:
-            counts = rng.multinomial(shots, exact.probs)
-            exact = type(exact)(counts / shots, P.p)
-        margs[s] = exact
+            m = MarginalDist(rng.multinomial(shots, m.probs) / shots, P.p)
+        margs[s] = m
     return char_table_from_marginals(margs, P.p)
 
 
