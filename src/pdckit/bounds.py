@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import qexact
 from .dists import PauliDist, convolve, shannon
 
 
@@ -107,27 +106,6 @@ def asymptotic_rates(P: PauliDist, P_tilde: PauliDist) -> RateTriple:
     r1 = 2.0 * log_da - shannon(convolve(P_tilde, P).flat())
     r2 = shannon(P.flat())
     return RateTriple(r1, r2, r1 - r2)
-
-
-def general_rate(tau_abe, channel: PauliDist | None = None) -> float:
-    """Achievable private rate from the exact oracle.
-
-    R* = H(G(Lambda(tau_AB))) - H(Lambda(tau_AB)) - H(G(tau_AE)) + H(tau_AE),
-    with G the Weyl twirl of the encoded subsystem A and Lambda the forward
-    Pauli channel (identity when ``channel`` is None).  tau_abe must carry
-    dims [A, B, E]; for Bell-diagonal preshared states this agrees with
-    asymptotic_rates.
-    """
-    rho = tau_abe.density() if isinstance(tau_abe, qexact.PureState) else tau_abe
-    if len(rho.dims) != 3:
-        raise ValueError("general_rate expects a tripartite state with dims [A, B, E]")
-    tau_ab = qexact.partial_trace(rho, [0, 1])
-    tau_ae = qexact.partial_trace(rho, [0, 2])
-    lam_ab = tau_ab if channel is None else qexact.pauli_channel(tau_ab, channel, 0)
-    twirl = PauliDist.uniform(rho.dims[0])
-    r1 = qexact.vn_entropy(qexact.pauli_channel(lam_ab, twirl, 0)) - qexact.vn_entropy(lam_ab)
-    r2 = qexact.vn_entropy(qexact.pauli_channel(tau_ae, twirl, 0)) - qexact.vn_entropy(tau_ae)
-    return float(r1 - r2)
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +292,3 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
     """Rates R_i = m_i log2(p) / n and the bound values achieved at them."""
     return _inversion(targets, n, P, P_tilde, t_grid)
 
-
-def leakage_exponent_lower(R2: float, P: PauliDist,
-                           t_grid: np.ndarray | None = None) -> float:
-    """Lower bound on the leakage exponent, max_t (t/(1+t))(R2 - H_{1/(1+t)}(P)).
-
-    Zero whenever R2 <= H(P) (every grid term is then nonpositive).
-    """
-    if R2 < 0:
-        raise ValueError("R2 must be >= 0")
-    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-
-    def neg_gain(t):
-        t = np.asarray(t, dtype=float)
-        h = _renyi_order_recip(P, np.atleast_1d(t))
-        val = -(t / (1.0 + t)) * (R2 - h)
-        return val if val.size > 1 else float(val[0])
-
-    vals = neg_gain(ts)
-    best = _refine_min(neg_gain, ts, vals)
-    return float(max(0.0, -best))

@@ -105,8 +105,9 @@ def cmd_finite(args) -> int:
     targets = SecurityTargets(args.eps_c, args.eps_e, args.eps_b)
     P = _depolarizing(args.mix, args.p)
     n_grid = _parse_int_list(args.n_grid)
-    if any(n < 1 for n in n_grid):
-        raise argparse.ArgumentTypeError(f"block lengths must be >= 1, got {args.n_grid!r}")
+    if not n_grid or any(n < 1 for n in n_grid):
+        raise argparse.ArgumentTypeError(
+            f"block lengths must be a nonempty list of integers >= 1, got {args.n_grid!r}")
     rows = []
     feasible_any = False
     for n in n_grid:

@@ -20,11 +20,10 @@ from its seeded RNG streams; hashing itself is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldVec, _check_prime, toeplitz_apply_batch
+from .gf import _check_prime, toeplitz_apply_batch
 
 
 def _check_len(name: str, arr: np.ndarray, length: int) -> None:
@@ -89,24 +88,13 @@ def f_s_split(seed: SeedS, L) -> tuple[np.ndarray, np.ndarray]:
     return mp[..., :seed.n3], mp[..., seed.n3:]
 
 
-def _t_sprime(seed: SeedSPrime, M) -> np.ndarray:
-    M = np.asarray(M, dtype=np.int64)
-    _check_len("M", M, seed.n2)
-    return toeplitz_apply_batch(seed.vec, M, seed.n3, seed.n2, seed.p)
-
-
 def g_sprime(seed: SeedSPrime, M, Y) -> np.ndarray:
     """Error-verification hash C = Y + T(S') M, row-wise."""
     Y = np.asarray(Y, dtype=np.int64)
     _check_len("Y", Y, seed.n3)
-    return (Y + _t_sprime(seed, M)) % seed.p
-
-
-def y_of(M, seed: SeedSPrime, C) -> np.ndarray:
-    """The unique Y with g_S'(M, Y) = C, namely Y = C - T(S') M."""
-    C = np.asarray(C, dtype=np.int64)
-    _check_len("C", C, seed.n3)
-    return (C - _t_sprime(seed, M)) % seed.p
+    M = np.asarray(M, dtype=np.int64)
+    _check_len("M", M, seed.n2)
+    return (Y + toeplitz_apply_batch(seed.vec, M, seed.n3, seed.n2, seed.p)) % seed.p
 
 
 def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
@@ -125,21 +113,3 @@ def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
     head = (np.concatenate([Y, M], axis=-1) - t) % seed.p
     return np.concatenate([head, L2 % seed.p], axis=-1)
 
-
-def collision_probability(l: FieldVec, lp: FieldVec, n1: int, n2: int, n3: int) -> Fraction:
-    """Exact Pr over uniform seeds S that f_S(l) = f_S(l').
-
-    The difference f_S(l) - f_S(l') = (L1 - L1') + T(S)(L2 - L2') is an
-    affine function of the seed.  If the L2 parts agree the hash values
-    collide never (for l != l'); otherwise the map S -> T(S)(L2 - L2') is
-    surjective onto F_p^{n2+n3} (triangular in the seed entries), giving
-    probability exactly p^-(n2+n3) = 1/M'.
-    """
-    if l == lp:
-        raise ValueError("collision probability needs distinct inputs")
-    if len(l) != n1 or len(lp) != n1:
-        raise ValueError("inputs must have length n1")
-    k = n2 + n3
-    if np.array_equal(l.values[k:], lp.values[k:]):
-        return Fraction(0)
-    return Fraction(1, l.p**k)

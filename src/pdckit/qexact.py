@@ -1,8 +1,8 @@
 """Exact small-dimension quantum oracle.
 
 Dense complex density matrices, Weyl operators, Bell states, Petz and
-sandwiched Renyi divergences, conditional entropies, twirling, trace-distance
-leakage, and the degrading-map construction for maximally correlated states.
+sandwiched Renyi divergences, conditional entropies and mutual
+informations, twirling, and the sandwiched infimum solver.
 Every quantum identity used by the rate formulas is checked against this
 module numerically; it is an oracle, not a large-n simulator, so the total
 Hilbert dimension is capped at 256.
@@ -728,164 +728,3 @@ def sandwiched_mutual_info_down_cq(weights, states, alpha: float,
     mats = [_as_matrix(w) for w in states]
     f, _sigma = _minimize_xi(mats, weights, alpha, sigma0=sigma0)
     return float(np.log2(f) / t)
-
-
-# ---------------------------------------------------------------------------
-# trace distance and leakage
-# ---------------------------------------------------------------------------
-
-def trace_distance(rho, sigma) -> float:
-    """Standard trace distance (1/2)||rho - sigma||_1."""
-    diff = _as_matrix(rho) - _as_matrix(sigma)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def _one_norm(mat: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
-
-
-def _classical_blocks(rho_me: DensityMatrix):
-    """Split a state classical on its first register into (p_m, tau_E|m)."""
-    if len(rho_me.dims) != 2:
-        raise ValueError("leakage_d needs dims [M, E]")
-    dm, de = rho_me.dims
-    tensor = rho_me.matrix.reshape(dm, de, dm, de)
-    off = 0.0
-    for m in range(dm):
-        for mp in range(dm):
-            if m != mp:
-                off = max(off, float(np.abs(tensor[m, :, mp, :]).max()))
-    if off > 1e-9:
-        raise ValueError(f"M register is not classical (off-block weight {off})")
-    pm = np.array([np.trace(tensor[m, :, m, :]).real for m in range(dm)])
-    conds = []
-    for m in range(dm):
-        if pm[m] > 1e-14:
-            conds.append(tensor[m, :, m, :] / pm[m])
-        else:
-            conds.append(np.zeros((de, de), dtype=complex))
-    return pm, conds
-
-
-def leakage_d(rho_me: DensityMatrix) -> tuple[float, float]:
-    """Leakage of a cq state: (d, d_bar) in the paper's unhalved 1-norm.
-
-    d_bar fixes the comparison state at tau_E; d minimizes over sigma_E
-    (convex-solver refinement, certified by exact re-evaluation at the
-    returned point, so d <= d_bar always holds).  Values range up to 2.
-    The refinement needs the optional cvxpy (the ``sdp`` extra); without
-    it, or when the solver fails, d = d_bar and a WARNING on the ``pdckit``
-    logger says so.
-    Requires M uniform is NOT assumed: the actual P_M block weights are used.
-    """
-    pm, conds = _classical_blocks(rho_me)
-    dm = len(pm)
-    tau_e = sum(pm[m] * conds[m] for m in range(dm))
-
-    def objective(sigma):
-        return sum(pm[m] * _one_norm(conds[m] - sigma) for m in range(dm) if pm[m] > 1e-14)
-
-    d_bar = objective(tau_e)
-    d = d_bar
-    try:
-        import cvxpy as cp
-    except ImportError:
-        _log.warning("leakage_d: cvxpy is not installed; d fell back to d_bar")
-        return float(d), float(d_bar)
-    try:
-        de = tau_e.shape[0]
-        sigma = cp.Variable((de, de), hermitian=True)
-        cost = 0
-        cons = [sigma >> 0, cp.trace(sigma) == 1]
-        for m in range(dm):
-            if pm[m] <= 1e-14:
-                continue
-            pos = cp.Variable((de, de), hermitian=True)
-            neg = cp.Variable((de, de), hermitian=True)
-            cons += [pos >> 0, neg >> 0,
-                     pos - neg == cp.Constant(conds[m]) - sigma]
-            cost = cost + pm[m] * (cp.trace(pos) + cp.trace(neg))
-        prob = cp.Problem(cp.Minimize(cp.real(cost)), cons)
-        prob.solve()
-        if sigma.value is not None:
-            cand = _simplex_project_psd(np.asarray(sigma.value))
-            d = min(d, objective(cand))
-    except Exception as exc:  # any solver failure leaves the d_bar upper bound
-        _log.warning("leakage_d: SDP solver failed (%s: %s); d fell back to d_bar",
-                     type(exc).__name__, exc)
-    return float(d), float(d_bar)
-
-
-# ---------------------------------------------------------------------------
-# degrading map (maximally correlated states)
-# ---------------------------------------------------------------------------
-
-def degrading_map(tau_ab: DensityMatrix, basis_a: np.ndarray | None = None,
-                  basis_b: np.ndarray | None = None):
-    """Degrading channel Gamma with Gamma(tau_AB) = tau_AE for maximally
-    correlated tau_AB.
-
-    The input must be maximally correlated in the supplied product bases
-    (columns of basis_a/basis_b; computational bases by default):
-    tau_AB = sum a_{j j'} |v_j^A v_j^B><v_{j'}^A v_{j'}^B|.  Builds the
-    purification with environment E, the reduced state tau_AE, and the
-    measure-and-prepare channel
-
-        Gamma(rho) = sum_j <v_j^B| rho |v_j^B> x |u_j^E><u_j^E|
-
-    mapping D(A x B) -> D(A x E).  Returns (gamma, tau_AE) where gamma
-    accepts and returns DensityMatrix objects.
-    """
-    if len(tau_ab.dims) != 2 or tau_ab.dims[0] != tau_ab.dims[1]:
-        raise ValueError("degrading_map needs equal-dimension A and B")
-    d = tau_ab.dims[0]
-    va = np.eye(d, dtype=complex) if basis_a is None else np.asarray(basis_a, dtype=complex)
-    vb = np.eye(d, dtype=complex) if basis_b is None else np.asarray(basis_b, dtype=complex)
-    change = np.kron(va, vb)
-    tmat = change.conj().T @ tau_ab.matrix @ change
-    tensor = tmat.reshape(d, d, d, d)
-    # maximally correlated: only entries [(j, j), (j', j')] may be nonzero
-    mask = np.ones((d, d, d, d), dtype=bool)
-    for j in range(d):
-        for jp in range(d):
-            mask[j, j, jp, jp] = False
-    stray = float(np.abs(tensor[mask]).max()) if mask.any() else 0.0
-    if stray > 1e-9:
-        raise ValueError(
-            f"state is not maximally correlated in the supplied basis (stray {stray})"
-        )
-    a = np.array([[tensor[j, j, jp, jp] for jp in range(d)] for j in range(d)])
-    s, u = np.linalg.eigh(a)
-    s = np.clip(s, 0.0, None)
-    # b[j, j'] = u[j', j]; t_{j'} = sum_j s_j |b_{j j'}|^2
-    b = u.T
-    tvals = (s[:, None] * np.abs(b) ** 2).sum(axis=0)
-    # environment vectors |u_{j'}^E> = sum_j c_{j|j'} |j>_E
-    uvecs = np.zeros((d, d), dtype=complex)
-    for jp in range(d):
-        if tvals[jp] > 1e-14:
-            uvecs[:, jp] = np.sqrt(s) * b[:, jp] / np.sqrt(tvals[jp])
-        else:
-            uvecs[0, jp] = 1.0
-
-    tau_ae = np.zeros((d * d, d * d), dtype=complex)
-    for jp in range(d):
-        av = va[:, jp]
-        ev = uvecs[:, jp]
-        vec = np.kron(av, ev)
-        tau_ae += tvals[jp] * np.outer(vec, vec.conj())
-    tau_ae_dm = DensityMatrix(tau_ae, [d, d])
-
-    def gamma(rho: DensityMatrix) -> DensityMatrix:
-        if rho.dims != [d, d]:
-            raise ValueError(f"gamma expects dims [{d}, {d}]")
-        tens = rho.matrix.reshape(d, d, d, d)
-        out = np.zeros((d * d, d * d), dtype=complex)
-        for jp in range(d):
-            bv = vb[:, jp]
-            block = np.einsum("b,abcd,d->ac", bv.conj(), tens, bv)
-            ev = uvecs[:, jp]
-            out += np.kron(block, np.outer(ev, ev.conj()))
-        return DensityMatrix(out, [d, d])
-
-    return gamma, tau_ae_dm

@@ -6,7 +6,8 @@ adds i.i.d. pair noise drawn from a PauliDist (the convolution of the two
 Pauli channel legs).  The wiretap code composes a linear error-correcting
 code with the inverse-hash randomization from the hashing module: encoding
 draws L2 uniformly and sends phi_e(psi_S(M, Y, L2)); decoding applies f_S
-to the ECC decision.
+to the ECC decision.  The protocol engine runs that composition; this
+module enumerates it for the exact leakage.
 
 A code is two batch-first callables, like the hashing module: ``encode``
 maps (..., n1) information words to (..., 2n) codewords and
@@ -34,7 +35,6 @@ import numpy as np
 from . import qexact
 from .dists import PauliDist
 from .gf import _check_int64_dot, all_vectors, toeplitz_apply_batch
-from .hashing import SeedS, f_s_split, psi_s
 
 _ENUM_CAP = 10**6
 
@@ -393,23 +393,8 @@ class QuantumEveChannel:
 
 
 # ---------------------------------------------------------------------------
-# wiretap code operations
+# leakage
 # ---------------------------------------------------------------------------
-
-def wiretap_encode(code: LinearCodeSpec, seed: SeedS, M, Y,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Draw L2 uniformly and transmit phi_e(psi_S(M, Y, L2)) for one seed."""
-    if seed.n1 != code.n1 or seed.p != code.p:
-        raise ValueError("seed parameters do not match the code")
-    l2 = rng.integers(0, code.p, seed.n1 - seed.n2 - seed.n3)
-    return code.encode(psi_s(seed, M, Y, l2))
-
-
-def wiretap_decode(code: LinearCodeSpec, seed: SeedS,
-                   received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Y_hat, M_hat) = f_S(phi_d(received))."""
-    return f_s_split(seed, code.decode_batch(np.asarray(received, dtype=np.int64)))
-
 
 def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
     """Per seed, the list of ||tau_{E|m'} - tau_E||_1 over m' in index order.
@@ -464,12 +449,6 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
             d_s += norm / mprime_count
         total += d_s
     return total / len(seeds)
-
-
-def per_message_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
-                        seed_vec: np.ndarray) -> np.ndarray:
-    """||tau_{E|m'} - tau_E||_1 for every m' at one fixed seed."""
-    return np.array(next(_message_norms(code, n2 + n3, eve, [seed_vec])))
 
 
 def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,

@@ -19,9 +19,10 @@ from pdckit.estimation import (char_table_from_marginals,
                                twirled_statistics_check)
 from pdckit.gf import FieldVec, toeplitz_apply_batch
 from pdckit.hashing import SeedS, f_s
-from pdckit.identities import check_identities, random_pauli_dist
-from pdckit.protocol import (ProtocolConfig, monte_carlo, run_protocol1,
-                             run_protocol3)
+from pdckit.identities import (bell_diagonality_residual, check_identities,
+                               random_pauli_dist, side_swap_residual)
+from pdckit.protocol import (ProtocolConfig, lnm_check, monte_carlo,
+                             run_protocol1, run_protocol3)
 from pdckit.wiretap import (QuantumEveChannel, eve_additive, eve_constant,
                             eve_first_symbol, eve_noiseless, exact_leakage,
                             identity_code, random_linear_code, repetition_code,
@@ -74,7 +75,7 @@ def test_criterion_2_finite_length_rates():
 def test_criterion_3_identity_suite():
     t0 = time.perf_counter()
     ts = np.arange(1, 10) / 10.0
-    worst = {"eq": 0.0, "slack": np.inf}
+    worst = {"eq": 0.0, "slack": np.inf, "model": 0.0}
     ok = True
     for p in (2, 3):
         rng = np.random.default_rng(100 + p)
@@ -82,15 +83,21 @@ def test_criterion_3_identity_suite():
             P = random_pauli_dist(p, rng)
             Pt = random_pauli_dist(p, rng)
             res = check_identities(P, Pt, ts=ts)
-            ok = ok and res.within(1e-8)
+            # the model identities: Bob receives the Bell-diagonal state of
+            # Ptilde * P, and the forward channel moves to Bob's side
+            model = max(bell_diagonality_residual(P, Pt),
+                        side_swap_residual(P, Pt))
+            ok = ok and res.within(1e-8) and model < 1e-8
             worst["eq"] = max(worst["eq"], res.shannon_ab, res.shannon_ae,
                               res.petz_down_ab, res.lemma_petz_mi,
                               res.lemma_sandwich_mi)
             worst["slack"] = min(worst["slack"], res.sandwich_ae_min_slack)
+            worst["model"] = max(worst["model"], model)
     elapsed = time.perf_counter() - t0
     report(3, "entropy identities", ok,
            f"worst equality residual {worst['eq']:.2e}, "
-           f"worst inequality slack {worst['slack']:.2e}", elapsed, 60.0)
+           f"worst inequality slack {worst['slack']:.2e}, "
+           f"worst model-identity residual {worst['model']:.2e}", elapsed, 60.0)
 
 
 def test_criterion_4_leakage_bound_domination():
@@ -133,9 +140,21 @@ def test_criterion_4_leakage_bound_domination():
             strict += 1
         details.append(f"{name}: {exact:.4f} <= {bound:.4f}")
     ok = ok and strict >= 1 and len(instances) >= 10
+    # public verification variables: d(M; E' S' C) <= d(M'; E') for Eve
+    # independent of M', holding M' exactly, and two noisy copies of it
+    rng = np.random.default_rng(2)
+    noisy2 = 0.7 * np.eye(4) + 0.3 * rng.dirichlet(np.ones(4), size=4).T
+    rng = np.random.default_rng(3)
+    noisy3 = 0.6 * np.eye(9) + 0.4 * rng.dirichlet(np.ones(9), size=9).T
+    kernels = [(2, np.full((1, 4), 1.0)), (2, np.eye(4)),
+               (2, noisy2 / noisy2.sum(axis=0)), (3, noisy3 / noisy3.sum(axis=0))]
+    for kp, kernel in kernels:
+        left, right = lnm_check(kp, 1, 1, kernel)
+        ok = ok and left <= right + 1e-9
     elapsed = time.perf_counter() - t0
     report(4, "leakage bound domination", ok,
-           f"{len(instances)} instances, strict in {strict}; "
+           f"{len(instances)} instances, strict in {strict}, "
+           f"{len(kernels)} verification-variable kernels; "
            + "; ".join(details[:3]) + " ...", elapsed, 120.0)
 
 

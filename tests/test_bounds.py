@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pdckit import qexact as qx
 from pdckit.bounds import (InfeasibleTargets, SecurityTargets, asymptotic_rates,
                            eps_B_bound, eps_C_bound, eps_E_bound,
-                           finite_length_report, general_rate,
-                           leakage_exponent_lower, m_hat_lengths)
+                           finite_length_report, m_hat_lengths)
 from pdckit.dists import (PauliDist, convolve, depolarizing, renyi_entropy,
                           shannon, sibson_mutual_info)
 
@@ -50,35 +48,6 @@ def test_rates_identity_consistency():
     assert abs(rt.R_star - (rt.R1_star - rt.R2_star)) < 1e-12
     with pytest.raises(ValueError):
         asymptotic_rates(depolarizing(0.1, 2), depolarizing(0.1, 3))
-
-
-# ---------------------------------------------------------------
-# general rate from the oracle
-# ---------------------------------------------------------------
-
-def test_general_rate_noiseless():
-    tau = qx.purify(PauliDist.point_mass(0, 0, 2))
-    assert abs(general_rate(tau) - 2.0) < 1e-8
-
-
-def test_general_rate_pure_state_form():
-    # for a pure preshared state and identity channel, R* = 2 H(A|E) = -2 H(A|B)
-    P = PauliDist([0.7, 0.1, 0.1, 0.1], 2)
-    tau = qx.purify(P)
-    rho = tau.density()
-    tau_ae = qx.partial_trace(rho, [0, 2])
-    tau_ab = qx.partial_trace(rho, [0, 1])
-    h_ae = qx.vn_entropy(tau_ae) - qx.vn_entropy(qx.partial_trace(rho, [2]))
-    h_ab = qx.vn_entropy(tau_ab) - qx.vn_entropy(qx.partial_trace(rho, [1]))
-    r = general_rate(tau)
-    assert abs(r - 2 * h_ae) < 1e-8
-    assert abs(r + 2 * h_ab) < 1e-8
-
-
-def test_general_rate_matches_asymptotic():
-    P = depolarizing(0.05, 2)
-    r = general_rate(qx.purify(P), channel=P)
-    assert abs(r - asymptotic_rates(P, P).R_star) < 1e-8
 
 
 # ---------------------------------------------------------------
@@ -183,18 +152,6 @@ def test_infeasible_raises():
     u = PauliDist.uniform(2)
     with pytest.raises(InfeasibleTargets):
         m_hat_lengths(SecurityTargets(0.2, 1e-9, 1e-9), 100, u, u)
-
-
-# ---------------------------------------------------------------
-# leakage exponent
-# ---------------------------------------------------------------
-
-def test_leakage_exponent():
-    P = depolarizing(0.05, 2)
-    assert leakage_exponent_lower(shannon(P.flat()) * 0.9, P) == 0.0
-    delta = PauliDist.point_mass(0, 0, 2)
-    assert abs(leakage_exponent_lower(1.0, delta) - 0.5) < 1e-9
-    assert leakage_exponent_lower(1.0, P) > 0.0
 
 
 # ---------------------------------------------------------------

@@ -102,7 +102,8 @@ def test_simulate_none(capsys, config_file, tmp_path):
     payload = json.loads(out)
     assert payload["stats"]["trials"] == 400
     assert 0 <= payload["stats"]["abort_rate"] <= 1
-    tr = json.loads(open(tr_path).read())
+    with open(tr_path) as fh:
+        tr = json.load(fh)
     assert tr["verdict"] in ("accept", "abort")
     assert set(tr) >= {"s", "s_prime", "c", "x_bar", "x", "x_hat",
                        "m_hat", "y_hat", "verdict"}
@@ -114,7 +115,8 @@ def test_simulate_masked_transcript(capsys, config_file, tmp_path):
                       "--trials", "10", "--transcript", tr_path, "--masked",
                       "--message", "1")
     assert code == 0
-    tr = json.loads(open(tr_path).read())
+    with open(tr_path) as fh:
+        tr = json.load(fh)
     assert tr["x_bar"] is not None and len(tr["x_bar"]) == 16
 
 
@@ -209,6 +211,8 @@ INFEASIBLE_CONFIG = {"p": 2, "n": 2, "n1": 5, "n2": 1, "n3": 1, "mix_bob_to_alic
     (("leakage", "--n2", "0"), 2, "invalid arguments:"),
     (("simulate", "--config", "{missing}"), 2, "invalid arguments:"),
     (("simulate", "--config", "{not_json}"), 2, "invalid arguments:"),
+    (("finite", "--mix", "0.05", "--n-grid", ""), 2, "invalid arguments:"),
+    (("finite", "--mix", "0.05", "--n-grid", ","), 2, "invalid arguments:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"

@@ -4,9 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pdckit.gf import FieldVec
-from pdckit.hashing import (SeedS, SeedSPrime, collision_probability, f_s,
-                            f_s_split, g_sprime, psi_s, y_of)
+from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
 
 
 def all_vecs(p, length):
@@ -49,13 +47,13 @@ def test_f_collision_exhaustive_p2_n1_3():
             prob = Fraction(hits, len(seeds))
             expect = Fraction(0) if lv[k:] == lpv[k:] else Fraction(1, p**k)
             assert prob == expect
-            l, lp = FieldVec(lv, p), FieldVec(lpv, p)
-            assert collision_probability(l, lp, n1, n2, n3) == expect
             assert prob <= Fraction(1, p**k)
 
 
 def test_collision_closed_form_matches_enumeration_p3():
+    # Pr_S[f_S(l) = f_S(l')] is 0 when the L2 parts agree, else exactly p^-k
     p, n1, n2, n3 = 3, 3, 1, 1
+    k = n2 + n3
     seeds = [make_seed(sv, p, n1, n2, n3) for sv in all_vecs(p, n1 - 1)]
     rng = np.random.default_rng(0)
     for _ in range(60):
@@ -63,8 +61,8 @@ def test_collision_closed_form_matches_enumeration_p3():
         if lv == lpv:
             continue
         hits = sum(same(f_s(s, lv), f_s(s, lpv)) for s in seeds)
-        l, lp = FieldVec(lv, p), FieldVec(lpv, p)
-        assert Fraction(hits, len(seeds)) == collision_probability(l, lp, n1, n2, n3)
+        expect = Fraction(0) if lv[k:] == lpv[k:] else Fraction(1, p**k)
+        assert Fraction(hits, len(seeds)) == expect
 
 
 def test_balanced_condition_exhaustive():
@@ -95,7 +93,7 @@ def test_f_linearity():
 
 
 # ---------------------------------------------------------------
-# g_S' and y_of
+# g_S'
 # ---------------------------------------------------------------
 
 def test_g_trivial_cases():
@@ -134,14 +132,16 @@ def test_c3_bijectivity_exhaustive():
 
 
 def test_y_of_round_trip():
+    # Y = C - g_S'(M, 0) inverts C = g_S'(M, Y) for every seed, M and Y
     p, n2, n3 = 2, 2, 1
     for sv in all_vecs(p, n2 + n3 - 1):
         sp = SeedSPrime(sv, n2, n3, p)
         for m in all_vecs(p, n2):
             for y in all_vecs(p, n3):
                 c = g_sprime(sp, m, y)
-                assert same(y_of(m, sp, c), y)
-                assert same(g_sprime(sp, m, y_of(m, sp, c)), c)
+                y_back = (c - g_sprime(sp, m, [0] * n3)) % p
+                assert same(y_back, y)
+                assert same(g_sprime(sp, m, y_back), c)
 
 
 # ---------------------------------------------------------------
@@ -196,5 +196,3 @@ def test_parameter_validation():
         psi_s(seed, [0], [0], [0])  # L2 needs n1 - n2 - n3 = 2 symbols
     with pytest.raises(ValueError):
         g_sprime(SeedSPrime([0, 0], 2, 1, 2), [0], [0])  # M needs n2 = 2
-    with pytest.raises(ValueError):
-        collision_probability(FieldVec([0, 0, 0], 2), FieldVec([0, 0, 0], 2), 3, 1, 1)

@@ -19,7 +19,7 @@ from pdckit.bounds import (InfeasibleTargets, SecurityTargets, eps_C_bound,
 from pdckit.dists import MarginalDist, PauliDist, convolve, depolarizing, marginal
 from pdckit.estimation import char_table_from_marginals, reconstruct, settings as est_settings
 from pdckit.gf import toeplitz_apply_batch
-from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s, y_of
+from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
 from pdckit.wiretap import _generator_code, identity_code, repetition_code
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -96,8 +96,10 @@ def test_g_sprime_and_y_of_round_trip(case):
     m = rng.integers(0, p, (trials, n2))
     y = rng.integers(0, p, (trials, n3))
     c = g_sprime(seed, m, y)
-    assert np.array_equal(y_of(m, seed, c), y)
-    assert np.array_equal(g_sprime(seed, m, y_of(m, seed, c)), c)
+    # the cover is recovered from C as Y = C - g_S'(M, 0)
+    y_back = (c - g_sprime(seed, m, np.zeros_like(y))) % p
+    assert np.array_equal(y_back, y)
+    assert np.array_equal(g_sprime(seed, m, y_back), c)
     # row r of the batch is the single-seed hash of row r
     for r in range(trials):
         single = SeedSPrime(seed.vec[r], n2, n3, p)
@@ -277,3 +279,48 @@ def test_m_hat_lengths_is_exact_inversion_of_the_public_bounds(case):
     assert (rep.m1, rep.m2, rep.m3) == (m1, m2, m3)
     assert rep.eps_C_achieved == eps_C_bound(n, m1, p_eff)
     assert rep.eps_E_achieved == eps_E_bound(n, m2, P)
+
+
+# ---------------------------------------------------------------------------
+# monotonicity of the epsilon bounds
+# ---------------------------------------------------------------------------
+
+# The grid minimum is exactly monotone term by term; the bounded scalar
+# refinement around it may land on a slightly different local minimum, so
+# each comparison allows this relative slack.
+MONOTONE_RTOL = 1e-12
+
+
+@st.composite
+def monotone_cases(draw):
+    """A random P on F_p x F_p, two block lengths n <= n', and two ordered
+    lengths in [0, 2n] (sacrifices for eps_E, coding lengths for eps_C)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 2000))
+    n_big = draw(st.integers(n, 2000))
+    lo, hi = sorted(draw(st.integers(0, 2 * n)) for _ in range(2))
+    return p, draw(pauli_dists(p)), n, n_big, lo, hi
+
+
+def _no_greater(a, b):
+    return a <= b * (1.0 + MONOTONE_RTOL)
+
+
+@SETTINGS
+@given(monotone_cases())
+def test_eps_E_bound_is_monotone(case):
+    _p, P, n, n_big, lo, hi = case
+    # more sacrifice never raises the secrecy bound
+    assert _no_greater(eps_E_bound(n, hi, P), eps_E_bound(n, lo, P))
+    # at a fixed sacrifice, a longer block never lowers it
+    assert _no_greater(eps_E_bound(n, hi, P), eps_E_bound(n_big, hi, P))
+
+
+@SETTINGS
+@given(monotone_cases())
+def test_eps_C_bound_is_monotone(case):
+    _p, P, n, n_big, lo, hi = case
+    # a longer coding length never lowers the completeness bound
+    assert _no_greater(eps_C_bound(n, lo, P), eps_C_bound(n, hi, P))
+    # at a fixed coding length, a longer block never raises it
+    assert _no_greater(eps_C_bound(n_big, hi, P), eps_C_bound(n, hi, P))

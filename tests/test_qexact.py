@@ -360,64 +360,6 @@ def test_solver_logs_one_debug_record_per_call(caplog):
 
 
 # ---------------------------------------------------------------
-# trace distance and leakage
-# ---------------------------------------------------------------
-
-def test_trace_distance():
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    sig = np.diag([0.0, 1.0]).astype(complex)
-    assert abs(qx.trace_distance(rho, sig) - 1.0) < 1e-12
-    assert abs(qx.trace_distance(rho, rho)) < 1e-12
-
-
-def test_leakage_d_product_and_correlated():
-    pm = np.diag([0.5, 0.5])
-    prod = np.kron(pm, np.diag([0.3, 0.7])).astype(complex)
-    d, dbar = qx.leakage_d(qx.DensityMatrix(prod, [2, 2]))
-    assert d < 1e-8 and dbar < 1e-12
-    corr = np.zeros((4, 4), dtype=complex)
-    corr[0, 0] = corr[3, 3] = 0.5
-    d, dbar = qx.leakage_d(qx.DensityMatrix(corr, [2, 2]))
-    assert abs(dbar - 1.0) < 1e-12
-    assert abs(d - 1.0) < 1e-6
-    assert d <= dbar + 1e-12
-
-
-def test_leakage_d_warns_on_fallback(caplog, monkeypatch):
-    import sys
-    import types
-
-    prod = np.kron(np.eye(2) / 2, np.diag([0.7, 0.3])).astype(complex)
-    rho = qx.DensityMatrix(prod, [2, 2])
-    monkeypatch.setitem(sys.modules, "cvxpy", None)  # import fails
-    with caplog.at_level("WARNING", logger="pdckit"):
-        d, dbar = qx.leakage_d(rho)
-    assert d == dbar
-    [record] = [r for r in caplog.records if r.name == "pdckit"]
-    assert record.levelname == "WARNING"
-    assert "cvxpy is not installed" in record.getMessage()
-    assert "fell back to d_bar" in record.getMessage()
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("solver exploded")
-
-    caplog.clear()
-    monkeypatch.setitem(sys.modules, "cvxpy", types.SimpleNamespace(Variable=broken))
-    with caplog.at_level("WARNING", logger="pdckit"):
-        d, dbar = qx.leakage_d(rho)
-    assert d == dbar
-    [record] = [r for r in caplog.records if r.name == "pdckit"]
-    assert "solver exploded" in record.getMessage()
-    assert "fell back to d_bar" in record.getMessage()
-
-
-def test_leakage_d_rejects_non_classical():
-    phi = qx.bell_state(2).density()
-    with pytest.raises(ValueError):
-        qx.leakage_d(phi)
-
-
-# ---------------------------------------------------------------
 # twirling
 # ---------------------------------------------------------------
 
@@ -443,44 +385,6 @@ def test_twirl_outputs_bell_diagonal():
         assert np.max(np.abs(off)) < 1e-10
         # idempotent
         assert np.max(np.abs(qx.twirl(tw).matrix - tw.matrix)) < 1e-10
-
-
-# ---------------------------------------------------------------
-# degrading map
-# ---------------------------------------------------------------
-
-def test_degrading_map_phase_noise():
-    p = 2
-    P = PauliDist([0.6, 0.4, 0.0, 0.0], p)  # supported on (0, z): phase-only
-    tau_ab = qx.bell_diagonal(P)
-    gamma, tau_ae = qx.degrading_map(tau_ab)
-    assert np.max(np.abs(gamma(tau_ab).matrix - tau_ae.matrix)) < 1e-9
-    # degraded on the whole Weyl orbit: Gamma(W_B(g)) = W_E(g)
-    for x in range(p):
-        for z in range(p):
-            u = np.kron(qx.weyl(x, z, p).matrix, np.eye(p))
-            wb = qx.DensityMatrix(u @ tau_ab.matrix @ u.conj().T, [p, p])
-            we = qx.DensityMatrix(u @ tau_ae.matrix @ u.conj().T, [p, p])
-            assert np.max(np.abs(gamma(wb).matrix - we.matrix)) < 1e-9
-
-
-def test_degrading_map_pure_state():
-    gamma, tau_ae = qx.degrading_map(qx.bell_state(2).density())
-    # E is trivial: tau_AE is a product with a pure E marginal
-    e_marg = qx.partial_trace(tau_ae, [1])
-    assert np.max(np.linalg.eigvalsh(e_marg.matrix)) > 1 - 1e-10
-    a_marg = qx.partial_trace(tau_ae, [0])
-    assert np.allclose(a_marg.matrix, np.eye(2) / 2)
-
-
-def test_degrading_map_trace_preserving_and_validation():
-    rng = np.random.default_rng(13)
-    P = PauliDist([0.5, 0.5, 0.0, 0.0], 2)
-    gamma, _ = qx.degrading_map(qx.bell_diagonal(P))
-    rho = random_density(4, rng, dims=[2, 2])
-    assert abs(np.trace(gamma(rho).matrix).real - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        qx.degrading_map(qx.bell_diagonal(PauliDist([0.5, 0, 0.5, 0], 2)))
 
 
 # ---------------------------------------------------------------
