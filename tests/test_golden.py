@@ -8,9 +8,14 @@ value, any decision or any printed float shows up here.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pdckit
 from pdckit.cli import main
 from pdckit.dists import convolve, depolarizing
 from pdckit.gf import FieldVec
@@ -154,6 +159,18 @@ CLI_DIGESTS = {
         "449f56735f721feed069580b9e5b9eddd341ccd3f8e2d23dd3a46dd386a0085b",
     "estimate --p 31 --mix 0.05 --shots 10000 --seed 1":
         "f63c1ec31c724e3c6997b41cb9648aeacbc6de89301ef5cb9a628f9b2523841a",
+    # classical Eve: the Sibson closed form of theorem1_bound
+    "leakage --n 1 --n2 1 --n3 0 --code identity --eve additive:0.1":
+        "0976b81c5c8871eff4c5c6449ad2d03b002f2207135c23bc3701704df9359a24",
+}
+
+# Outputs whose printed residuals sit at rounding level (1e-14), so their
+# low digits follow the BLAS summation order, which changes with the BLAS
+# thread count.  They are pinned in a child process with one BLAS thread.
+CLI_DIGESTS_ONE_THREAD = {
+    # the 27-dim trace_first (conditional-entropy) solve at p = 3
+    "verify-identities --p 3 --count 2 --seed 0":
+        "df59243d14ba2b7e231578bc8dc049f3d7bce01b237797e5a0438e2d48a9ccdc",
 }
 
 
@@ -161,3 +178,14 @@ CLI_DIGESTS = {
 def test_cli_stdout_pinned(argv, capsys):
     assert main(argv.split()) == 0
     assert _digest(capsys.readouterr().out) == CLI_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS_ONE_THREAD))
+def test_cli_stdout_pinned_one_blas_thread(argv):
+    src = str(Path(pdckit.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "pdckit.cli", *argv.split()],
+                         env=env, capture_output=True, text=True, check=True)
+    assert _digest(run.stdout) == CLI_DIGESTS_ONE_THREAD[argv]
