@@ -37,9 +37,9 @@ class InfeasibleTargets(ValueError):
     """Raised when no sacrificed length can meet the requested epsilon."""
 
 
-def default_t_grid() -> np.ndarray:
-    """200 logarithmically spaced points in (0.001, 1]."""
-    return np.logspace(-3.0, 0.0, 200)
+# the t grid of the module docstring; read-only, shared by every call
+_T_GRID = np.logspace(-3.0, 0.0, 200)
+_T_GRID.flags.writeable = False
 
 
 def _refine_min(fn, grid: np.ndarray, vals: np.ndarray) -> float:
@@ -143,16 +143,9 @@ def _renyi_order_onemt(P: PauliDist, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _t_values(t_grid) -> np.ndarray:
-    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    if ts.size == 0:
-        raise ValueError("empty t grid")
-    return ts
-
-
-def _eps_E(n: int, sacrifice_symbols: int, P: PauliDist, ts: np.ndarray,
+def _eps_E(n: int, sacrifice_symbols: int, P: PauliDist,
            h_grid: np.ndarray) -> float:
-    """eps_E_bound given h_grid = H_{1/(1+t)}(P) on ts."""
+    """eps_E_bound given h_grid = H_{1/(1+t)}(P) on the t grid."""
     log_p = np.log2(P.p)
 
     def exponent(t, h):
@@ -164,15 +157,15 @@ def _eps_E(n: int, sacrifice_symbols: int, P: PauliDist, ts: np.ndarray,
         t = np.asarray(t, dtype=float)
         return float(exponent(t, _renyi_order_recip(P, np.atleast_1d(t)))[0])
 
-    best = _refine_min(refine, ts, exponent(ts, h_grid))
+    best = _refine_min(refine, _T_GRID, exponent(_T_GRID, h_grid))
     if best >= 0.0:
         return 1.0
     return float(min(1.0, np.exp2(max(best, -1e6))))
 
 
-def _eps_C(n: int, n1: int, P_eff: PauliDist, ts: np.ndarray,
+def _eps_C(n: int, n1: int, P_eff: PauliDist,
            h_grid: np.ndarray) -> float:
-    """eps_C_bound given h_grid = H_{1-t}(P_eff) on ts."""
+    """eps_C_bound given h_grid = H_{1-t}(P_eff) on the t grid."""
     log_p = np.log2(P_eff.p)
 
     def exponent(t, h):
@@ -182,12 +175,11 @@ def _eps_C(n: int, n1: int, P_eff: PauliDist, ts: np.ndarray,
         t = np.asarray(t, dtype=float)
         return float(exponent(t, _renyi_order_onemt(P_eff, np.atleast_1d(t)))[0])
 
-    best = _refine_min(refine, ts, exponent(ts, h_grid))
+    best = _refine_min(refine, _T_GRID, exponent(_T_GRID, h_grid))
     return float(min(1.0, 4.0 * np.exp2(max(best, -1e6))))
 
 
-def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist,
-                t_grid: np.ndarray | None = None) -> float:
+def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
     """Secrecy bound on the leakage trace distance, capped at 1.
 
     ``sacrifice_symbols`` is n1 - n2 - n3, the length of the uniform
@@ -195,42 +187,51 @@ def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist,
     """
     if sacrifice_symbols < 0:
         raise ValueError("sacrifice_symbols must be >= 0")
-    ts = _t_values(t_grid)
-    return _eps_E(n, sacrifice_symbols, P, ts, _renyi_order_recip(P, ts))
+    return _eps_E(n, sacrifice_symbols, P, _renyi_order_recip(P, _T_GRID))
 
 
-def eps_C_bound(n: int, n1: int, P_eff: PauliDist,
-                t_grid: np.ndarray | None = None) -> float:
+def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
     """Random-coding completeness bound (non-constructive), capped at 1.
 
     P_eff is the effective Bob-side noise Ptilde * P.
     """
     if n1 > 2 * n:
         raise ValueError(f"n1 = {n1} exceeds 2n = {2 * n}")
-    ts = _t_values(t_grid)
-    return _eps_C(n, n1, P_eff, ts, _renyi_order_onemt(P_eff, ts))
+    return _eps_C(n, n1, P_eff, _renyi_order_onemt(P_eff, _T_GRID))
 
 
-def _inversion(targets: SecurityTargets, n: int, P: PauliDist,
-               P_tilde: PauliDist, t_grid) -> FiniteLengthReport:
-    """The finite-length report; m_hat_lengths reads its three lengths.
+def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
+                  P_tilde: PauliDist) -> tuple[int, int, int]:
+    """Invert the finite-length bounds to sacrificed lengths (m1, m2, m3).
 
-    The bisections compute exactly the values eps_E_bound and eps_C_bound
-    return, but H_{1/(1+t)}(P) and H_{1-t}(Ptilde * P) on the t grid are
-    built once per call and shared by every step, and the achieved values
-    are the ones the bisections already computed at m2 and m1.
+    m3 is the verification length with p^-m3 <= eps_B; m2 the smallest
+    sacrifice with eps_E_bound <= eps_E; m1 the largest coding length with
+    eps_C_bound <= eps_C.  Raises InfeasibleTargets instead of clamping.
+    """
+    rep = finite_length_report(targets, n, P, P_tilde)
+    return rep.m1, rep.m2, rep.m3
+
+
+def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
+                         P_tilde: PauliDist) -> FiniteLengthReport:
+    """Rates R_i = m_i log2(p) / n and the bound values achieved at them.
+
+    m_hat_lengths returns this report's (m1, m2, m3).  The bisections
+    compute exactly the values eps_E_bound and eps_C_bound return, but
+    H_{1/(1+t)}(P) and H_{1-t}(Ptilde * P) on the t grid are built once per
+    call and shared by every step, and the achieved values are the ones the
+    bisections already computed at m2 and m1.
     """
     if P.p != P_tilde.p:
         raise ValueError(f"modulus mismatch: {P.p} vs {P_tilde.p}")
     if n < 1:
         raise ValueError(f"block length n must be >= 1, got {n}")
     p = P.p
-    ts = _t_values(t_grid)
     m3 = int(np.ceil(-np.log2(targets.eps_B) / np.log2(p) - 1e-12))
 
     # each bisection keeps the bound value at the end it converges to
-    h_E = _renyi_order_recip(P, ts)
-    eps_E_at = _eps_E(n, 2 * n, P, ts, h_E)
+    h_E = _renyi_order_recip(P, _T_GRID)
+    eps_E_at = _eps_E(n, 2 * n, P, h_E)
     if eps_E_at > targets.eps_E:
         raise InfeasibleTargets(
             f"eps_E = {targets.eps_E} unreachable even sacrificing all 2n symbols"
@@ -238,7 +239,7 @@ def _inversion(targets: SecurityTargets, n: int, P: PauliDist,
     lo, hi = 0, 2 * n
     while lo < hi:
         mid = (lo + hi) // 2
-        val = _eps_E(n, mid, P, ts, h_E)
+        val = _eps_E(n, mid, P, h_E)
         if val <= targets.eps_E:
             hi, eps_E_at = mid, val
         else:
@@ -246,8 +247,8 @@ def _inversion(targets: SecurityTargets, n: int, P: PauliDist,
     m2 = lo
 
     p_eff = convolve(P_tilde, P)
-    h_C = _renyi_order_onemt(p_eff, ts)
-    eps_C_at = _eps_C(n, 0, p_eff, ts, h_C)
+    h_C = _renyi_order_onemt(p_eff, _T_GRID)
+    eps_C_at = _eps_C(n, 0, p_eff, h_C)
     if eps_C_at > targets.eps_C:
         raise InfeasibleTargets(
             f"eps_C = {targets.eps_C} unreachable even at coding length 0"
@@ -255,7 +256,7 @@ def _inversion(targets: SecurityTargets, n: int, P: PauliDist,
     lo, hi = 0, 2 * n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        val = _eps_C(n, mid, p_eff, ts, h_C)
+        val = _eps_C(n, mid, p_eff, h_C)
         if val <= targets.eps_C:
             lo, eps_C_at = mid, val
         else:
@@ -271,24 +272,4 @@ def _inversion(targets: SecurityTargets, n: int, P: PauliDist,
         eps_E_achieved=eps_E_at,
         eps_B_achieved=eps_B_bound(m3, p),
     )
-
-
-def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
-                  P_tilde: PauliDist,
-                  t_grid: np.ndarray | None = None) -> tuple[int, int, int]:
-    """Invert the finite-length bounds to sacrificed lengths (m1, m2, m3).
-
-    m3 is the verification length with p^-m3 <= eps_B; m2 the smallest
-    sacrifice with eps_E_bound <= eps_E; m1 the largest coding length with
-    eps_C_bound <= eps_C.  Raises InfeasibleTargets instead of clamping.
-    """
-    rep = _inversion(targets, n, P, P_tilde, t_grid)
-    return rep.m1, rep.m2, rep.m3
-
-
-def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
-                         P_tilde: PauliDist,
-                         t_grid: np.ndarray | None = None) -> FiniteLengthReport:
-    """Rates R_i = m_i log2(p) / n and the bound values achieved at them."""
-    return _inversion(targets, n, P, P_tilde, t_grid)
 

@@ -254,13 +254,8 @@ def cmd_leakage(args) -> int:
             f"need n2, n3 >= 0 and n2 + n3 >= 1, got n2={args.n2}, n3={args.n3}")
     p = args.p
     noise = _depolarizing(args.mix, p)
-    if args.code.startswith("identity"):
-        code = wiretap.identity_code(p, args.n)
-        n1 = 2 * args.n
-    else:
-        code = _build_code(args.code, p, args.n, args.n1, noise,
-                           args.seed)
-        n1 = args.n1
+    n1 = 2 * args.n if args.n1 is None else args.n1
+    code = _build_code(args.code, p, args.n, n1, noise, args.seed)
     eve = _build_eve(args.eve, p, args.n)
     sacrifice = n1 - args.n2 - args.n3
     if sacrifice < 1:
@@ -383,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "command", None) == "leakage" and args.n1 is None:
-        args.n1 = 2 * args.n
     try:
         return args.fn(args)
     except SizeCapError as exc:

@@ -67,7 +67,7 @@ def _weyl_orbit_states(base: np.ndarray, p: int, extra_dim: int) -> list[np.ndar
     out = []
     for x in range(p):
         for z in range(p):
-            u = np.kron(qexact.weyl(x, z, p).matrix, np.eye(extra_dim))
+            u = np.kron(qexact.weyl(x, z, p), np.eye(extra_dim))
             out.append(u @ base @ u.conj().T)
     return out
 
@@ -136,10 +136,12 @@ def check_identities(P: PauliDist, P_tilde: PauliDist,
         lemma_petz_mi=float(r_petz_mi), lemma_sandwich_mi=float(r_sand_mi))
 
 
-def random_pauli_dist(p: int, rng: np.random.Generator,
-                      floor: float = 1e-3) -> PauliDist:
-    """A strictly positive random distribution (keeps divergences finite)."""
-    raw = rng.dirichlet(np.ones(p * p)) + floor
+def random_pauli_dist(p: int, rng: np.random.Generator) -> PauliDist:
+    """A strictly positive random distribution (keeps divergences finite).
+
+    A Dirichlet draw plus 1e-3 per entry, renormalised.
+    """
+    raw = rng.dirichlet(np.ones(p * p)) + 1e-3
     return PauliDist(raw / raw.sum(), p)
 
 
@@ -156,7 +158,7 @@ def bell_diagonality_residual(P: PauliDist, P_tilde: PauliDist) -> float:
     worst = 0.0
     for x in range(p):
         for z in range(p):
-            u = np.kron(qexact.weyl(x, z, p).matrix, np.eye(p))
+            u = np.kron(qexact.weyl(x, z, p), np.eye(p))
             encoded = qexact.DensityMatrix(u @ after_p.matrix @ u.conj().T, [p, p])
             received = qexact.pauli_channel(encoded, P_tilde, 0)
             predicted = qexact.bell_diagonal(shift(q_eff, x, z))

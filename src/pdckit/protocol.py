@@ -229,8 +229,9 @@ def run_protocol3(config: ProtocolConfig, M: FieldVec,
     return _transcript(config, M, adversary, masked=True)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
+    z = 1.96
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials

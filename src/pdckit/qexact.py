@@ -13,9 +13,10 @@ eigenvalue clipping at 1e-12; all entropic quantities are in bits.
 The infimum over sigma_B inside the optimized sandwiched conditional entropy
 has no closed form.  It is computed by quasi-Newton descent on an
 unconstrained PSD factorization (sigma = X X^dag up to trace, with analytic
-Daleckii-Krein gradients), seeded at the reduced state, with a projected
-gradient descent fallback.  Correctness is validated against the closed
-classical forms available in the Weyl-Heisenberg setting.
+Daleckii-Krein gradients), seeded at the reduced state; the seed is
+returned whenever the descent does not end at or below its value.
+Correctness is validated against the closed classical forms available in
+the Weyl-Heisenberg setting.
 
 When the states are one orbit U_c W U_c^dag of a group of Weyl-type
 unitaries under uniform weights (quantum Eve's states over a linear code),
@@ -88,27 +89,8 @@ class DensityMatrix:
             raise ValueError(f"trace {np.trace(mat).real} != 1 within 1e-10")
         self.matrix = mat
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-
-class UnitaryMatrix:
-    """A unitary operator; validated U U^dag = I within 1e-10."""
-
-    __slots__ = ("dim", "matrix")
-
-    def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("unitary must be square")
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) > _HERM_TOL:
-            raise ValueError("matrix is not unitary within 1e-10")
-        self.dim = mat.shape[0]
-        self.matrix = mat
 
 
 class PureState:
@@ -134,7 +116,7 @@ class PureState:
 # Weyl operators and Bell states
 # ---------------------------------------------------------------------------
 
-def weyl(x: int, z: int, p: int) -> UnitaryMatrix:
+def weyl(x: int, z: int, p: int) -> np.ndarray:
     """The Weyl operator W(x, z) = X^x Z^z on a p-dimensional system."""
     p = _check_prime(p)
     x, z = int(x) % p, int(z) % p
@@ -142,7 +124,7 @@ def weyl(x: int, z: int, p: int) -> UnitaryMatrix:
     zmat = np.diag(omega ** (z * np.arange(p)))
     xmat = np.zeros((p, p), dtype=complex)
     xmat[(np.arange(p) + x) % p, np.arange(p)] = 1.0
-    return UnitaryMatrix(xmat @ zmat)
+    return xmat @ zmat
 
 
 def bell_state(p: int) -> PureState:
@@ -154,7 +136,7 @@ def bell_state(p: int) -> PureState:
 
 def bell_basis_state(x: int, z: int, p: int) -> PureState:
     """(W(x,z) x I)|Phi>, the (x, z) element of the generalized Bell basis."""
-    w = weyl(x, z, p).matrix
+    w = weyl(x, z, p)
     vec = np.kron(w, np.eye(p)) @ bell_state(p).vector
     return PureState(vec, [p, p])
 
@@ -217,7 +199,7 @@ def pauli_channel(rho: DensityMatrix, P: PauliDist, subsystem: int) -> DensityMa
             w = P.probs[x, z]
             if w == 0.0:
                 continue
-            full = _op_on(weyl(x, z, p).matrix, rho.dims, subsystem)
+            full = _op_on(weyl(x, z, p), rho.dims, subsystem)
             out += w * (full @ rho.matrix @ full.conj().T)
     return DensityMatrix(out, rho.dims)
 
@@ -248,13 +230,9 @@ def twirl(rho: DensityMatrix) -> DensityMatrix:
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError("twirl needs a two-subsystem state with equal dims")
     p = rho.dims[0]
-    out = np.zeros_like(rho.matrix)
-    for x in range(p):
-        for z in range(p):
-            w = weyl(x, z, p).matrix
-            full = np.kron(w, w.conj())
-            out += full @ rho.matrix @ full.conj().T
-    return DensityMatrix(out / p**2, rho.dims)
+    ws = [weyl(x, z, p) for x in range(p) for z in range(p)]
+    group = monomial_form([np.kron(w, w.conj()) for w in ws])
+    return DensityMatrix(_group_twirl(*group)(rho.matrix), rho.dims)
 
 
 def weyl_eigenbasis(k: int, l: int, p: int) -> np.ndarray:
@@ -270,7 +248,7 @@ def weyl_eigenbasis(k: int, l: int, p: int) -> np.ndarray:
     k, l = int(k) % p, int(l) % p
     if k == 0 and l == 0:
         raise ValueError("(k, l) = (0, 0) has no measurement basis")
-    w = weyl(k, l, p).matrix
+    w = weyl(k, l, p)
     _, vecs = np.linalg.eig(w)
     v0 = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     # step operator: any (x0, z0) with x0*l - z0*k = 1 shifts the label by one
@@ -278,7 +256,7 @@ def weyl_eigenbasis(k: int, l: int, p: int) -> np.ndarray:
     for x0 in range(p):
         for z0 in range(p):
             if (x0 * l - z0 * k) % p == 1:
-                step = weyl(x0, z0, p).matrix
+                step = weyl(x0, z0, p)
                 break
         if step is not None:
             break
@@ -295,25 +273,16 @@ def weyl_eigenbasis(k: int, l: int, p: int) -> np.ndarray:
 # Hermitian matrix functions and divergences
 # ---------------------------------------------------------------------------
 
-def _herm_power(mat: np.ndarray, power: float, pseudo: bool = False) -> np.ndarray:
-    """mat^power via eigendecomposition; clips eigenvalues below 1e-12.
+def _herm_power(mat: np.ndarray, power: float) -> np.ndarray:
+    """mat^power on the support, via eigendecomposition.
 
-    With pseudo=True, negative powers act only on the support (zero
-    eigenvalues map to zero).
+    Eigenvalues at or below 1e-12 map to zero, so a negative power is the
+    pseudo-inverse power.
     """
     lam, v = np.linalg.eigh(mat)
-    lam = np.clip(lam, 0.0, None)
     out = np.zeros_like(lam)
-    if power >= 0:
-        mask = lam > _EIG_CLIP
-        out[mask] = lam[mask] ** power
-        if power == 0:
-            out[~mask] = 0.0
-    else:
-        if not pseudo and np.any(lam <= _EIG_CLIP):
-            raise ValueError("negative power of a singular matrix")
-        mask = lam > _EIG_CLIP
-        out[mask] = lam[mask] ** power
+    mask = lam > _EIG_CLIP
+    out[mask] = lam[mask] ** power
     return (v * out) @ v.conj().T
 
 
@@ -374,7 +343,7 @@ def petz_divergence(rho, sigma, alpha: float) -> float:
     if t > 0:
         _support_check(r, s)
     ra = _herm_power(r, alpha)
-    st = _herm_power(s, -t, pseudo=True)
+    st = _herm_power(s, -t)
     val = np.trace(ra @ st).real
     if val <= 0:
         return np.inf
@@ -392,7 +361,7 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> float:
         return relative_entropy(r, s)
     if t > 0:
         _support_check(r, s)
-    half = _herm_power(s, -t / (2.0 * alpha), pseudo=True)
+    half = _herm_power(s, -t / (2.0 * alpha))
     inner = half @ r @ half
     lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     val = np.sum(lam**alpha)
@@ -478,20 +447,6 @@ def _xi_value_and_grad(omega: np.ndarray, states: np.ndarray,
     return F, grad
 
 
-def _simplex_project_psd(mat: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {sigma >= 0, Tr sigma = 1} via eigenvalues."""
-    lam, v = _eigh(0.5 * (mat + mat.conj().T))
-    # project the eigenvalue vector onto the probability simplex
-    u = np.sort(lam)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, lam.size + 1)
-    cond = u - (css - 1.0) / idx > 0
-    rho_i = idx[cond][-1]
-    theta = (css[cond][-1] - 1.0) / rho_i
-    w = np.clip(lam - theta, 0.0, None)
-    return (v * w) @ v.conj().T
-
-
 def monomial_form(unitaries) -> tuple[np.ndarray, np.ndarray]:
     """(perm, phase) with U[..., i, perm[..., i]] = phase[..., i].
 
@@ -529,41 +484,15 @@ def _group_twirl(perm: np.ndarray, phase: np.ndarray):
     return twirl
 
 
-def _pgd_minimize(states, weights, alpha, sigma0, trace_first=None,
-                  iters: int = 300, twirl=None):
-    """Projected gradient descent fallback on the density-matrix simplex.
-
-    With ``twirl`` the gradient is twirled; the simplex projection is a
-    spectral map, so iterates stay in the commutant.
-    """
-    sigma = sigma0.copy()
-    f, g = _xi_value_and_grad(sigma, states, weights, alpha, trace_first)
-    if twirl is not None:
-        g = twirl(g)
-    step = 1.0
-    for _ in range(iters):
-        cand = _simplex_project_psd(sigma - step * g)
-        fc, gc = _xi_value_and_grad(cand, states, weights, alpha, trace_first)
-        if fc < f - 1e-15:
-            if twirl is not None:
-                gc = twirl(gc)
-            sigma, f, g = cand, fc, gc
-            step *= 1.3
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    return f, sigma
-
-
 def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
-                 maxiter: int = 500, group=None):
+                 group=None):
     """min over density sigma of sum_x w_x Xi_alpha(W_x || sigma-side).
 
     Returns (min value of the weighted Xi sum, minimizing sigma).  Uses the
     scale-invariant objective log F(X X^dag) + t log Tr X X^dag over an
-    unconstrained complex factor X, then falls back to projected gradient
-    descent if the quasi-Newton path misbehaves.
+    unconstrained complex factor X.  The L-BFGS point is returned only if
+    its value is at or below the seed's; otherwise (a worse or non-finite
+    value) the seed is, so the result is always a feasible density matrix.
 
     ``group`` = (perm, phase), the ``monomial_form`` of unitaries U_c that
     form a group up to phases, declares the problem to be the uniform
@@ -645,23 +574,16 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
         return val, pack(cg)
 
     res = minimize(objective, pack(x0), jac=True, method="L-BFGS-B",
-                   options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-11})
-    best_f = np.inf
-    best_sigma = sigma0
-    path = "seed"
+                   options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-11})
+    f0, _ = _xi_value_and_grad(sigma0, states, weights, alpha, trace_first)
+    best_f, best_sigma, path = f0, sigma0, "seed"
     if np.isfinite(res.fun):
         omega = gram(unpack(res.x))
         sigma = omega / np.trace(omega).real
         f, _ = _xi_value_and_grad(sigma, states, weights, alpha, trace_first)
-        best_f, best_sigma, path = f, sigma, "lbfgs"
-    f0, _ = _xi_value_and_grad(sigma0, states, weights, alpha, trace_first)
-    if f0 < best_f:
-        best_f, best_sigma, path = f0, sigma0, "seed"
-    if not np.isfinite(best_f) or best_f > f0 * (1 + 1e-6):
-        f_pgd, sigma_pgd = _pgd_minimize(states, weights, alpha, sigma0,
-                                         trace_first, twirl=twirl)
-        if f_pgd < best_f:
-            best_f, best_sigma, path = f_pgd, sigma_pgd, "pgd"
+        # false for a NaN value, which keeps the seed
+        if f <= f0:
+            best_f, best_sigma, path = f, sigma, "lbfgs"
     _log.debug("_minimize_xi: path=%s lbfgs_iters=%d group_order=%d "
                "value=%.17g seed_value=%.17g", path, res.nit, order, best_f, f0)
     if supp is not None:
@@ -706,7 +628,7 @@ def petz_mutual_info_up_cq(weights, states, alpha: float) -> float:
     weights = np.asarray(weights, dtype=float)
     mats = np.stack([_as_matrix(s) for s in states])
     rho_b = np.tensordot(weights, mats, axes=(0, 0))
-    rb_pow = _herm_power(rho_b, 1.0 - alpha, pseudo=True)
+    rb_pow = _herm_power(rho_b, 1.0 - alpha)
     lam, vecs = np.linalg.eigh(mats)
     lam = np.clip(lam, 0.0, None)
     s_pow = (vecs * lam[:, None, :] ** alpha) @ np.conj(np.swapaxes(vecs, 1, 2))

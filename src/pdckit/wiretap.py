@@ -38,6 +38,12 @@ from .gf import _check_int64_dot, all_vectors, toeplitz_apply_batch
 
 _ENUM_CAP = 10**6
 
+# theorem1_bound's t grids: quantum Eve costs one solve per t
+_QUANTUM_T_GRID = np.linspace(0.05, 1.0, 20)
+_CLASSICAL_T_GRID = np.linspace(0.01, 1.0, 100)
+_QUANTUM_T_GRID.flags.writeable = False
+_CLASSICAL_T_GRID.flags.writeable = False
+
 
 # ---------------------------------------------------------------------------
 # linear codes
@@ -58,7 +64,6 @@ class LinearCodeSpec:
     n1: int
     encode: Callable[[np.ndarray], np.ndarray]
     decode_batch: Callable[[np.ndarray], np.ndarray]
-    name: str = "code"
 
     def all_messages(self) -> np.ndarray:
         """All p^{n1} information vectors, one per row."""
@@ -124,12 +129,10 @@ def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
 def identity_code(p: int, n: int) -> LinearCodeSpec:
     """The trivial rate-1 code with n1 = 2n."""
     ident = lambda v: np.asarray(v, dtype=np.int64) % p
-    return LinearCodeSpec(p=p, n=n, n1=2 * n, encode=ident, decode_batch=ident,
-                          name="identity")
+    return LinearCodeSpec(p=p, n=n, n1=2 * n, encode=ident, decode_batch=ident)
 
 
-def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist,
-                    name: str) -> LinearCodeSpec:
+def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist) -> LinearCodeSpec:
     n1 = G.shape[1]
     _check_int64_dot(p, n1)  # encode's v @ G.T must not overflow int64
 
@@ -138,8 +141,7 @@ def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist,
 
     msgs = all_vectors(p, n1)
     return LinearCodeSpec(p=p, n=n, n1=n1, encode=encode,
-                          decode_batch=_batch_ml_decoder(encode(msgs), msgs, noise),
-                          name=name)
+                          decode_batch=_batch_ml_decoder(encode(msgs), msgs, noise))
 
 
 def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec:
@@ -169,7 +171,7 @@ def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec
         return decode_blocks(words.reshape(-1, g * r)).reshape(words.shape[:-1] + (n1,))
 
     return LinearCodeSpec(p=p, n=(r * n1) // 2, n1=n1, encode=encode,
-                          decode_batch=decode_batch, name=f"repetition-r{r}")
+                          decode_batch=decode_batch)
 
 
 def random_linear_code(p: int, n: int, n1: int, noise: PauliDist,
@@ -180,7 +182,7 @@ def random_linear_code(p: int, n: int, n1: int, noise: PauliDist,
     for _ in range(200):
         G = rng.integers(0, p, size=(2 * n, n1))
         if _gf_rank(G, p) == n1:
-            return _generator_code(G.astype(np.int64), p, n, noise, "random-linear")
+            return _generator_code(G.astype(np.int64), p, n, noise)
     raise RuntimeError("failed to draw a full-rank generator")
 
 
@@ -284,11 +286,9 @@ class ClassicalEveChannel:
 
     is_quantum = False
 
-    def __init__(self, dist_fn: Callable[[np.ndarray], np.ndarray], n_outputs: int,
-                 name: str = "classical-eve"):
+    def __init__(self, dist_fn: Callable[[np.ndarray], np.ndarray], n_outputs: int):
         self._fn = dist_fn
         self.n_outputs = n_outputs
-        self.name = name
 
     def state(self, codeword: np.ndarray) -> np.ndarray:
         d = np.asarray(self._fn(np.asarray(codeword, dtype=np.int64)), dtype=float)
@@ -313,12 +313,12 @@ def eve_noiseless(p: int, n: int) -> ClassicalEveChannel:
         d[_word_index(word, p)] = 1.0
         return d
 
-    return ClassicalEveChannel(fn, total, "eve-noiseless")
+    return ClassicalEveChannel(fn, total)
 
 
 def eve_constant(p: int, n: int) -> ClassicalEveChannel:
     """Eve's observation carries no signal."""
-    return ClassicalEveChannel(lambda word: np.ones(1), 1, "eve-constant")
+    return ClassicalEveChannel(lambda word: np.ones(1), 1)
 
 
 def eve_additive(noise: PauliDist, n: int) -> ClassicalEveChannel:
@@ -334,7 +334,7 @@ def eve_additive(noise: PauliDist, n: int) -> ClassicalEveChannel:
             d = np.kron(d, pair)
         return d
 
-    return ClassicalEveChannel(fn, total, "eve-additive")
+    return ClassicalEveChannel(fn, total)
 
 
 def eve_first_symbol(p: int, n: int) -> ClassicalEveChannel:
@@ -345,7 +345,7 @@ def eve_first_symbol(p: int, n: int) -> ClassicalEveChannel:
         d[int(word[0])] = 1.0
         return d
 
-    return ClassicalEveChannel(fn, p, "eve-first-symbol")
+    return ClassicalEveChannel(fn, p)
 
 
 class QuantumEveChannel:
@@ -363,12 +363,11 @@ class QuantumEveChannel:
         self.n = n
         psi = qexact.purify(P)
         self.tau_ae = qexact.partial_trace(psi.density(), [0, 2]).matrix
-        self.name = "eve-quantum"
 
     def _site_unitaries(self, codeword: np.ndarray) -> list[np.ndarray]:
         word = np.asarray(codeword, dtype=np.int64)
         p = self.p
-        return [np.kron(qexact.weyl(int(word[2 * i]), int(word[2 * i + 1]), p).matrix,
+        return [np.kron(qexact.weyl(int(word[2 * i]), int(word[2 * i + 1]), p),
                         np.eye(p * p)) for i in range(self.n)]
 
     def state(self, codeword: np.ndarray) -> np.ndarray:
@@ -452,7 +451,6 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
 
 
 def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
-                   t_grid: np.ndarray | None = None,
                    return_curve: bool = False):
     """Finite-length leakage bound, capped at 2.
 
@@ -477,8 +475,6 @@ def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
 
     if l2_size < 1:
         raise ValueError("L2 size must be >= 1")
-    if t_grid is None:
-        t_grid = np.linspace(0.05, 1.0, 20) if eve.is_quantum else np.linspace(0.01, 1.0, 100)
     words = code.all_codewords()
     if eve.is_quantum:
         state = eve.state(np.zeros(2 * code.n, dtype=np.int64))
@@ -490,7 +486,7 @@ def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
     best = np.inf
     curve = []
     sigma = None
-    for t in t_grid:
+    for t in _QUANTUM_T_GRID if eve.is_quantum else _CLASSICAL_T_GRID:
         alpha = 1.0 + t
         if eve.is_quantum:
             f, sigma = qexact._minimize_xi(state, [1.0], alpha, sigma0=sigma,

@@ -213,6 +213,8 @@ INFEASIBLE_CONFIG = {"p": 2, "n": 2, "n1": 5, "n2": 1, "n3": 1, "mix_bob_to_alic
     (("simulate", "--config", "{not_json}"), 2, "invalid arguments:"),
     (("finite", "--mix", "0.05", "--n-grid", ""), 2, "invalid arguments:"),
     (("finite", "--mix", "0.05", "--n-grid", ","), 2, "invalid arguments:"),
+    (("leakage", "--code", "identityfoo"), 2, "invalid arguments:"),
+    (("leakage", "--code", "identity", "--n", "1", "--n1", "3"), 3, "infeasible parameters:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"

@@ -58,8 +58,8 @@ def test_sandwich_solver_cold_start_agrees_with_seeded():
         P = random_pauli_dist(p, rng)
         tau_ae = qx.partial_trace(qx.purify(P).density(), [0, 2])
         states = np.stack([
-            np.kron(qx.weyl(x, z, p).matrix, np.eye(p * p)) @ tau_ae.matrix
-            @ np.kron(qx.weyl(x, z, p).matrix, np.eye(p * p)).conj().T
+            np.kron(qx.weyl(x, z, p), np.eye(p * p)) @ tau_ae.matrix
+            @ np.kron(qx.weyl(x, z, p), np.eye(p * p)).conj().T
             for x in range(p) for z in range(p)])
         weights = np.full(p * p, 1.0 / (p * p))
         for t in (0.1, 0.5):

@@ -126,7 +126,7 @@ def code_cases(draw):
         n1 = draw(st.integers(1, 2))
         n = draw(st.integers(1, 2).filter(lambda n: 2 * n >= n1))
         G = np.vstack([np.eye(n1, dtype=np.int64), rng.integers(0, p, (2 * n - n1, n1))])
-        code = _generator_code(G, p, n, noise, "systematic")
+        code = _generator_code(G, p, n, noise)
     batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     return code, G, rng.integers(0, p, batch + (code.n1,))
 

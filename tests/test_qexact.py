@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from pdckit import qexact as qx
 from pdckit.dists import PauliDist, convolve, depolarizing, renyi_entropy
@@ -22,8 +23,8 @@ def random_dist(p, rng):
 
 def test_weyl_basics():
     for p in (2, 3, 5):
-        assert np.allclose(qx.weyl(0, 0, p).matrix, np.eye(p))
-    x = qx.weyl(1, 0, 2).matrix
+        assert np.allclose(qx.weyl(0, 0, p), np.eye(p))
+    x = qx.weyl(1, 0, 2)
     assert np.allclose(x, [[0, 1], [1, 0]])
 
 
@@ -34,9 +35,9 @@ def test_weyl_commutation_relation():
             for z in range(p):
                 for xp in range(p):
                     for zp in range(p):
-                        lhs = qx.weyl(x, z, p).matrix @ qx.weyl(xp, zp, p).matrix
+                        lhs = qx.weyl(x, z, p) @ qx.weyl(xp, zp, p)
                         rhs = (omega ** ((xp * z - x * zp) % p)
-                               * qx.weyl(xp, zp, p).matrix @ qx.weyl(x, z, p).matrix)
+                               * qx.weyl(xp, zp, p) @ qx.weyl(x, z, p))
                         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -251,7 +252,7 @@ def test_solver_descends_from_cold_start():
 
 def weyl_group_n1(p=2, extra=2):
     """U_c = W(x, z) x I over all p^2 labels, as dense stack and monomial form."""
-    us = np.stack([np.kron(qx.weyl(x, z, p).matrix, np.eye(extra))
+    us = np.stack([np.kron(qx.weyl(x, z, p), np.eye(extra))
                    for x in range(p) for z in range(p)])
     return us, qx.monomial_form(us)
 
@@ -328,21 +329,6 @@ def test_group_reduced_solver_matches_unreduced(rank):
         assert abs(f_check - f_red) <= 1e-12 * f_red
 
 
-def test_group_reduced_pgd_stays_in_commutant():
-    rng = np.random.default_rng(16)
-    us, group = weyl_group_n1(2, 3)
-    w0 = random_density(6, rng).matrix
-    orbit = np.stack([u @ w0 @ u.conj().T for u in us])
-    weights = np.full(len(us), 1.0 / len(us))
-    tw = qx._group_twirl(*group)
-    f_full, _ = qx._pgd_minimize(orbit, weights, 1.5, np.eye(6) / 6, iters=40)
-    f_red, sigma = qx._pgd_minimize(w0[None], np.ones(1), 1.5, np.eye(6) / 6,
-                                    iters=40, twirl=tw)
-    assert abs(f_red - f_full) <= 1e-9 * f_full
-    for u in us:
-        assert np.linalg.norm(u @ sigma @ u.conj().T - sigma) < 1e-10
-
-
 def test_solver_logs_one_debug_record_per_call(caplog):
     rng = np.random.default_rng(17)
     _, group = weyl_group_n1(2, 2)
@@ -355,8 +341,30 @@ def test_solver_logs_one_debug_record_per_call(caplog):
     msgs = [r.getMessage() for r in records]
     assert "group_order=1 " in msgs[0] and "group_order=4 " in msgs[1]
     for msg in msgs:
-        assert "path=lbfgs" in msg or "path=seed" in msg or "path=pgd" in msg
+        assert "path=lbfgs" in msg or "path=seed" in msg
         assert "lbfgs_iters=" in msg and "seed_value=" in msg
+
+
+def test_seed_guard_keeps_the_seed_over_a_nan_point(monkeypatch, caplog):
+    # a pure state: the solve runs on its one-dimensional support, whose
+    # only density matrix is the seed
+    rng = np.random.default_rng(18)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    w0 = np.outer(v, v.conj())
+
+    def nan_point(fun, x0, **kwargs):
+        return OptimizeResult(x=np.full_like(x0, np.nan), fun=0.0, nit=0)
+
+    monkeypatch.setattr(qx, "minimize", nan_point)
+    with np.errstate(invalid="ignore"), caplog.at_level("DEBUG", logger="pdckit"):
+        f, sigma = qx._minimize_xi(w0, [1.0], 1.5)
+    [record] = [r for r in caplog.records if r.name == "pdckit"]
+    fields = dict(item.split("=") for item in record.getMessage().split()[1:])
+    assert fields["path"] == "seed"
+    assert fields["value"] == fields["seed_value"] == f"{f:.17g}"
+    assert abs(f - 1.0) < 1e-12
+    assert np.max(np.abs(sigma - w0)) < 1e-12
 
 
 # ---------------------------------------------------------------

@@ -402,4 +402,4 @@ def test_generator_code_overflow_guard():
 
     G = np.ones((4, 3), dtype=np.int64)
     with pytest.raises(ValueError):
-        _generator_code(G, 2**31 - 1, 2, dep2(), "too-wide")
+        _generator_code(G, 2**31 - 1, 2, dep2())
