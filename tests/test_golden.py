@@ -187,5 +187,6 @@ def test_cli_stdout_pinned_one_blas_thread(argv):
            "MKL_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-m", "pdckit.cli", *argv.split()],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
     assert _digest(run.stdout) == CLI_DIGESTS_ONE_THREAD[argv]
