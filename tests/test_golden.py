@@ -44,6 +44,11 @@ def _config(name: str, master_seed: int) -> ProtocolConfig:
         P = depolarizing(0.02, 2)
         return ProtocolConfig(p=2, n=6, n1=12, n2=3, n3=4, P=P, P_tilde=P,
                               code=identity_code(2, 6), master_seed=master_seed)
+    if name == "p2-identity-n256":
+        # the mc_hash benchmark shape: long Toeplitz hashes (192 x 320, 64 x 128)
+        P = depolarizing(1e-3, 2)
+        return ProtocolConfig(p=2, n=256, n1=512, n2=128, n3=64, P=P, P_tilde=P,
+                              code=identity_code(2, 256), master_seed=master_seed)
     raise KeyError(name)
 
 
@@ -79,6 +84,8 @@ TRANSCRIPT_DIGESTS = {
         "3d98234e305e6a00823c8c6658bd6124e020f2c2a7fc387f9c52a757bbb239ad",
     "p2-repetition/run_protocol3/intercept":
         "f373c742423d7f834fcf900acb1b008818fcc557888a81c3bb4561192c389b4a",
+    "p2-identity-n256/run_protocol1/none":
+        "a6f6431ea264ca357fd8e32de05dd99a1df54693fa6356851a6d48a457401283",
     "p3-identity/run_protocol1/none":
         "b1f681903990d6ac2e9b98248c99244dd03744d438991c18382623794489b909",
     "p3-identity/run_protocol1/tamper":
@@ -105,6 +112,10 @@ MC_DIGESTS = {
         "b4006c851af113601853741072273b6064a10e3adf3aef8ae8cc051374836084",
     "readme-simulate/10000/tamper_fn":
         "454b1e1df1aeefc7dde9f1e8d91c8e5b1062bc5176e64fc39aac93fba2aa6553",
+    "p2-identity-n256/250/none":
+        "97390981a52bc098f463bfa21d12b17865885e24bd9da89e6a3d22e7313c726c",
+    "p2-identity-n256/250/tamper":
+        "b28ef23dfec97ad65ee38e4b9911adda3b1516cd93e400060535919e2b2ca2ec",
     "p2-identity/2000/none":
         "de83f824e4d76a389e7325570a4248f845a1d0e4077b0a32e73a9cb677ca07a4",
     "p2-identity/2000/tamper":
