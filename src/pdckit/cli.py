@@ -3,7 +3,9 @@
 Subcommands: rates, finite, simulate, estimate, leakage, verify-identities.
 No plotting: the figures are reproduced as data files renderable by any
 plotting tool.  All numeric output uses 12 significant digits and is
-byte-identical for identical flags and master seed.
+byte-identical for identical flags and master seed; for verify-identities
+only with one BLAS thread, since its residuals sit near 1e-14 and their
+printed low digits follow the BLAS summation order.
 
 Exit codes: 0 success, 2 invalid arguments, 3 infeasible parameters,
 4 size cap exceeded (1 for a failed identity check).
@@ -73,6 +75,13 @@ def _prime(p: int) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _seed(seed: int) -> int:
+    """A master seed from user input: numpy seeds must be >= 0, else exit 2."""
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_int_list(spec: str) -> list[int]:
     try:
         return [int(v) for v in spec.split(",") if v]
@@ -102,7 +111,10 @@ def cmd_rates(args) -> int:
 
 
 def cmd_finite(args) -> int:
-    targets = SecurityTargets(args.eps_c, args.eps_e, args.eps_b)
+    try:
+        targets = SecurityTargets(args.eps_c, args.eps_e, args.eps_b)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     P = _depolarizing(args.mix, args.p)
     n_grid = _parse_int_list(args.n_grid)
     if not n_grid or any(n < 1 for n in n_grid):
@@ -170,7 +182,7 @@ def _load_config(path: str, seed_override: int | None) -> protocol.ProtocolConfi
     Pt = _depolarizing(float(raw["mix_alice_to_bob"]), p)
     from .dists import convolve
 
-    seed = int(raw["seed"]) if seed_override is None else seed_override
+    seed = _seed(int(raw["seed"]) if seed_override is None else seed_override)
     code = _build_code(str(raw["code"]), p, int(raw["n"]), int(raw["n1"]),
                        convolve(Pt, P), seed)
     return protocol.ProtocolConfig(
@@ -179,6 +191,8 @@ def _load_config(path: str, seed_override: int | None) -> protocol.ProtocolConfi
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise argparse.ArgumentTypeError(f"--trials must be >= 1, got {args.trials}")
     config = _load_config(args.config, args.seed)
     adversary = {
         "none": protocol.AdversaryMode.none(),
@@ -223,7 +237,7 @@ def cmd_estimate(args) -> int:
     if args.shots < 0:
         raise argparse.ArgumentTypeError(f"--shots must be >= 0, got {args.shots}")
     P = _depolarizing(args.mix, args.p)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args.seed))
     report = estimation.estimate(P, args.shots, rng)
     _emit(json.dumps(_roundtree(report.to_json_dict()), sort_keys=True) + "\n",
           args.out)
@@ -255,7 +269,7 @@ def cmd_leakage(args) -> int:
     p = args.p
     noise = _depolarizing(args.mix, p)
     n1 = 2 * args.n if args.n1 is None else args.n1
-    code = _build_code(args.code, p, args.n, n1, noise, args.seed)
+    code = _build_code(args.code, p, args.n, n1, noise, _seed(args.seed))
     eve = _build_eve(args.eve, p, args.n)
     sacrifice = n1 - args.n2 - args.n3
     if sacrifice < 1:
@@ -275,7 +289,9 @@ def cmd_leakage(args) -> int:
 
 def cmd_verify_identities(args) -> int:
     _prime(args.p)
-    rng = np.random.default_rng(args.seed)
+    if args.count < 1:
+        raise argparse.ArgumentTypeError(f"--count must be >= 1, got {args.count}")
+    rng = np.random.default_rng(_seed(args.seed))
     tol = 1e-8
     lines = []
     all_ok = True

@@ -215,6 +215,16 @@ INFEASIBLE_CONFIG = {"p": 2, "n": 2, "n1": 5, "n2": 1, "n3": 1, "mix_bob_to_alic
     (("finite", "--mix", "0.05", "--n-grid", ","), 2, "invalid arguments:"),
     (("leakage", "--code", "identityfoo"), 2, "invalid arguments:"),
     (("leakage", "--code", "identity", "--n", "1", "--n1", "3"), 3, "infeasible parameters:"),
+    (("simulate", "--config", "{config}", "--trials", "0"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{config}", "--trials", "-3"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{config}", "--seed", "-1"), 2, "invalid arguments:"),
+    (("finite", "--mix", "0.05", "--n-grid", "1000", "--eps-c", "0"), 2, "invalid arguments:"),
+    (("finite", "--mix", "0.05", "--n-grid", "1000", "--eps-e", "0"), 2, "invalid arguments:"),
+    (("finite", "--mix", "0.05", "--n-grid", "1000", "--eps-b", "1.5"), 2, "invalid arguments:"),
+    (("estimate", "--mix", "0.05", "--seed", "-1"), 2, "invalid arguments:"),
+    (("verify-identities", "--count", "-1"), 2, "invalid arguments:"),
+    (("verify-identities", "--count", "0"), 2, "invalid arguments:"),
+    (("verify-identities", "--seed", "-1"), 2, "invalid arguments:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"

@@ -5,12 +5,15 @@ inversions.
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The Toeplitz kernel is
 compared against a pure-Python-int double loop, so the reference cannot
-share an overflow or an indexing slip with the code under test.  The
+share an overflow or an indexing slip with the code under test; long
+blocks and primes up to 2^31 - 1 reach both of its algorithms (the FFT
+and the int64 einsum) and the exactness cut between them.  The
 convolution and character-inversion kernels are compared bit for bit
 against the per-cell loops they replaced, which fix the summation order.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,9 +47,58 @@ def toeplitz_cases(draw):
     return p, d1, d2, seeds, xs
 
 
+# 1627 is the last prime the FFT's exactness rule admits at (192, 320) and
+# 1637 the first it refuses; 2^31 - 1 passes the int64 guard only for d2 <= 2
+LONG_PRIMES = [2, 3, 31, 1627, 1637, 65521, 2**31 - 1]
+
+
+@st.composite
+def long_toeplitz_cases(draw):
+    p = draw(st.sampled_from(LONG_PRIMES))
+    d1 = draw(st.integers(1, 400))
+    d2 = draw(st.integers(0, min(400, (2**63 - 1) // (p - 1) ** 2)))
+    batch = tuple(draw(st.lists(st.integers(1, 2), max_size=1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = rng.integers(0, p, batch + (d1 + d2 - 1,))
+    xs = rng.integers(0, p, batch + (d2,))
+    return p, d1, d2, seeds, xs
+
+
 @SETTINGS
 @given(toeplitz_cases())
 def test_kernel_matches_python_reference(case):
+    _check_against_reference(case)
+
+
+@settings(max_examples=30, deadline=None)  # the reference loop takes up to 0.1 s a row
+@given(long_toeplitz_cases())
+def test_kernel_matches_python_reference_on_long_blocks(case):
+    _check_against_reference(case)
+
+
+@pytest.mark.parametrize("p,fft", [(1627, True), (1637, False)])
+def test_kernel_worst_case_at_the_exactness_cut(monkeypatch, p, fft):
+    # every entry p - 1, so each output is d2 (p-1)^2 = d2 mod p
+    calls = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    d1, d2 = 192, 320
+    got = toeplitz_apply_batch(np.full((2, d1 + d2 - 1), p - 1), np.full((2, d2), p - 1),
+                               d1, d2, p)
+    assert got.tolist() == [[d2 % p] * d1] * 2
+    assert bool(calls) == fft
+
+
+@pytest.mark.parametrize("d1,d2", [(128, 129), (129, 129), (16, 497), (497, 16)])
+def test_kernel_at_transform_length_boundaries(d1, d2):
+    # d1+d2-1 is 256, 257, 512 and 512: a transform filled exactly, or one
+    # point past a power of two, where a too-short transform would wrap around
+    rng = np.random.default_rng(d1 * 1000 + d2)
+    _check_against_reference((31, d1, d2, rng.integers(0, 31, (2, d1 + d2 - 1)),
+                              rng.integers(0, 31, (2, d2))))
+
+
+def _check_against_reference(case):
     p, d1, d2, seeds, xs = case
     got = toeplitz_apply_batch(seeds, xs, d1, d2, p)
     assert got.shape == seeds.shape[:-1] + (d1,)
