@@ -173,6 +173,13 @@ CLI_DIGESTS = {
     # classical Eve: the Sibson closed form of theorem1_bound
     "leakage --n 1 --n2 1 --n3 0 --code identity --eve additive:0.1":
         "0976b81c5c8871eff4c5c6449ad2d03b002f2207135c23bc3701704df9359a24",
+    # the CSV and JSON table writers, with one infeasible (NaN) row at n = 10
+    "finite --p 2 --mix 0.05 --n-grid 10,1000 --format json":
+        "0ff0e5ce596ffb953de2b641285a0fb30416fa5c1468baf175160b48c721fe3a",
+    "finite --p 2 --mix 0.05 --n-grid 10,1000":
+        "9ce6f489137d64e22df75bf457b91e716e3f0241a415d1e55880796a88893bfa",
+    "rates --p 2 --mix-grid 0:0.25:0.0025 --format json":
+        "13ebb984b45f45d97907ef6dc94070f460643a0e4fd4da4de885de71f99602f8",
 }
 
 # Outputs whose printed residuals sit at rounding level (1e-14), so their
