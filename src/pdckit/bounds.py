@@ -119,28 +119,16 @@ def eps_B_bound(n3: int, p: int) -> float:
     return float(p) ** (-n3)
 
 
-def _renyi_order_recip(P: PauliDist, ts: np.ndarray) -> np.ndarray:
-    """H_{1/(1+t)}(P) for an array of t values."""
+def _renyi(P: PauliDist, alphas: np.ndarray) -> np.ndarray:
+    """H_alpha(P) for an array of orders alpha in [0, 1) (alpha = 0 is H_0).
+
+    The unvalidated kernel behind every bound; callers pass 1/(1+t) or 1-t
+    with t in [0.001, 1], so the order never reaches the Shannon point 1.
+    """
     probs = P.flat()
     probs = probs[probs > 1e-15]
-    alphas = 1.0 / (1.0 + ts)
     sums = np.power(probs[None, :], alphas[:, None]).sum(axis=1)
     return np.log2(sums) / (1.0 - alphas)
-
-
-def _renyi_order_onemt(P: PauliDist, ts: np.ndarray) -> np.ndarray:
-    """H_{1-t}(P) for an array of t values (t = 1 gives the max-entropy H_0)."""
-    probs = P.flat()
-    probs = probs[probs > 1e-15]
-    alphas = 1.0 - ts
-    out = np.empty_like(ts)
-    near1 = np.abs(alphas - 1.0) < 1e-12
-    if near1.any():
-        out[near1] = shannon(probs)
-    a = alphas[~near1]
-    sums = np.power(probs[None, :], a[:, None]).sum(axis=1)
-    out[~near1] = np.log2(sums) / (1.0 - a)
-    return out
 
 
 def _eps_E(n: int, sacrifice_symbols: int, P: PauliDist,
@@ -155,7 +143,7 @@ def _eps_E(n: int, sacrifice_symbols: int, P: PauliDist,
 
     def refine(t):
         t = np.asarray(t, dtype=float)
-        return float(exponent(t, _renyi_order_recip(P, np.atleast_1d(t)))[0])
+        return float(exponent(t, _renyi(P, 1.0 / (1.0 + np.atleast_1d(t))))[0])
 
     best = _refine_min(refine, _T_GRID, exponent(_T_GRID, h_grid))
     if best >= 0.0:
@@ -173,7 +161,7 @@ def _eps_C(n: int, n1: int, P_eff: PauliDist,
 
     def refine(t):
         t = np.asarray(t, dtype=float)
-        return float(exponent(t, _renyi_order_onemt(P_eff, np.atleast_1d(t)))[0])
+        return float(exponent(t, _renyi(P_eff, 1.0 - np.atleast_1d(t)))[0])
 
     best = _refine_min(refine, _T_GRID, exponent(_T_GRID, h_grid))
     return float(min(1.0, 4.0 * np.exp2(max(best, -1e6))))
@@ -187,7 +175,7 @@ def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
     """
     if sacrifice_symbols < 0:
         raise ValueError("sacrifice_symbols must be >= 0")
-    return _eps_E(n, sacrifice_symbols, P, _renyi_order_recip(P, _T_GRID))
+    return _eps_E(n, sacrifice_symbols, P, _renyi(P, 1.0 / (1.0 + _T_GRID)))
 
 
 def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
@@ -197,7 +185,7 @@ def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
     """
     if n1 > 2 * n:
         raise ValueError(f"n1 = {n1} exceeds 2n = {2 * n}")
-    return _eps_C(n, n1, P_eff, _renyi_order_onemt(P_eff, _T_GRID))
+    return _eps_C(n, n1, P_eff, _renyi(P_eff, 1.0 - _T_GRID))
 
 
 def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
@@ -230,7 +218,7 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
     m3 = int(np.ceil(-np.log2(targets.eps_B) / np.log2(p) - 1e-12))
 
     # each bisection keeps the bound value at the end it converges to
-    h_E = _renyi_order_recip(P, _T_GRID)
+    h_E = _renyi(P, 1.0 / (1.0 + _T_GRID))
     eps_E_at = _eps_E(n, 2 * n, P, h_E)
     if eps_E_at > targets.eps_E:
         raise InfeasibleTargets(
@@ -247,7 +235,7 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
     m2 = lo
 
     p_eff = convolve(P_tilde, P)
-    h_C = _renyi_order_onemt(p_eff, _T_GRID)
+    h_C = _renyi(p_eff, 1.0 - _T_GRID)
     eps_C_at = _eps_C(n, 0, p_eff, h_C)
     if eps_C_at > targets.eps_C:
         raise InfeasibleTargets(

@@ -8,7 +8,9 @@ only with one BLAS thread, since its residuals sit near 1e-14 and their
 printed low digits follow the BLAS summation order.
 
 Exit codes: 0 success, 2 invalid arguments, 3 infeasible parameters,
-4 size cap exceeded (1 for a failed identity check).
+4 size cap exceeded (1 for a failed identity check).  Any other
+``ValueError`` (a library parameter check, a non-integer config value, an
+unwritable output path) is exit 2, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import bounds, estimation, identities, protocol, wiretap
 from .bounds import InfeasibleTargets, SecurityTargets
-from .dists import PauliDist, depolarizing
-from .gf import FieldVec, _check_prime
+from .dists import convolve, depolarizing
+from .gf import FieldVec
 from .qexact import SizeCapError
 
 
@@ -35,50 +37,54 @@ def _round12(x):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """The one writer: stdout, or the file ``out`` (unopenable is exit 2)."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out!r}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _table(header: list[str], rows: list[list], args) -> None:
+    """Rows as CSV, or with --format json as a list of objects keyed by header."""
+    if args.format == "json":
+        payload = [_roundtree(dict(zip(header, row))) for row in rows]
+        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        return
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    _emit("\n".join(lines) + "\n", args.out)
+
+
+def _roundtree(obj):
+    if isinstance(obj, float):
+        return _round12(obj)
+    if isinstance(obj, dict):
+        return {k: _roundtree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_roundtree(v) for v in obj]
+    return obj
 
 
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"grid must be start:stop:step, got {spec!r}")
+        raise ValueError(f"grid must be start:stop:step, got {spec!r}") from None
     if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
+        raise ValueError(f"bad grid {spec!r}")
     return np.arange(start, stop + step / 2, step)
 
 
-def _depolarizing(mix: float, p: int) -> PauliDist:
-    """``depolarizing`` on user input: a bad mix or modulus is exit 2."""
-    try:
-        return depolarizing(mix, p)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _prime(p: int) -> int:
-    """``_check_prime`` on user input: a composite modulus is exit 2."""
-    try:
-        return _check_prime(p)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _seed(seed: int) -> int:
-    """A master seed from user input: numpy seeds must be >= 0, else exit 2."""
+    """A master seed from user input: numpy seeds must be >= 0."""
     if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
 
 
@@ -86,7 +92,7 @@ def _parse_int_list(spec: str) -> list[int]:
     try:
         return [int(v) for v in spec.split(",") if v]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {spec!r}")
+        raise ValueError(f"expected comma-separated integers, got {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -96,30 +102,21 @@ def _parse_int_list(spec: str) -> list[int]:
 def cmd_rates(args) -> int:
     rows = []
     for mix in _parse_grid(args.mix_grid):
-        P = _depolarizing(float(mix), args.p)
-        Pt = _depolarizing(float(args.mix_tilde) if args.mix_tilde is not None else float(mix),
-                           args.p)
+        P = depolarizing(float(mix), args.p)
+        Pt = depolarizing(float(args.mix_tilde) if args.mix_tilde is not None else float(mix),
+                          args.p)
         rt = bounds.asymptotic_rates(P, Pt)
         rows.append([float(mix), rt.R1_star, rt.R2_star, 0.0, rt.R_star])
-    if args.format == "json":
-        payload = [dict(zip(("mix_p", "R1", "R2", "R3", "R"), map(_round12, r)))
-                   for r in rows]
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(_csv(["mix_p", "R1", "R2", "R3", "R"], rows), args.out)
+    _table(["mix_p", "R1", "R2", "R3", "R"], rows, args)
     return 0
 
 
 def cmd_finite(args) -> int:
-    try:
-        targets = SecurityTargets(args.eps_c, args.eps_e, args.eps_b)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    P = _depolarizing(args.mix, args.p)
+    targets = SecurityTargets(args.eps_c, args.eps_e, args.eps_b)
+    P = depolarizing(args.mix, args.p)
     n_grid = _parse_int_list(args.n_grid)
-    if not n_grid or any(n < 1 for n in n_grid):
-        raise argparse.ArgumentTypeError(
-            f"block lengths must be a nonempty list of integers >= 1, got {args.n_grid!r}")
+    if not n_grid:
+        raise ValueError(f"block lengths must be a nonempty list, got {args.n_grid!r}")
     rows = []
     feasible_any = False
     for n in n_grid:
@@ -130,15 +127,7 @@ def cmd_finite(args) -> int:
         except InfeasibleTargets:
             rows.append([n, float("nan"), float("nan"), float("nan"),
                          float("nan"), "infeasible"])
-    if args.format == "json":
-        payload = [
-            {"n": r[0], "R1": _round12(r[1]), "R2": _round12(r[2]),
-             "R3": _round12(r[3]), "R": _round12(r[4]), "status": r[5]}
-            for r in rows
-        ]
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(_csv(["n", "R1", "R2", "R3", "R", "status"], rows), args.out)
+    _table(["n", "R1", "R2", "R3", "R", "status"], rows, args)
     return 0 if feasible_any else 3
 
 
@@ -152,7 +141,7 @@ def _build_code(spec: str, p: int, n: int, n1: int, noise, seed: int):
         try:
             r = int(param or 0)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"repetition code needs an integer r, got {param!r}")
+            raise ValueError(f"repetition code needs an integer r, got {param!r}") from None
         if r < 1 or r * n1 != 2 * n:
             raise InfeasibleTargets(f"repetition code needs r*n1 = 2n, got r={r}")
         return wiretap.repetition_code(p, n1, r, noise)
@@ -161,7 +150,7 @@ def _build_code(spec: str, p: int, n: int, n1: int, noise, seed: int):
             raise InfeasibleTargets(f"random linear code needs n1 <= 2n, got n1={n1}, n={n}")
         return wiretap.random_linear_code(p, n, n1, noise,
                                           np.random.default_rng(seed))
-    raise argparse.ArgumentTypeError(f"unknown code {spec!r}")
+    raise ValueError(f"unknown code {spec!r}")
 
 
 def _load_config(path: str, seed_override: int | None) -> protocol.ProtocolConfig:
@@ -169,36 +158,47 @@ def _load_config(path: str, seed_override: int | None) -> protocol.ProtocolConfi
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise argparse.ArgumentTypeError(f"cannot read config {path!r}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"config {path!r} is not JSON: {exc}") from exc
-    required = ["p", "n", "n1", "n2", "n3", "mix_bob_to_alice",
-                "mix_alice_to_bob", "code", "seed"]
-    missing = [k for k in required if k not in raw]
+        raise ValueError(f"config {path!r} is not JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path!r} is not a JSON object")
+    ints = ["p", "n", "n1", "n2", "n3", "seed"]
+    mixes = ["mix_bob_to_alice", "mix_alice_to_bob"]
+    missing = [k for k in ints + mixes + ["code"] if k not in raw]
     if missing:
-        raise argparse.ArgumentTypeError(f"config missing keys {missing}")
-    p = int(raw["p"])
-    P = _depolarizing(float(raw["mix_bob_to_alice"]), p)
-    Pt = _depolarizing(float(raw["mix_alice_to_bob"]), p)
-    from .dists import convolve
-
-    seed = _seed(int(raw["seed"]) if seed_override is None else seed_override)
-    code = _build_code(str(raw["code"]), p, int(raw["n"]), int(raw["n1"]),
-                       convolve(Pt, P), seed)
+        raise ValueError(f"config missing keys {missing}")
+    wrong = [k for k in ints if type(raw[k]) is not int] + \
+        [k for k in mixes if type(raw[k]) not in (int, float)]
+    if wrong:
+        raise ValueError(f"config {path!r}: {wrong} must be JSON numbers, "
+                         "integers except the mixes")
+    p = raw["p"]
+    P = depolarizing(float(raw["mix_bob_to_alice"]), p)
+    Pt = depolarizing(float(raw["mix_alice_to_bob"]), p)
+    seed = _seed(raw["seed"] if seed_override is None else seed_override)
+    code = _build_code(str(raw["code"]), p, raw["n"], raw["n1"], convolve(Pt, P), seed)
     return protocol.ProtocolConfig(
-        p=p, n=int(raw["n"]), n1=int(raw["n1"]), n2=int(raw["n2"]),
-        n3=int(raw["n3"]), P=P, P_tilde=Pt, code=code, master_seed=seed)
+        p=p, n=raw["n"], n1=raw["n1"], n2=raw["n2"], n3=raw["n3"],
+        P=P, P_tilde=Pt, code=code, master_seed=seed)
 
 
 def cmd_simulate(args) -> int:
     if args.trials < 1:
-        raise argparse.ArgumentTypeError(f"--trials must be >= 1, got {args.trials}")
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     config = _load_config(args.config, args.seed)
     adversary = {
         "none": protocol.AdversaryMode.none(),
         "intercept": protocol.AdversaryMode.intercept(),
         "tamper": protocol.AdversaryMode.tamper(),
     }[args.adversary]
+    if args.transcript:
+        msg = FieldVec(np.zeros(config.n2, dtype=np.int64), config.p) \
+            if args.message is None else \
+            FieldVec(_parse_int_list(args.message), config.p)
+        tr = protocol.run_protocol3(config, msg, adversary) if args.masked \
+            else protocol.run_protocol1(config, msg, adversary)
+        _emit(tr.to_json() + "\n", args.transcript)
     stats = protocol.monte_carlo(config, args.trials, adversary)
     p_eff = config.effective_noise()
     analytic = {
@@ -213,30 +213,11 @@ def cmd_simulate(args) -> int:
         payload = {"stats": _roundtree(stats),
                    "analytic_bounds": _roundtree(analytic)}
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    if args.transcript:
-        msg = FieldVec(np.zeros(config.n2, dtype=np.int64), config.p) \
-            if args.message is None else \
-            FieldVec(_parse_int_list(args.message), config.p)
-        tr = protocol.run_protocol3(config, msg, adversary) if args.masked \
-            else protocol.run_protocol1(config, msg, adversary)
-        _emit(tr.to_json() + "\n", args.transcript)
     return 0
 
 
-def _roundtree(obj):
-    if isinstance(obj, float):
-        return _round12(obj)
-    if isinstance(obj, dict):
-        return {k: _roundtree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_roundtree(v) for v in obj]
-    return obj
-
-
 def cmd_estimate(args) -> int:
-    if args.shots < 0:
-        raise argparse.ArgumentTypeError(f"--shots must be >= 0, got {args.shots}")
-    P = _depolarizing(args.mix, args.p)
+    P = depolarizing(args.mix, args.p)
     rng = np.random.default_rng(_seed(args.seed))
     report = estimation.estimate(P, args.shots, rng)
     _emit(json.dumps(_roundtree(report.to_json_dict()), sort_keys=True) + "\n",
@@ -246,28 +227,24 @@ def cmd_estimate(args) -> int:
 
 def _build_eve(spec: str, p: int, n: int):
     kind, _, param = spec.partition(":")
-    try:
-        if kind == "noiseless":
-            return wiretap.eve_noiseless(p, n)
-        if kind == "constant":
-            return wiretap.eve_constant(p, n)
-        if kind == "additive":
-            return wiretap.eve_additive(depolarizing(float(param), p), n)
-        if kind == "first-symbol":
-            return wiretap.eve_first_symbol(p, n)
-        if kind == "quantum":
-            return wiretap.QuantumEveChannel(depolarizing(float(param), p), n)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"eve model {spec!r}: {exc}") from exc
-    raise argparse.ArgumentTypeError(f"unknown eve model {spec!r}")
+    if kind == "noiseless":
+        return wiretap.eve_noiseless(p, n)
+    if kind == "constant":
+        return wiretap.eve_constant(p, n)
+    if kind == "additive":
+        return wiretap.eve_additive(depolarizing(float(param), p), n)
+    if kind == "first-symbol":
+        return wiretap.eve_first_symbol(p, n)
+    if kind == "quantum":
+        return wiretap.QuantumEveChannel(depolarizing(float(param), p), n)
+    raise ValueError(f"unknown eve model {spec!r}")
 
 
 def cmd_leakage(args) -> int:
     if args.n2 < 0 or args.n3 < 0 or args.n2 + args.n3 < 1:
-        raise argparse.ArgumentTypeError(
-            f"need n2, n3 >= 0 and n2 + n3 >= 1, got n2={args.n2}, n3={args.n3}")
+        raise ValueError(f"need n2, n3 >= 0 and n2 + n3 >= 1, got n2={args.n2}, n3={args.n3}")
     p = args.p
-    noise = _depolarizing(args.mix, p)
+    noise = depolarizing(args.mix, p)
     n1 = 2 * args.n if args.n1 is None else args.n1
     code = _build_code(args.code, p, args.n, n1, noise, _seed(args.seed))
     eve = _build_eve(args.eve, p, args.n)
@@ -288,9 +265,8 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    _prime(args.p)
     if args.count < 1:
-        raise argparse.ArgumentTypeError(f"--count must be >= 1, got {args.count}")
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(_seed(args.seed))
     tol = 1e-8
     lines = []
@@ -402,7 +378,7 @@ def main(argv=None) -> int:
     except InfeasibleTargets as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return 3
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
 

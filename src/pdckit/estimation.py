@@ -155,7 +155,12 @@ class EstimationReport:
 
 def estimate(P_true: PauliDist, shots_per_setting: int,
              rng: np.random.Generator) -> EstimationReport:
-    """Measure, invert, and project; shots_per_setting = 0 uses exact marginals."""
+    """Measure, invert, and project; shots_per_setting = 0 uses exact marginals.
+
+    A negative ``shots_per_setting`` raises ``ValueError``.
+    """
+    if shots_per_setting < 0:
+        raise ValueError(f"shots_per_setting must be >= 0, got {shots_per_setting}")
     p = P_true.p
     sets = settings(p)
     margs = {}

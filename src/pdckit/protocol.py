@@ -99,8 +99,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n1 > 2 * self.n:
             raise ValueError(f"n1 = {self.n1} exceeds 2n = {2 * self.n}")
-        if not (self.n1 > self.n2 + self.n3 > 0):
-            raise ValueError("need n1 > n2 + n3 > 0")
+        if not (self.n1 > self.n2 + self.n3 and self.n2 >= 1 and self.n3 >= 1):
+            raise ValueError("need n1 > n2 + n3 with n2, n3 >= 1, got (n1, n2, n3) = "
+                             f"{(self.n1, self.n2, self.n3)}")
         if self.P.p != self.p or self.P_tilde.p != self.p:
             raise ValueError("noise distributions must share the config modulus")
         if self.code.p != self.p or self.code.n != self.n or self.code.n1 != self.n1:

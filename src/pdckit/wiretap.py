@@ -178,7 +178,7 @@ def random_linear_code(p: int, n: int, n1: int, noise: PauliDist,
                        rng: np.random.Generator) -> LinearCodeSpec:
     """Random full-rank generator with exhaustive ML decoding (2n <= 8, p <= 3)."""
     if 2 * n > 8 or p > 3:
-        raise ValueError("random linear baseline limited to 2n <= 8, p <= 3")
+        raise qexact.SizeCapError("random linear baseline limited to 2n <= 8, p <= 3")
     for _ in range(200):
         G = rng.integers(0, p, size=(2 * n, n1))
         if _gf_rank(G, p) == n1:

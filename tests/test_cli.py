@@ -197,6 +197,12 @@ def test_leakage_bad_eve_exit(capsys, argv):
 # random_linear with n1 > 2n: no full-rank generator exists
 INFEASIBLE_CONFIG = {"p": 2, "n": 2, "n1": 5, "n2": 1, "n3": 1, "mix_bob_to_alice": 0.05,
                      "mix_alice_to_bob": 0.05, "code": "random_linear", "seed": 1}
+# the README simulate config, and invalid variants of it
+README_CONFIG = {"p": 2, "n": 8, "n1": 4, "n2": 1, "n3": 2, "mix_bob_to_alice": 0.05,
+                 "mix_alice_to_bob": 0.05, "code": "repetition:4", "seed": 7}
+CONFIG_CHANGES = {"readme": {}, "neg_n2": {"n2": -1, "n3": 2}, "big_n2": {"n2": 3, "n3": 1},
+                  "zero_n3": {"n3": 0}, "str_p": {"p": "x"}, "str_seed": {"seed": "abc"},
+                  "float_n1": {"n1": 4.7, "seed": 7.9}, "null_mix": {"mix_bob_to_alice": None}}
 
 
 @pytest.mark.parametrize("argv,exit_code,prefix", [
@@ -225,6 +231,20 @@ INFEASIBLE_CONFIG = {"p": 2, "n": 2, "n1": 5, "n2": 1, "n3": 1, "mix_bob_to_alic
     (("verify-identities", "--count", "-1"), 2, "invalid arguments:"),
     (("verify-identities", "--count", "0"), 2, "invalid arguments:"),
     (("verify-identities", "--seed", "-1"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{neg_n2}", "--trials", "5"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{big_n2}", "--trials", "5"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{zero_n3}", "--trials", "5"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{str_p}", "--trials", "5"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{str_seed}", "--trials", "5"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{float_n1}", "--trials", "5"), 2, "invalid arguments:"),
+    (("leakage", "--code", "random_linear", "--n", "5"), 4, "size cap exceeded:"),
+    (("simulate", "--config", "{readme}", "--trials", "5", "--message", "1,0,1",
+      "--transcript", "{transcript}"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{readme}", "--trials", "5", "--transcript", "{no_dir}"),
+     2, "invalid arguments:"),
+    (("rates", "--mix-grid", "0:0.1:0.1", "--out", "{no_dir}"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{null_mix}", "--trials", "5"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{number}", "--trials", "5"), 2, "invalid arguments:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"
@@ -232,6 +252,12 @@ def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     not_json = tmp_path / "not.json"
     not_json.write_text("p = 2\n")
     paths = {"config": config, "missing": tmp_path / "missing.json", "not_json": not_json}
+    (tmp_path / "number.json").write_text("5\n")
+    paths.update(transcript=tmp_path / "t.json", no_dir=tmp_path / "no_dir" / "out",
+                 number=tmp_path / "number.json")
+    for name, change in CONFIG_CHANGES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**README_CONFIG, **change}))
     code = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert code == exit_code

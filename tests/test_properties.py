@@ -1,6 +1,6 @@
 """Property-based checks of the batched Toeplitz kernel, the hash laws,
 the batch-first code contract, the F_p x F_p kernels and the bound
-inversions.
+inversions and the Renyi kernel behind the bounds.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The Toeplitz kernel is
@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdckit.bounds import (InfeasibleTargets, SecurityTargets, eps_C_bound,
+from pdckit.bounds import (InfeasibleTargets, SecurityTargets, _renyi, eps_C_bound,
                            eps_E_bound, finite_length_report, m_hat_lengths)
-from pdckit.dists import MarginalDist, PauliDist, convolve, depolarizing, marginal
+from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, marginal,
+                          renyi_entropy)
 from pdckit.estimation import char_table_from_marginals, reconstruct, settings as est_settings
 from pdckit.gf import toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
@@ -376,3 +377,17 @@ def test_eps_C_bound_is_monotone(case):
     assert _no_greater(eps_C_bound(n, lo, P), eps_C_bound(n, hi, P))
     # at a fixed coding length, a longer block never raises it
     assert _no_greater(eps_C_bound(n_big, hi, P), eps_C_bound(n, hi, P))
+
+
+# ---------------------------------------------------------------------------
+# the Renyi kernel of the bounds
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(pauli_dists),
+       st.lists(st.floats(0.0, 1.0 - 1e-9, exclude_min=True), min_size=1, max_size=8))
+def test_renyi_kernel_matches_renyi_entropy(P, alphas):
+    # orders in (0, 1) clear of 1, where renyi_entropy switches to Shannon;
+    # the bounds pass 1/(1+t) and 1-t with t in [0.001, 1], so at most 0.999
+    want = [renyi_entropy(P.flat(), a) for a in alphas]
+    np.testing.assert_allclose(_renyi(P, np.array(alphas)), want, rtol=1e-12, atol=0.0)

@@ -148,7 +148,7 @@ def test_repetition_decodes_small_noise():
 
 
 def test_random_linear_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeCapError):
         random_linear_code(2, 5, 3, dep2(), np.random.default_rng(0))
 
 
