@@ -23,6 +23,11 @@ symbols; it builds no p^{n1} table and the enumeration cap does not apply
 to it.  Polar/LDPC codes are deliberately only an interface;
 check_code_conformance validates third-party plug-ins against the same
 contract, including agreement with exhaustive ML on enumerable instances.
+
+The finite-length bound needs no numerical solver: classical Eve channels
+use Sibson's closed form, and quantum Eve (her half of the preshared state
+plus the intercepted system) the Renyi entropy of the code's syndrome law,
+whose derivation is in ``theorem1_bound``.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ from typing import Callable
 import numpy as np
 
 from . import qexact
-from .dists import PauliDist
+from .dists import PauliDist, renyi_entropy, sibson_mutual_info
 from .gf import _check_int64_dot, all_vectors, toeplitz_apply_batch
 
 _ENUM_CAP = 10**6
 
-# theorem1_bound's t grids: quantum Eve costs one solve per t
+# theorem1_bound's t grids
 _QUANTUM_T_GRID = np.linspace(0.05, 1.0, 20)
 _CLASSICAL_T_GRID = np.linspace(0.01, 1.0, 100)
 _QUANTUM_T_GRID.flags.writeable = False
@@ -351,7 +356,8 @@ def eve_first_symbol(p: int, n: int) -> ClassicalEveChannel:
 class QuantumEveChannel:
     """Eve holds (U_{g_1} x ... x U_{g_n}) tau_AE^{x n} (.)^dag per codeword.
 
-    Dimension grows as (p^3)^n, so n <= 2 and p = 2 are enforced.
+    Dimension grows as (p^3)^n, so n <= 2 and p = 2 are enforced.  ``P`` is
+    kept because ``theorem1_bound`` needs only the noise law, not the states.
     """
 
     is_quantum = True
@@ -359,6 +365,7 @@ class QuantumEveChannel:
     def __init__(self, P: PauliDist, n: int):
         if P.p != 2 or n > 2:
             raise ValueError("quantum Eve instances are limited to p = 2, n <= 2")
+        self.P = P
         self.p = P.p
         self.n = n
         psi = qexact.purify(P)
@@ -450,50 +457,91 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
     return total / len(seeds)
 
 
+def _syndrome_law(P: PauliDist, code: LinearCodeSpec) -> np.ndarray:
+    """Law Q_C over F_p^{n1} (flat, row-major) of the syndrome of g ~ P^{x n}.
+
+    s(g)_j = <g, c_j> with c_j the codeword of the j-th unit vector and
+    <g, c> = sum_i g_x,i c_z,i - g_z,i c_x,i the symplectic form on the
+    pairs (x_i, z_i) = (word[2i], word[2i+1]).  Each site adds the shift
+    g_x c_z,i - g_z c_x,i, so the law is built by n convolutions of p^2
+    shifted copies of a p^{n1} array.
+    """
+    p, n1 = P.p, code.n1
+    gens = code.encode(np.eye(n1, dtype=np.int64))
+    law = np.zeros((p,) * n1)
+    law[(0,) * n1] = 1.0
+    axes = tuple(range(n1))
+    for i in range(code.n):
+        cx, cz = gens[:, 2 * i], gens[:, 2 * i + 1]
+        site = np.zeros_like(law)
+        for (gx, gz), w in np.ndenumerate(P.probs):
+            if w > 0.0:
+                shift = (gx * cz - gz * cx) % p
+                site += w * np.roll(law, tuple(shift.tolist()), axis=axes)
+        law = site
+    return law.reshape(-1)
+
+
 def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
                    return_curve: bool = False):
     """Finite-length leakage bound, capped at 2.
 
         d_bar <= min_t 2^{(1-t)/(1+t)} 2^{(t/(1+t)) (-log2 L2 + I(t))}
 
-    with I(t) the optimized sandwiched Renyi mutual information of Eve's
-    channel restricted to the code, under the uniform codeword distribution.
-    Classical Eve channels use the Sibson closed form; quantum ones the
-    oracle's numerical infimum (any feasible point only enlarges the bound,
-    so validity is preserved).
+    with I(t) the optimized sandwiched Renyi mutual information
+    I~up_{1+t}(M : E) of Eve's channel restricted to the code, under the
+    uniform message distribution.  Classical Eve channels use the Sibson
+    closed form.
 
-    For quantum Eve the infimum is reduced by the code group: Eve's states
-    are W_c tau^{x n} W_c^dag over a linear code, the objective is convex
-    in sigma for alpha > 1 and invariant under every W_c, so a minimiser
-    commutes with the group and all |C| terms equal the c = 0 one.  The
-    solver therefore evaluates one state, tau^{x n}, at the twirl of its
-    iterate.  Each sigma it returns is a density matrix in the commutant,
-    where the one-state value is the exact |C|-state objective, so the
-    bound stays certified.
+    Quantum Eve holds tau_AE^{x n} rotated by W_c on A, where
+    tau_AE = Tr_B |Psi><Psi| and |Psi> = sum_g sqrt(P(g)) |Phi_g>_AB |g>_E
+    purifies the Bell-diagonal preshared state (``qexact.purify``).  For her
+    I(t) = H_beta(Q_C) with beta = (1+t)/(1+2t), where Q_C is the law of the
+    syndrome s(g)_j = <g, c_j> over the generator words c_j
+    (``_syndrome_law``).  Sketch, with log p^{n1} written as n1 log p:
+
+    1. W_c W_g W_c^dag = omega^{<g,c>} W_g, and tau_AE^{x n} =
+       p^{-n} sum_{g,g'} sqrt(P(g) P(g')) W_g W_{g'}^dag x |g><g'|.  So W_c
+       on A acts as the diagonal phase Z_m = sum_g omega^{m.s(g)} |g><g| on
+       E, where c = encode(m): Eve's state for m is
+       rho_m = (I_A x Z_m) tau^{x n} (I_A x Z_m)^dag.
+    2. M is uniform, so I~up_alpha(M : AE) = n1 log p - H~up_alpha(M|AE).
+    3. |Omega> = p^{-n1/2} sum_m |m>_M |m>_M' (Z_m)_E |Psi^{x n}>_ABE
+       purifies rho_MAE.  Duality of the optimised sandwiched conditional
+       entropies gives H~up_alpha(M|AE) = -H~up_beta(M|M'B) with
+       1/alpha + 1/beta = 2 (Mueller-Lennert et al., J. Math. Phys. 54,
+       122203 (2013); Beigi, J. Math. Phys. 54, 122202 (2013)).
+    4. Tracing out E keeps only the g = g' terms, and every Bell state has
+       Tr_A |Phi_g><Phi_g| = I_B / p^n.  So rho_MM'B = rho_MM' x I_B / p^n
+       with rho_MM' = p^{-n1} sum_{m,m'} chi(m - m') |mm><m'm'|, where chi
+       is the characteristic function of Q_C.  This matrix is circulant in
+       m, so its eigenvalues are the masses of Q_C.  B is in a fixed
+       product state, so H~up_beta(M|M'B) = H~up_beta(M|M').
+    5. rho_MM' is invariant under X^a x X^a and Z^k x Z^{-k}.  Data
+       processing (beta >= 1/2) under that twirl puts the optimal sigma_M'
+       at I / p^{n1}, so H~up_beta(M|M') = H_beta(Q_C) - n1 log p.
+
+    Together, H~up_alpha(M|AE) = n1 log p - H_beta(Q_C), and step 2 gives
+    I(t) = H_beta(Q_C).  On the t grid alpha = 1+t lies in (1, 2] and beta
+    in [2/3, 1).  The tests check the closed form against the solver's
+    |C|-state infimum at every t, at p = 2 and p = 3.
     """
-    from .dists import sibson_mutual_info
-
     if l2_size < 1:
         raise ValueError("L2 size must be >= 1")
-    words = code.all_codewords()
+    words = code.all_codewords()  # also bounds the p^{n1} syndrome law
     if eve.is_quantum:
-        state = eve.state(np.zeros(2 * code.n, dtype=np.int64))
-        group = eve.weyl_group(words)
+        syndromes = _syndrome_law(eve.P, code)
     else:
         weights = np.full(len(words), 1.0 / len(words))
         Wmat = np.stack([eve.state(w) for w in words]).T  # (outputs, inputs)
 
     best = np.inf
     curve = []
-    sigma = None
     for t in _QUANTUM_T_GRID if eve.is_quantum else _CLASSICAL_T_GRID:
-        alpha = 1.0 + t
         if eve.is_quantum:
-            f, sigma = qexact._minimize_xi(state, [1.0], alpha, sigma0=sigma,
-                                           group=group)
-            info = float(np.log2(f) / t)
+            info = renyi_entropy(syndromes, (1.0 + t) / (1.0 + 2.0 * t))
         else:
-            info = sibson_mutual_info(weights, Wmat, alpha)
+            info = sibson_mutual_info(weights, Wmat, 1.0 + t)
         log2_val = (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (-np.log2(l2_size) + info)
         val = min(2.0, float(np.exp2(log2_val)))
         curve.append((float(t), val))

@@ -240,6 +240,10 @@ CONFIG_CHANGES = {"readme": {}, "neg_n2": {"n2": -1, "n3": 2}, "big_n2": {"n2": 
     (("leakage", "--code", "random_linear", "--n", "5"), 4, "size cap exceeded:"),
     (("simulate", "--config", "{readme}", "--trials", "5", "--message", "1,0,1",
       "--transcript", "{transcript}"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{readme}", "--trials", "5", "--message", "5",
+      "--transcript", "{transcript}"), 2, "invalid arguments:"),
+    (("simulate", "--config", "{readme}", "--trials", "5", "--message=-1",
+      "--transcript", "{transcript}"), 2, "invalid arguments:"),
     (("simulate", "--config", "{readme}", "--trials", "5", "--transcript", "{no_dir}"),
      2, "invalid arguments:"),
     (("rates", "--mix-grid", "0:0.1:0.1", "--out", "{no_dir}"), 2, "invalid arguments:"),

@@ -155,7 +155,7 @@ def test_pinned_cases_cover_every_mode():
 
 # sha256 of the stdout of ``pdckit <argv>``
 CLI_DIGESTS = {
-    # quantum-Eve leakage: exact enumeration and the group-reduced solver
+    # quantum-Eve leakage: exact enumeration and the closed-form bound
     "leakage --n 1 --n2 1 --n3 0 --code identity --eve quantum:0.25":
         "c5b0ae775152968190f0aa368c1e532ca37aaa79a0ed98eeb8026f47c74de43c",
     # the F_p x F_p kernels (convolve, reconstruct) and the bound inversions

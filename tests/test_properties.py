@@ -1,6 +1,7 @@
 """Property-based checks of the batched Toeplitz kernel, the hash laws,
 the batch-first code contract, the F_p x F_p kernels and the bound
-inversions and the Renyi kernel behind the bounds.
+inversions, the Renyi kernel behind the bounds and the syndrome law behind
+quantum Eve's leakage bound.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The Toeplitz kernel is
@@ -24,7 +25,8 @@ from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, margi
 from pdckit.estimation import char_table_from_marginals, reconstruct, settings as est_settings
 from pdckit.gf import toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
-from pdckit.wiretap import _generator_code, identity_code, repetition_code
+from pdckit.wiretap import (_QUANTUM_T_GRID, _generator_code, _syndrome_law, identity_code,
+                            repetition_code)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -391,3 +393,72 @@ def test_renyi_kernel_matches_renyi_entropy(P, alphas):
     # the bounds pass 1/(1+t) and 1-t with t in [0.001, 1], so at most 0.999
     want = [renyi_entropy(P.flat(), a) for a in alphas]
     np.testing.assert_allclose(_renyi(P, np.array(alphas)), want, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the syndrome law Q_C of quantum Eve's leakage bound
+# ---------------------------------------------------------------------------
+
+# the Renyi orders (1+t)/(1+2t) that theorem1_bound evaluates
+BETAS = (1.0 + _QUANTUM_T_GRID) / (1.0 + 2.0 * _QUANTUM_T_GRID)
+
+
+@st.composite
+def syndrome_cases(draw, kinds=("identity", "repetition", "generator"), rs=(1, 2, 3, 4, 6)):
+    """A code with n <= 3 at p in {2, 3, 5} and a noise law P."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    P = draw(pauli_dists(p))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return identity_code(p, draw(st.integers(1, 3))), P
+    if kind == "repetition":
+        r = draw(st.sampled_from(rs))
+        n1 = draw(st.integers(1, 6 // r).filter(lambda n1: r * n1 % 2 == 0))
+        return repetition_code(p, n1, r, P), P
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    n1 = draw(st.integers(1, min(2 * n, 4)))
+    G = np.vstack([np.eye(n1, dtype=np.int64), rng.integers(0, p, (2 * n - n1, n1))])
+    return _generator_code(G, p, n, P), P
+
+
+@SETTINGS
+@given(syndrome_cases())
+def test_syndrome_law_is_a_probability_vector(case):
+    code, P = case
+    law = _syndrome_law(P, code)
+    assert law.shape == (P.p ** code.n1,)
+    assert law.min() >= 0.0
+    assert abs(law.sum() - 1.0) <= 1e-12
+
+
+@SETTINGS
+@given(syndrome_cases(kinds=["identity"]))
+def test_syndrome_law_of_identity_code_is_n_copies_of_P(case):
+    # s(g) = (-z_1, x_1, ..., -z_n, x_n) is a bijection of g, so Q_C holds
+    # the masses of P^{x n}.  renyi_entropy drops masses below 1e-15, and a
+    # product of small masses of P can fall below it where P's own do not,
+    # which moves H_beta by about 1e-11 at these shapes
+    code, P = case
+    law = _syndrome_law(P, code)
+    product = np.ones(1)
+    for _ in range(code.n):
+        product = np.kron(product, P.flat())
+    np.testing.assert_allclose(np.sort(law), np.sort(product), rtol=0.0, atol=1e-15)
+    for beta in BETAS:
+        assert abs(renyi_entropy(law, beta) - code.n * renyi_entropy(P.flat(), beta)) <= 1e-9
+
+
+@SETTINGS
+@given(syndrome_cases(kinds=["repetition"], rs=(2, 4, 6)))
+def test_syndrome_law_of_even_repetition_is_a_product(case):
+    # each symbol fills r/2 pairs (a, a), so s_j is the sum of r/2 i.i.d.
+    # copies of x - z (one copy at r = 2) and the n1 symbols are independent
+    code, P = case
+    block = PauliDist.point_mass(0, 0, P.p)
+    for _ in range(code.n // code.n1):
+        block = convolve(block, P)
+    law = np.ones(1)
+    for _ in range(code.n1):
+        law = np.kron(law, marginal(block, 1, 1).probs)
+    np.testing.assert_allclose(_syndrome_law(P, code), law, rtol=0.0, atol=1e-15)

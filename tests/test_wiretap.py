@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdckit import qexact as qx
 from pdckit.dists import PauliDist, convolve, depolarizing
 from pdckit.gf import all_vectors
 from pdckit.hashing import SeedS, f_s, f_s_split, psi_s
@@ -330,9 +331,7 @@ def test_leakage_d_matches_wiretap_enumeration():
 
 
 def _unreduced_curve(l2_size, eve, code, t_grid):
-    """theorem1_bound's curve from the |C|-state solver, without the group."""
-    from pdckit import qexact as qx
-
+    """theorem1_bound's curve from the |C|-state solver."""
     words = code.all_codewords()
     states = np.stack([eve.state(w) for w in words])
     weights = np.full(len(words), 1.0 / len(words))
@@ -358,17 +357,50 @@ QUANTUM_BOUND_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(QUANTUM_BOUND_CASES))
-def test_theorem_bound_group_reduction_matches_unreduced(name):
-    code, n2, n3, P, n = QUANTUM_BOUND_CASES[name]()
-    eve = QuantumEveChannel(P, n)
-    l2_size = 2 ** (code.n1 - n2 - n3)
+def _assert_matches_unreduced(l2_size, eve, code):
     best, curve = theorem1_bound(l2_size, eve, code, return_curve=True)
     reference = _unreduced_curve(l2_size, eve, code, [t for t, _ in curve])
     assert len(curve) == 20
     for (_, got), ref in zip(curve, reference):
         assert abs(got - ref) <= 1e-9 * ref
     assert best == min(v for _, v in curve)
+    return curve
+
+
+@pytest.mark.parametrize("name", sorted(QUANTUM_BOUND_CASES))
+def test_theorem_bound_group_reduction_matches_unreduced(name):
+    # the closed form H_beta(Q_C) against the |C|-state solver
+    code, n2, n3, P, n = QUANTUM_BOUND_CASES[name]()
+    _assert_matches_unreduced(2 ** (code.n1 - n2 - n3), QuantumEveChannel(P, n), code)
+
+
+class _QutritEve:
+    """Quantum Eve at p = 3, n = 1, which QuantumEveChannel refuses.
+
+    Built from the oracle's purification directly: Eve's state for codeword
+    c is (W_c x I_E) tau_AE (W_c x I_E)^dag.
+    """
+
+    is_quantum = True
+
+    def __init__(self, P):
+        self.P = P
+        self._tau = qx.partial_trace(qx.purify(P).density(), [0, 2]).matrix
+
+    def state(self, word):
+        u = np.kron(qx.weyl(int(word[0]), int(word[1]), 3), np.eye(9))
+        return u @ self._tau @ u.conj().T
+
+
+@pytest.mark.parametrize("kind", ["identity", "repetition"])
+def test_theorem_bound_closed_form_matches_unreduced_p3(kind):
+    # asymmetric P: pairing the syndrome by the dot product x.x' + z.z'
+    # instead of the symplectic form moves H_beta(Q_C) of rep(3, 1, 2) by
+    # up to 0.06 bit here, far outside the tolerance
+    P = PauliDist(np.random.default_rng(5 if kind == "identity" else 6).dirichlet(np.ones(9)), 3)
+    code = identity_code(3, 1) if kind == "identity" else repetition_code(3, 1, 2, P)
+    curve = _assert_matches_unreduced(3 ** (code.n1 - 1), _QutritEve(P), code)
+    assert all(v < 2.0 for _, v in curve)  # uncapped, so every t compares
 
 
 def test_quantum_eve_weyl_group():
