@@ -160,13 +160,15 @@ def renyi_entropy(probs, alpha: float) -> float:
     """Renyi entropy H_alpha in bits; alpha = 1 routes to Shannon.
 
     H_alpha(P) = log2(sum P(x)^alpha) / (1 - alpha) for alpha > 0, alpha != 1.
+    Only zero masses are dropped: at alpha < 1 a mass of 1e-20 still adds
+    1e-20^alpha to the sum.
     """
     if alpha <= 0:
         raise ValueError(f"Renyi order must be positive, got {alpha}")
     if abs(alpha - 1.0) < 1e-12:
         return shannon(probs)
     x = np.asarray(probs, dtype=float).reshape(-1)
-    x = x[x > _MASS_FLOOR]
+    x = x[x > 0.0]
     return float(np.log2(np.sum(x**alpha)) / (1.0 - alpha))
 
 

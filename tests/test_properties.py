@@ -436,9 +436,9 @@ def test_syndrome_law_is_a_probability_vector(case):
 @given(syndrome_cases(kinds=["identity"]))
 def test_syndrome_law_of_identity_code_is_n_copies_of_P(case):
     # s(g) = (-z_1, x_1, ..., -z_n, x_n) is a bijection of g, so Q_C holds
-    # the masses of P^{x n}.  renyi_entropy drops masses below 1e-15, and a
-    # product of small masses of P can fall below it where P's own do not,
-    # which moves H_beta by about 1e-11 at these shapes
+    # the masses of P^{x n}, and sum Q_C^beta = (sum P^beta)^n.  Products of
+    # small masses of P fall far below P's own (1e-24 at p = 5, n = 3), and
+    # at beta < 1 they still count: a 1e-15 floor moved H_beta by 1e-9
     code, P = case
     law = _syndrome_law(P, code)
     product = np.ones(1)
