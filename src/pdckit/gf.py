@@ -3,11 +3,17 @@
 Everything downstream (hashing, coding, protocol transcripts) works with
 residues modulo a prime p held in int64 numpy arrays.  FieldVec is the
 validated message type at the API edge; inside, vectors are plain arrays
-with leading batch axes.  ``toeplitz_apply_batch`` is the one Toeplitz
-product in the package, over any batch of seeds, with two algorithms that
-return the same integers: a strided-window einsum guarded against int64
-overflow, and for long blocks a zero-padded real FFT, taken only where its
-float error is provably below 1/2 so that rounding recovers the exact sum.
+with leading batch axes.  The batched layers reduce mod p through
+``_mod``, which equals ``a % p`` for every int64 array but computes
+a - (a // p) p on large arrays: numpy divides by a scalar through a
+precomputed multiplier, while its ``%`` runs a hardware division per entry.
+``toeplitz_apply_batch`` is the one Toeplitz product in the package, over
+any batch of seeds, with two algorithms that return the same integers: a
+strided-window einsum guarded against int64 overflow, and for long blocks
+a zero-padded real FFT, taken only where its float error is provably below
+1/2 so that rounding recovers the exact sum.  A seed's spectrum (its FFT)
+depends only on the seed, so a hash seed applied to several inputs
+computes it once (``_seed_spectrum``) and passes it to ``_toeplitz``.
 
 Index convention for Toeplitz matrices: with a seed vector V of length
 d1+d2-1 (1-based entries V_1..V_{d1+d2-1}), the d1 x d2 matrix is
@@ -86,6 +92,29 @@ def _check_int64_dot(p: int, length: int) -> None:
             f"a length-{length} dot product of residues mod {p} can overflow int64")
 
 
+# Smallest array that ``_mod`` reduces by division: below it one ``%`` beats
+# three ufunc calls.  Measured on a 2-vCPU machine for (1, size) arrays at
+# p = 2, 31 and 65521: the two meet between 512 and 1,024 entries; at 2,048
+# entries ``%`` takes 10 us and the division 7 us.
+_DIV_MIN_SIZE = 1024
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """``a % p`` for an int64 array and a prime p, as a new array.
+
+    Large arrays take a - (a // p) p, computed in the one output array.  It
+    is exact for every int64 entry: where q p wraps near INT64_MIN, the true
+    result fits int64, so the wrap in the subtraction cancels it.  Every
+    step is an array ufunc with ``out=``, so a 0-d input cannot reach
+    numpy's scalar arithmetic, which warns on the wrap.
+    """
+    if a.size < _DIV_MIN_SIZE:
+        return a % p
+    out = np.floor_divide(a, p, out=np.empty_like(a))
+    np.multiply(out, p, out=out)
+    return np.subtract(a, out, out=out)
+
+
 def all_vectors(p: int, length: int) -> np.ndarray:
     """All p**length vectors over F_p, one per row, in lexicographic order."""
     idx = np.arange(p**length, dtype=np.int64)
@@ -93,11 +122,38 @@ def all_vectors(p: int, length: int) -> np.ndarray:
 
 
 # Smallest d1*d2 that takes the FFT path.  Measured with one BLAS thread on
-# a 2-vCPU machine, p = 2, batch of 250 rows (einsum vs FFT, microseconds):
-# 32x32 122 vs 99, 48x48 247 vs 306, 64x64 408 vs 265, 192x320 5,617 vs
-# 1,317.  A single row pays up to about 10 us more per call in the FFT from
-# 4,096 to about 30,000, where the two meet; a transcript does not notice.
+# a 2-vCPU machine, p = 2, batch of 250 rows, best of three runs (einsum vs
+# FFT vs FFT given the seed's spectrum, microseconds): 32x32 187 vs 191 vs
+# 136, 48x48 393 vs 626 vs 349, 64x64 1,028 vs 517 vs 249, 192x320 12,597
+# vs 3,374 vs 1,898.  The paths meet between 48x48 and 64x64 with or without
+# the reused spectrum.  A single row pays 12 to 20 us more per call in the
+# FFT at 64x64 and 4 to 9 us at 96x320; a transcript does not notice.
 _FFT_MIN_PRODUCT = 4096
+
+
+def _seed_spectrum(seeds: np.ndarray, d1: int, d2: int, p: int) -> np.ndarray | None:
+    """The seeds' real FFT where d1 x d2 products mod p take the FFT path, else None.
+
+    Raises ValueError when (p-1)^2 d2 can overflow int64, so no product is
+    attempted that neither algorithm can return exactly.
+    """
+    _check_int64_dot(p, d2)
+    if d1 * d2 >= _FFT_MIN_PRODUCT and (p - 1) ** 4 * (d1 + d2 - 1) * d2 <= 2**60:
+        return np.fft.rfft(seeds, 1 << (d1 + d2 - 2).bit_length())
+    return None
+
+
+def _toeplitz(seeds: np.ndarray, spectrum: np.ndarray | None, xs: np.ndarray,
+              d1: int, d2: int, p: int) -> np.ndarray:
+    """``toeplitz_apply_batch`` on checked int64 arrays, given ``_seed_spectrum(seeds)``."""
+    if spectrum is not None:
+        n = 1 << (d1 + d2 - 2).bit_length()
+        full = np.fft.irfft(spectrum * np.fft.rfft(xs, n), n)[..., d2 - 1:d1 + d2 - 1]
+        return _mod(np.rint(full, out=full).astype(np.int64), p)
+    step = seeds.strides[-1]
+    window = as_strided(seeds, seeds.shape[:-1] + (d1, d2),
+                        seeds.strides[:-1] + (step, step), writeable=False)
+    return _mod(np.einsum("...ik,...k->...i", window, xs[..., ::-1]), p)
 
 
 def toeplitz_apply_batch(seeds, xs, d1: int, d2: int, p: int) -> np.ndarray:
@@ -127,20 +183,14 @@ def toeplitz_apply_batch(seeds, xs, d1: int, d2: int, p: int) -> np.ndarray:
       any N that fits in memory, so rounding returns the einsum's integers
       bit for bit.
 
-    Above the exactness rule (large p) only the direct path is exact.
+    Above the exactness rule (large p) only the direct path is exact.  The
+    seeds' transform is the only part of the FFT path that does not depend
+    on x; the hash seeds compute it once and reuse it through ``_toeplitz``.
     """
-    _check_int64_dot(p, d2)
     seeds = np.asarray(seeds, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
     if seeds.shape[-1:] != (d1 + d2 - 1,):
         raise ValueError(f"seed shape {seeds.shape} needs a last axis of d1+d2-1 = {d1 + d2 - 1}")
     if xs.shape[-1:] != (d2,):
         raise ValueError(f"input shape {xs.shape} needs a last axis of d2 = {d2}")
-    if d1 * d2 >= _FFT_MIN_PRODUCT and (p - 1) ** 4 * (d1 + d2 - 1) * d2 <= 2**60:
-        n = 1 << (d1 + d2 - 2).bit_length()
-        full = np.fft.irfft(np.fft.rfft(seeds, n) * np.fft.rfft(xs, n), n)
-        return np.rint(full[..., d2 - 1:d1 + d2 - 1]).astype(np.int64) % p
-    step = seeds.strides[-1]
-    window = as_strided(seeds, seeds.shape[:-1] + (d1, d2),
-                        seeds.strides[:-1] + (step, step), writeable=False)
-    return np.einsum("...ik,...k->...i", window, xs[..., ::-1]) % p
+    return _toeplitz(seeds, _seed_spectrum(seeds, d1, d2, p), xs, d1, d2, p)

@@ -15,15 +15,21 @@ and every input is an int array whose last axis is the vector; leading
 axes broadcast, so one call hashes a whole Monte Carlo batch and a single
 vector is just the unbatched case.  Seeds are drawn by the protocol layer
 from its seeded RNG streams; hashing itself is deterministic.
+
+A seed object is read-only: its ``vec`` is reduced mod p once and cannot
+be written, so it owns its Toeplitz spectrum, computed by the gf kernel on
+first use and reused by every later hash under that seed (psi_S at encode
+and f_S at decode share one; the two g_S' calls of a run share another).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gf import _check_prime, toeplitz_apply_batch
+from .gf import _check_prime, _mod, _seed_spectrum, _toeplitz
 
 
 def _check_len(name: str, arr: np.ndarray, length: int) -> None:
@@ -32,8 +38,9 @@ def _check_len(name: str, arr: np.ndarray, length: int) -> None:
 
 
 def _seed_array(vec, length: int, p: int) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.int64) % p
+    arr = _mod(np.asarray(vec, dtype=np.int64), p)
     _check_len("seed", arr, length)
+    arr.flags.writeable = False
     return arr
 
 
@@ -53,6 +60,16 @@ class SeedS:
         object.__setattr__(self, "p", _check_prime(self.p))
         object.__setattr__(self, "vec", _seed_array(self.vec, self.n1 - 1, self.p))
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray | None:
+        k = self.n2 + self.n3
+        return _seed_spectrum(self.vec, k, self.n1 - k, self.p)
+
+    def _apply(self, L2: np.ndarray) -> np.ndarray:
+        """T(S) L2 mod p, the (n2+n3) x (n1-n2-n3) product."""
+        k = self.n2 + self.n3
+        return _toeplitz(self.vec, self._spectrum, L2, k, self.n1 - k, self.p)
+
 
 @dataclass(frozen=True)
 class SeedSPrime:
@@ -69,6 +86,14 @@ class SeedSPrime:
         object.__setattr__(self, "p", _check_prime(self.p))
         object.__setattr__(self, "vec", _seed_array(self.vec, self.n2 + self.n3 - 1, self.p))
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray | None:
+        return _seed_spectrum(self.vec, self.n3, self.n2, self.p)
+
+    def _apply(self, M: np.ndarray) -> np.ndarray:
+        """T(S') M mod p, the n3 x n2 product."""
+        return _toeplitz(self.vec, self._spectrum, M, self.n3, self.n2, self.p)
+
 
 def f_s(seed: SeedS, L) -> np.ndarray:
     """M' = L1 + T(S) L2 row-wise, with L1 the first n2+n3 symbols of L.
@@ -78,8 +103,7 @@ def f_s(seed: SeedS, L) -> np.ndarray:
     L = np.asarray(L, dtype=np.int64)
     _check_len("input", L, seed.n1)
     k = seed.n2 + seed.n3
-    t = toeplitz_apply_batch(seed.vec, L[..., k:], k, seed.n1 - k, seed.p)
-    return (L[..., :k] + t) % seed.p
+    return _mod(L[..., :k] + seed._apply(L[..., k:]), seed.p)
 
 
 def f_s_split(seed: SeedS, L) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +118,7 @@ def g_sprime(seed: SeedSPrime, M, Y) -> np.ndarray:
     _check_len("Y", Y, seed.n3)
     M = np.asarray(M, dtype=np.int64)
     _check_len("M", M, seed.n2)
-    return (Y + toeplitz_apply_batch(seed.vec, M, seed.n3, seed.n2, seed.p)) % seed.p
+    return _mod(Y + seed._apply(M), seed.p)
 
 
 def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
@@ -107,9 +131,6 @@ def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
     M, Y, L2 = (np.asarray(v, dtype=np.int64) for v in (M, Y, L2))
     _check_len("M", M, seed.n2)
     _check_len("Y", Y, seed.n3)
-    k = seed.n2 + seed.n3
-    _check_len("L2", L2, seed.n1 - k)
-    t = toeplitz_apply_batch(seed.vec, L2, k, seed.n1 - k, seed.p)
-    head = (np.concatenate([Y, M], axis=-1) - t) % seed.p
-    return np.concatenate([head, L2 % seed.p], axis=-1)
-
+    _check_len("L2", L2, seed.n1 - seed.n2 - seed.n3)
+    head = np.concatenate([Y, M], axis=-1) - seed._apply(L2)
+    return _mod(np.concatenate([head, L2], axis=-1), seed.p)

@@ -31,7 +31,7 @@ from scipy.optimize import linprog
 from .bounds import eps_E_bound
 from .dists import PauliDist, convolve
 from .qexact import SizeCapError
-from .gf import FieldVec, all_vectors
+from .gf import FieldVec, _mod, all_vectors
 from .hashing import SeedS, SeedSPrime, f_s_split, g_sprime, psi_s
 from .wiretap import ClassicalChannelWc, LinearCodeSpec
 
@@ -154,42 +154,43 @@ def _engine(config: ProtocolConfig, msgs: np.ndarray, streams,
             adversary: AdversaryMode, masked: bool = False) -> dict:
     """One batched protocol pass; every returned array has one row per trial.
 
-    Draws seeds, covers, L2 and (masked) the public pad, encodes, and in
-    intercept mode stops there.  Otherwise
-    the words cross the channel, are tampered with if asked (the default
-    rule is one bulk uniform draw, a custom rule is called per row), and are
-    decoded, hashed back and verified.
+    Draws the seed S, covers, L2 and (masked) the public pad, encodes, and
+    in intercept mode stops there.  Otherwise the words cross the channel,
+    are tampered with if asked (the default rule is one bulk uniform draw, a
+    custom rule is called per row), and are decoded and hashed back.  S' and
+    C = g_S'(M, Y) come last, with the verdict: S' has its own stream, so
+    the draw order changes no value, and its seed and spectrum are not held
+    through decoding.
     """
     p, n1, n2, n3 = config.p, config.n1, config.n2, config.n3
     k = n2 + n3
     trials = msgs.shape[0]
     seed_s = SeedS(streams["s"].integers(0, p, (trials, n1 - 1)), n1, n2, n3, p)
-    seed_sp = SeedSPrime(streams["s_prime"].integers(0, p, (trials, k - 1)), n2, n3, p)
     ys = streams["y"].integers(0, p, (trials, n3))
-    l2s = streams["l2"].integers(0, p, (trials, n1 - k))
-    infos = psi_s(seed_s, msgs, ys, l2s)
+    infos = psi_s(seed_s, msgs, ys, streams["l2"].integers(0, p, (trials, n1 - k)))
     x = config.code.encode(infos)
     x_bar = streams["mask"].integers(0, p, (trials, 2 * config.n)) if masked else None
-    run = {"s": seed_s.vec, "s_prime": seed_sp.vec, "c": g_sprime(seed_sp, msgs, ys),
-           "x": x, "infos": infos, "x_bar": x_bar, "x_hat": None, "m_hat": None,
-           "y_hat": None, "accept": None}
-    if adversary.kind == "intercept":
-        return run
-    channel = ClassicalChannelWc(config.effective_noise())
-    if masked:
-        x_hat = (channel.sample_batch((x + x_bar) % p, streams["noise"]) - x_bar) % p
-    else:
-        x_hat = channel.sample_batch(x, streams["noise"])
-    if adversary.kind == "tamper":
-        rng = streams["adversary"]
-        if adversary.tamper_fn is None:
-            x_hat = rng.integers(0, p, x_hat.shape)
+    run = {"s": seed_s.vec, "x": x, "infos": infos, "x_bar": x_bar, "x_hat": None,
+           "m_hat": None, "y_hat": None, "accept": None}
+    if adversary.kind != "intercept":
+        channel = ClassicalChannelWc(config.effective_noise())
+        if masked:
+            x_hat = _mod(channel.sample_batch(_mod(x + x_bar, p), streams["noise"]) - x_bar, p)
         else:
-            x_hat = np.stack([adversary.tamper_fn(r, rng) for r in x_hat])
-    decoded = config.code.decode_batch(x_hat)
-    y_hat, m_hat = f_s_split(seed_s, decoded)
-    run.update(x_hat=x_hat, decoded=decoded, y_hat=y_hat, m_hat=m_hat,
-               accept=verify(seed_sp, m_hat, y_hat, run["c"]))
+            x_hat = channel.sample_batch(x, streams["noise"])
+        if adversary.kind == "tamper":
+            rng = streams["adversary"]
+            if adversary.tamper_fn is None:
+                x_hat = rng.integers(0, p, x_hat.shape)
+            else:
+                x_hat = np.stack([adversary.tamper_fn(r, rng) for r in x_hat])
+        decoded = config.code.decode_batch(x_hat)
+        y_hat, m_hat = f_s_split(seed_s, decoded)
+        run.update(x_hat=x_hat, decoded=decoded, y_hat=y_hat, m_hat=m_hat)
+    seed_sp = SeedSPrime(streams["s_prime"].integers(0, p, (trials, k - 1)), n2, n3, p)
+    run.update(s_prime=seed_sp.vec, c=g_sprime(seed_sp, msgs, ys))
+    if run["m_hat"] is not None:
+        run["accept"] = verify(seed_sp, run["m_hat"], run["y_hat"], run["c"])
     return run
 
 

@@ -32,6 +32,7 @@ whose derivation is in ``theorem1_bound``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import qexact
 from .dists import PauliDist, renyi_entropy, sibson_mutual_info
-from .gf import _check_int64_dot, all_vectors, toeplitz_apply_batch
+from .gf import _check_int64_dot, _mod, all_vectors, toeplitz_apply_batch
 
 _ENUM_CAP = 10**6
 
@@ -133,7 +134,7 @@ def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
 
 def identity_code(p: int, n: int) -> LinearCodeSpec:
     """The trivial rate-1 code with n1 = 2n."""
-    ident = lambda v: np.asarray(v, dtype=np.int64) % p
+    ident = lambda v: _mod(np.asarray(v, dtype=np.int64), p)
     return LinearCodeSpec(p=p, n=n, n1=2 * n, encode=ident, decode_batch=ident)
 
 
@@ -142,7 +143,7 @@ def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist) -> LinearCo
     _check_int64_dot(p, n1)  # encode's v @ G.T must not overflow int64
 
     def encode(v):
-        return (np.asarray(v, dtype=np.int64) % p) @ G.T % p
+        return _mod(_mod(np.asarray(v, dtype=np.int64), p) @ G.T, p)
 
     msgs = all_vectors(p, n1)
     return LinearCodeSpec(p=p, n=n, n1=n1, encode=encode,
@@ -169,7 +170,7 @@ def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec
     decode_blocks = _batch_ml_decoder(np.repeat(inner, r, axis=1), inner, noise)
 
     def encode(v):
-        return np.repeat(np.asarray(v, dtype=np.int64) % p, r, axis=-1)
+        return np.repeat(_mod(np.asarray(v, dtype=np.int64), p), r, axis=-1)
 
     def decode_batch(words):
         words = np.asarray(words, dtype=np.int64)
@@ -268,19 +269,27 @@ class ClassicalChannelWc:
 
     def sample(self, codeword: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """received_i = codeword_i + N_i with N_i i.i.d. pair noise."""
-        return self.sample_batch(codeword[None, :], rng)[0]
+        return self.sample_batch(codeword, rng)
 
     def sample_batch(self, codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        cw = np.atleast_2d(np.asarray(codewords, dtype=np.int64))
+        """Noisy copies of (..., 2n) codewords, one pair label drawn per pair.
+
+        The labels are drawn as one (words, n) block over the words in
+        row-major order, whatever the leading axes.  Each is the inverse CDF
+        of the pair law at one ``rng.random`` draw, the way
+        ``rng.choice(p * p, p=law)`` draws, without its per-call validation
+        of a law PauliDist has already checked.  A label v becomes the pair
+        (v // p, v % p) by a lookup in the p^2 x 2 table of all pairs.
+        """
+        cw = np.asarray(codewords, dtype=np.int64)
         p = self.noise.p
-        if cw.shape[1] % 2:
+        if cw.ndim == 0 or cw.shape[-1] % 2:
             raise ValueError("codewords must hold whole symplectic pairs")
-        npairs = cw.shape[1] // 2
-        labels = rng.choice(p * p, size=(cw.shape[0], npairs), p=self.noise.flat())
-        noise = np.empty_like(cw)
-        noise[:, 0::2] = labels // p
-        noise[:, 1::2] = labels % p
-        return (cw + noise) % p
+        cdf = np.cumsum(self.noise.flat())
+        cdf /= cdf[-1]
+        labels = cdf.searchsorted(rng.random((math.prod(cw.shape[:-1]), cw.shape[-1] // 2)),
+                                  side="right")
+        return _mod(cw + np.take(all_vectors(p, 2), labels, axis=0).reshape(cw.shape), p)
 
 
 class ClassicalEveChannel:
@@ -414,7 +423,7 @@ def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
     avg = sum(states) / len(states)
     weights = p ** np.arange(k - 1, -1, -1)
     for seed_vec in seeds:
-        mvals = (infos[:, :k] + toeplitz_apply_batch(seed_vec, infos[:, k:], k, n1 - k, p)) % p
+        mvals = _mod(infos[:, :k] + toeplitz_apply_batch(seed_vec, infos[:, k:], k, n1 - k, p), p)
         midx = mvals @ weights
         norms = []
         for m in range(p**k):

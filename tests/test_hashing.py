@@ -196,3 +196,17 @@ def test_parameter_validation():
         psi_s(seed, [0], [0], [0])  # L2 needs n1 - n2 - n3 = 2 symbols
     with pytest.raises(ValueError):
         g_sprime(SeedSPrime([0, 0], 2, 1, 2), [0], [0])  # M needs n2 = 2
+
+
+def test_seed_vec_is_read_only():
+    # a seed owns its spectrum, so its residues cannot change under it
+    raw = np.array([3, 0, 1])
+    seed = SeedS(raw, 4, 1, 1, 2)
+    with pytest.raises(ValueError):
+        seed.vec[0] = 0
+    with pytest.raises(ValueError):
+        SeedSPrime(raw, 2, 2, 2).vec[1] = 1
+    # the caller's array is reduced into a copy, and stays writable
+    raw[0] = 5
+    assert seed.vec.tolist() == [1, 0, 1]
+

@@ -4,14 +4,18 @@ inversions, the Renyi kernel behind the bounds and the syndrome law behind
 quantum Eve's leakage bound.
 
 Primes up to 31, random lengths and random batch shapes (including the
-batch of one that a protocol transcript uses).  The Toeplitz kernel is
-compared against a pure-Python-int double loop, so the reference cannot
-share an overflow or an indexing slip with the code under test; long
-blocks and primes up to 2^31 - 1 reach both of its algorithms (the FFT
-and the int64 einsum) and the exactness cut between them.  The
+batch of one that a protocol transcript uses).  The reduction mod p is
+compared with numpy's ``%`` over the whole int64 range.  The Toeplitz
+kernel is compared against a pure-Python-int double loop, so the reference
+cannot share an overflow or an indexing slip with the code under test;
+long blocks and primes up to 2^31 - 1 reach both of its algorithms (the
+FFT and the int64 einsum), the exactness cut between them, and a hash
+seed's reused spectrum.  The
 convolution and character-inversion kernels are compared bit for bit
 against the per-cell loops they replaced, which fix the summation order.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from pdckit.bounds import (InfeasibleTargets, SecurityTargets, _renyi, eps_C_bou
 from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, marginal,
                           renyi_entropy)
 from pdckit.estimation import char_table_from_marginals, reconstruct, settings as est_settings
+from pdckit import gf
 from pdckit.gf import toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
 from pdckit.wiretap import (_QUANTUM_T_GRID, _generator_code, _syndrome_law, identity_code,
@@ -36,6 +41,35 @@ def reference_matvec(seed, x, d1, d2, p):
     """y_i = sum_j V_{i-j+d2} x_j (1-based) over Python ints."""
     return [sum(int(seed[i - j + d2 - 1]) * int(x[j - 1]) for j in range(1, d2 + 1)) % p
             for i in range(1, d1 + 1)]
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 31, 1627, 65521, 2**31 - 1]),
+       st.sampled_from([(), (1,), (3, 5), (2, 700)]),
+       st.lists(st.integers(INT64.min, INT64.max), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_mod_equals_remainder_on_all_int64(p, shape, picks, seed):
+    # (2, 700) reaches the division path; forcing it on every size also
+    # covers 0-d arrays, where numpy's scalar arithmetic would warn on the
+    # wrap of q p near INT64_MIN
+    rng = np.random.default_rng(seed)
+    edges = [INT64.min, INT64.min + 1, INT64.max, -p, -1, 0, p - 1, *picks]
+    a = np.asarray(rng.integers(INT64.min, INT64.max, shape, endpoint=True))
+    a.reshape(-1)[rng.integers(0, a.size, len(edges))] = edges  # repeats: last wins
+    arrays = [a] + [np.array(v, dtype=np.int64) for v in edges]
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for min_size in (gf._DIV_MIN_SIZE, 0):
+            mp.setattr(gf, "_DIV_MIN_SIZE", min_size)
+            for arr in arrays:
+                before = arr.copy()
+                got = gf._mod(arr, p)
+                assert got.shape == arr.shape and got.dtype == np.int64
+                assert np.array_equal(got, arr % p)
+                assert np.array_equal(arr, before)
 
 
 @st.composite
@@ -77,6 +111,18 @@ def test_kernel_matches_python_reference(case):
 @given(long_toeplitz_cases())
 def test_kernel_matches_python_reference_on_long_blocks(case):
     _check_against_reference(case)
+    # one hash seed object applied to two inputs: the second product reuses
+    # the spectrum the first one computed (g_S' with Y = 0 is T(S') M)
+    p, d1, d2, seeds, xs = case
+    if d2 == 0:
+        return
+    seed = SeedSPrime(seeds, d2, d1, p)
+    zero = np.zeros(seeds.shape[:-1] + (d1,), dtype=np.int64)
+    flat_s = seeds.reshape(-1, d1 + d2 - 1)
+    for x in (xs, p - 1 - xs):
+        got = g_sprime(seed, x, zero).reshape(-1, d1)
+        for row, s, xrow in zip(got, flat_s, x.reshape(-1, d2)):
+            assert row.tolist() == reference_matvec(s, xrow, d1, d2, p)
 
 
 @pytest.mark.parametrize("p,fft", [(1627, True), (1637, False)])

@@ -186,6 +186,22 @@ def test_monte_carlo_long_repetition_code(n1, trials):
     assert stats["abort_rate"] <= stats["ecc_block_error_rate"] + 1e-12
 
 
+def test_monte_carlo_transforms_each_seed_once(monkeypatch):
+    # the mc_hash benchmark shape: all four Toeplitz products take the FFT
+    # path; S serves psi_S and f_S, S' both g_S' calls, each transformed once
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=fn, **k:
+                            calls.__setitem__(_n, calls[_n] + 1) or _f(*a, **k))
+    d = depolarizing(1e-3, 2)
+    config = ProtocolConfig(p=2, n=256, n1=512, n2=128, n3=64, P=d, P_tilde=d,
+                            code=identity_code(2, 256), master_seed=21)
+    stats = monte_carlo(config, 250)
+    assert calls == {"rfft": 6, "irfft": 4}
+    assert stats["trials"] == 250
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi

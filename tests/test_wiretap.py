@@ -39,6 +39,25 @@ def test_channel_uniform_noise():
     assert np.max(np.abs(freqs - 0.25)) < 0.02
 
 
+def test_channel_batch_first_over_leading_axes():
+    # a (2, 4, 2) batch is 8 one-pair words: it draws the noise of the same
+    # 8 words given as (8, 2), so the two batch rows get different noise
+    noise = PauliDist.uniform(3)
+    words = np.random.default_rng(3).integers(0, 3, (2, 4, 2))
+    ch = ClassicalChannelWc(noise)
+    batched = ch.sample_batch(words, np.random.default_rng(4))
+    flat = ch.sample_batch(words.reshape(8, 2), np.random.default_rng(4))
+    assert batched.shape == (2, 4, 2)
+    assert np.array_equal(batched.reshape(8, 2), flat)
+    assert ch.sample_batch(np.zeros((3, 4, 6), dtype=np.int64),
+                           np.random.default_rng(5)).shape == (3, 4, 6)
+    # a single word draws the same labels as the batch of one
+    single = ch.sample(words[0, 0], np.random.default_rng(6))
+    assert np.array_equal(single, ch.sample_batch(words[0, :1], np.random.default_rng(6))[0])
+    with pytest.raises(ValueError):
+        ch.sample_batch(np.zeros((2, 3), dtype=np.int64), np.random.default_rng(7))
+
+
 def test_channel_pair_error_rate():
     # 1 - identity weight of dep(0.05)*dep(0.05) = 0.073125
     rng = np.random.default_rng(2)
