@@ -20,9 +20,14 @@ likelihood against all p^{n1} codewords, so they stay at desk scale.  The
 repetition code is a direct sum of short inner codes and the pair noise is
 i.i.d., so its ML decoding factorises into independent blocks of one or two
 symbols; it builds no p^{n1} table and the enumeration cap does not apply
-to it.  Polar/LDPC codes are deliberately only an interface;
-check_code_conformance validates third-party plug-ins against the same
-contract, including agreement with exhaustive ML on enumerable instances.
+to it.  The exhaustive decoder scores a received word against every
+codeword.  When the p^{2n} possible received words times the codewords are
+at most ``_TABLE_MAX_WORK`` (2^14, from a measurement of the build time),
+it scores each of them once, at construction, and then decodes by table
+lookup (standard-array decoding).  Polar/LDPC codes are deliberately only
+an interface; check_code_conformance validates third-party plug-ins against
+the same contract, including agreement with exhaustive ML on enumerable
+instances.
 
 The finite-length bound needs no numerical solver: classical Eve channels
 use Sibson's closed form, and quantum Eve (her half of the preshared state
@@ -83,25 +88,49 @@ class LinearCodeSpec:
         return self.encode(self.all_messages())
 
 
-def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
-                      noise: PauliDist):
-    """Exhaustive ML decoding against a codeword table under pair noise.
+# Largest (p^2)^{n_pairs} * n_codewords for which _batch_ml_decoder builds a
+# decision table: received patterns times codewords, the scores its build
+# adds up.  Measured with one BLAS thread on a 2-vCPU machine, best of five,
+# build time over the per-call scorer's setup: p = 2 repetition blocks of 2
+# codewords on 4, 6 and 7 pairs (work 512, 8192, 32768) 0.18, 2.1 and 8.9 ms;
+# 4 codewords on 7 pairs (65536) 11.7 ms; generator codes at p = 2, n = 4
+# with 16 and 64 codewords (4096, 16384) 0.23 and 0.40 ms; p = 3, n = 3 with
+# 27 and 81 codewords (19683, 59049) 0.53 and 0.94 ms.  Below 2^14 no build
+# took over 2.1 ms; at 2^15 and 2^16 the few-codeword blocks cost more than
+# the whole of random_linear_code(3, 4, 8)'s construction (about 6 ms).  A
+# table decodes 10,000 words in 0.1 to 0.35 ms, where scoring took 2 to 19 ms.
+_TABLE_MAX_WORK = 2**14
 
-    Returns ``decode_batch`` on (..., 2n) received words.  A codeword scores
-    the number of its pairs the noise cannot produce, then the summed
+
+def _check_noise_modulus(p: int, noise: PauliDist) -> None:
+    if noise.p != p:
+        raise ValueError(f"noise law is over F_{noise.p}, the code over F_{p}")
+
+
+def _pair_labels(words, p: int) -> np.ndarray:
+    """The (..., n) pair labels x * p + z of (..., 2n) words."""
+    words = np.asarray(words, dtype=np.int64)
+    return words[..., 0::2] * p + words[..., 1::2]
+
+
+def _ml_scorer(p: int, table: np.ndarray, messages: np.ndarray, noise: PauliDist):
+    """Exhaustive ML decisions for (rows, n_pairs) received pair labels.
+
+    A label v stands for the pair (v // p, v % p).  A codeword scores the
+    number of its pairs the noise cannot produce, then the summed
     log-likelihood of the others.  Among the codewords with the fewest such
     pairs, the first (in table order) whose log-likelihood lies within a
     relative 1e-9 of the best wins, so codewords that tie in exact
     arithmetic go to the lexicographically smallest message whatever the
-    rounding.  Scores accumulate pair by pair, in chunk x codewords memory.
+    rounding.  Scores accumulate pair by pair, in chunk x codewords memory,
+    and each row's decision depends on that row alone.
     """
-    p = noise.p
     flat = noise.flat()
     impossible = flat <= 0
     logq = np.log(np.where(impossible, 1.0, flat))
     n_pairs = table.shape[1] // 2
     n_codewords = table.shape[0]
-    cw_pairs = (table[:, 0::2] * p + table[:, 1::2]).astype(np.int64)
+    cw_pairs = _pair_labels(table, p)
     # difference table on pair labels: d[v, v'] = (x-x', z-z') as a label
     v = np.arange(p * p)
     vx, vz = v // p, v % p
@@ -112,12 +141,10 @@ def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
     pair_bad = impossible[noise_label]
     chunk = max(1, 2**20 // n_codewords)
 
-    def decode_batch(words: np.ndarray) -> np.ndarray:
-        words = np.asarray(words, dtype=np.int64)
-        rec_pairs = (words[..., 0::2] * p + words[..., 1::2]).reshape(-1, n_pairs)
-        out = np.empty((rec_pairs.shape[0], messages.shape[1]), dtype=np.int64)
-        for start in range(0, rec_pairs.shape[0], chunk):
-            rp = rec_pairs[start:start + chunk]
+    def decide(labels: np.ndarray) -> np.ndarray:
+        out = np.empty((labels.shape[0], messages.shape[1]), dtype=np.int64)
+        for start in range(0, labels.shape[0], chunk):
+            rp = labels[start:start + chunk]
             ll = np.zeros((rp.shape[0], n_codewords))
             bad = np.zeros((rp.shape[0], n_codewords), dtype=np.int64)
             for j in range(n_pairs):
@@ -127,7 +154,38 @@ def _batch_ml_decoder(table: np.ndarray, messages: np.ndarray,
             best = ll.max(axis=1, keepdims=True)
             winner = np.argmax(ll >= best - 1e-9 * np.abs(best), axis=1)
             out[start:start + chunk] = messages[winner]
-        return out.reshape(words.shape[:-1] + messages.shape[1:])
+        return out
+
+    return decide
+
+
+def _batch_ml_decoder(p: int, table: np.ndarray, messages: np.ndarray,
+                      noise: PauliDist):
+    """Exhaustive ML decoding against a codeword table under pair noise.
+
+    Returns ``decode_batch`` on (..., 2n) received words, with the decisions
+    of ``_ml_scorer``.  When (p^2)^n * n_codewords is at most
+    ``_TABLE_MAX_WORK``, every received pattern is scored once, here, into a
+    decision table (standard-array decoding, Slepian 1956).  A word's row in
+    it is the word read as a base-p number, which is its pair labels read in
+    base p^2, so decoding is one matrix-vector product and one ``take``.
+    Above that size each call scores its own words.  Raises ValueError when
+    the noise law is over another field than the code.
+    """
+    _check_noise_modulus(p, noise)
+    decide = _ml_scorer(p, table, messages, noise)
+    length = table.shape[1]
+    if int(p) ** length * table.shape[0] <= _TABLE_MAX_WORK:
+        decisions = decide(_pair_labels(all_vectors(p, length), p))
+        weights = p ** np.arange(length - 1, -1, -1, dtype=np.int64)
+
+        def decode_batch(words: np.ndarray) -> np.ndarray:
+            return np.take(decisions, np.asarray(words, dtype=np.int64) @ weights, axis=0)
+    else:
+        def decode_batch(words: np.ndarray) -> np.ndarray:
+            labels = _pair_labels(words, p)
+            return decide(labels.reshape(-1, length // 2)).reshape(
+                labels.shape[:-1] + messages.shape[1:])
 
     return decode_batch
 
@@ -147,7 +205,7 @@ def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist) -> LinearCo
 
     msgs = all_vectors(p, n1)
     return LinearCodeSpec(p=p, n=n, n1=n1, encode=encode,
-                          decode_batch=_batch_ml_decoder(encode(msgs), msgs, noise))
+                          decode_batch=_batch_ml_decoder(p, encode(msgs), msgs, noise))
 
 
 def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec:
@@ -161,13 +219,17 @@ def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec
     blocks and decodes all of them at once against the p^g-word inner table
     with the exhaustive decoder, so the decisions, ties included, are those
     of exhaustive ML on the whole code.  No p^{n1} table is built, so the
-    enumeration cap does not apply.
+    enumeration cap does not apply.  Where the p^{gr} possible blocks times
+    the p^g inner codewords are at most ``_TABLE_MAX_WORK`` (even r <= 12 or
+    odd r <= 5 at p = 2; even r <= 6 or r <= 3 at p = 3), the inner decoder
+    holds every block's decision and a block costs one lookup.
+    Raises ValueError when the noise law is over another field than F_p.
     """
     if (r * n1) % 2 != 0:
         raise ValueError("r * n1 must be even (codewords hold symplectic pairs)")
     g = 1 if r % 2 == 0 else 2
     inner = all_vectors(p, g)
-    decode_blocks = _batch_ml_decoder(np.repeat(inner, r, axis=1), inner, noise)
+    decode_blocks = _batch_ml_decoder(p, np.repeat(inner, r, axis=1), inner, noise)
 
     def encode(v):
         return np.repeat(_mod(np.asarray(v, dtype=np.int64), p), r, axis=-1)
@@ -229,6 +291,8 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
     """
     rng = rng or np.random.default_rng(0)
     p, n1 = code.p, code.n1
+    if noise is not None:
+        _check_noise_modulus(p, noise)
     zero = code.encode(np.zeros(n1, dtype=np.int64))
     if zero.shape != (2 * code.n,) or zero.any():
         raise ValueError("encode(0) must be the zero word of length 2n")
@@ -252,7 +316,7 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
             words = np.concatenate([rng.integers(0, p, (samples, 2 * code.n)),
                                     ClassicalChannelWc(noise).sample_batch(sent, rng)])
             got = code.decode_batch(words)
-            ml = _batch_ml_decoder(table, code.all_messages(), noise)(words)
+            ml = _batch_ml_decoder(p, table, code.all_messages(), noise)(words)
             if not np.array_equal(np.asarray(got) % p, ml):
                 raise ValueError("decode disagrees with exhaustive ML decoding")
 
@@ -266,10 +330,6 @@ class ClassicalChannelWc:
     """Additive pair-noise channel W^c(x,z | x',z') = noise(x-x', z-z')."""
 
     noise: PauliDist
-
-    def sample(self, codeword: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """received_i = codeword_i + N_i with N_i i.i.d. pair noise."""
-        return self.sample_batch(codeword, rng)
 
     def sample_batch(self, codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Noisy copies of (..., 2n) codewords, one pair label drawn per pair.

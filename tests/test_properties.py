@@ -1,7 +1,7 @@
 """Property-based checks of the batched Toeplitz kernel, the hash laws,
-the batch-first code contract, the F_p x F_p kernels and the bound
-inversions, the Renyi kernel behind the bounds and the syndrome law behind
-quantum Eve's leakage bound.
+the batch-first code contract, the decision-table ML decoder, the F_p x F_p
+kernels and the bound inversions, the Renyi kernel behind the bounds and
+the syndrome law behind quantum Eve's leakage bound.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The reduction mod p is
@@ -28,10 +28,11 @@ from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, margi
                           renyi_entropy)
 from pdckit.estimation import char_table_from_marginals, reconstruct, settings as est_settings
 from pdckit import gf
-from pdckit.gf import toeplitz_apply_batch
+from pdckit.gf import all_vectors, toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
-from pdckit.wiretap import (_QUANTUM_T_GRID, _generator_code, _syndrome_law, identity_code,
-                            repetition_code)
+from pdckit.wiretap import (_QUANTUM_T_GRID, _TABLE_MAX_WORK, ClassicalChannelWc,
+                            _generator_code, _ml_scorer, _pair_labels, _syndrome_law,
+                            identity_code, random_linear_code, repetition_code)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -251,6 +252,74 @@ def test_code_decode_batch_inverts_encode(case):
     decoded = code.decode_batch(code.encode(infos))
     assert decoded.shape == infos.shape
     assert np.array_equal(decoded, infos)
+    # leading axes survive on both decoder paths: a 3-d batch, one 1-d word
+    # and an empty batch
+    rows = infos.reshape(-1, code.n1)
+    words = code.encode(rows)
+    assert np.array_equal(code.decode_batch(np.stack([words, words[::-1]])),
+                          np.stack([rows, rows[::-1]]))
+    assert np.array_equal(code.decode_batch(words[0]), rows[0])
+    for empty in [(0,), (0, 3), (2, 0)]:
+        got = code.decode_batch(np.zeros(empty + (2 * code.n,), dtype=np.int64))
+        assert got.shape == empty + (code.n1,)
+
+
+@st.composite
+def decoder_cases(draw):
+    """A code, the table its ML decoder scores, the noise law and words.
+
+    Small generator codes and repetition blocks at p in {2, 3} take the
+    decision table; repetition_code(2, 1, 14), random_linear_code(2, 4, 8),
+    repetition_code(3, 4, 7) and random_linear_code(3, 4, 8) lie above the
+    size limit and score every call.  The laws hold exact ties
+    (depolarizing), zero entries (X-only) or random masses.  The words are
+    uniform ones and noisy codewords.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    law = draw(st.sampled_from(["depolarizing", "x_only", "random"]))
+    if law == "depolarizing":
+        P = convolve(depolarizing(0.1, p), depolarizing(0.1, p))
+    elif law == "x_only":
+        P = PauliDist(np.r_[0.7, np.zeros(p - 1), 0.3, np.zeros(p * p - p - 1)], p)
+    else:
+        P = draw(pauli_dists(p))
+    kind = draw(st.sampled_from(["generator", "repetition", "large generator",
+                                 "large repetition"]))
+    if kind == "generator":
+        n = draw(st.integers(1, 3 if p == 2 else 2))
+        n1 = draw(st.integers(1, min(2 * n, 4)))
+        G = np.vstack([np.eye(n1, dtype=np.int64), rng.integers(0, p, (2 * n - n1, n1))])
+        code = _generator_code(G, p, n, P)
+    elif kind == "repetition":
+        r = draw(st.integers(1, 6 if p == 2 else 4))
+        code = repetition_code(p, draw(st.sampled_from([2, 4])), r, P)
+    elif kind == "large generator":
+        code = random_linear_code(p, 4, 8, P, rng)
+    else:
+        code = repetition_code(p, 1, 14, P) if p == 2 else repetition_code(p, 4, 7, P)
+    if kind.endswith("repetition"):
+        r = 2 * code.n // code.n1
+        inner = all_vectors(p, 1 if r % 2 == 0 else 2)
+        table, messages = np.repeat(inner, r, axis=1), inner
+    else:
+        table, messages = code.all_codewords(), code.all_messages()
+    assert (p ** table.shape[1] * len(table) > _TABLE_MAX_WORK) == kind.startswith("large")
+    sent = code.encode(rng.integers(0, p, (40, code.n1)))
+    words = np.concatenate([rng.integers(0, p, (40, 2 * code.n)),
+                            ClassicalChannelWc(P).sample_batch(sent, rng)])
+    return code, table, messages, P, words
+
+
+@SETTINGS
+@given(decoder_cases())
+def test_decision_table_agrees_with_the_shared_scorer(case):
+    # every code decodes as the scorer decides on its (block) words, ties
+    # and impossible pairs included, on the table path and above its limit
+    code, table, messages, P, words = case
+    blocks = words.reshape(-1, table.shape[1])
+    expect = _ml_scorer(code.p, table, messages, P)(_pair_labels(blocks, code.p))
+    assert np.array_equal(code.decode_batch(words), expect.reshape(len(words), code.n1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdckit import qexact as qx
+from pdckit import wiretap
 from pdckit.dists import PauliDist, convolve, depolarizing
 from pdckit.gf import all_vectors
 from pdckit.hashing import SeedS, f_s, f_s_split, psi_s
@@ -26,7 +27,7 @@ def test_channel_noiseless():
     rng = np.random.default_rng(0)
     ch = ClassicalChannelWc(PauliDist.point_mass(0, 0, 2))
     w = rng.integers(0, 2, 16)
-    assert np.array_equal(ch.sample(w, rng), w)
+    assert np.array_equal(ch.sample_batch(w, rng), w)
 
 
 def test_channel_uniform_noise():
@@ -52,7 +53,7 @@ def test_channel_batch_first_over_leading_axes():
     assert ch.sample_batch(np.zeros((3, 4, 6), dtype=np.int64),
                            np.random.default_rng(5)).shape == (3, 4, 6)
     # a single word draws the same labels as the batch of one
-    single = ch.sample(words[0, 0], np.random.default_rng(6))
+    single = ch.sample_batch(words[0, 0], np.random.default_rng(6))
     assert np.array_equal(single, ch.sample_batch(words[0, :1], np.random.default_rng(6))[0])
     with pytest.raises(ValueError):
         ch.sample_batch(np.zeros((2, 3), dtype=np.int64), np.random.default_rng(7))
@@ -108,7 +109,7 @@ def test_exhaustive_ml_tie_rule(p, n1, r):
     # exact arithmetic must still go to the lexicographically smallest message
     noise = convolve(depolarizing(0.05, p), depolarizing(0.05, p))
     code = repetition_code(p, n1, r, noise)
-    decode = _batch_ml_decoder(code.all_codewords(), code.all_messages(), noise)
+    decode = _batch_ml_decoder(p, code.all_codewords(), code.all_messages(), noise)
     words = np.random.default_rng(11).integers(0, p, (2000, n1 * r))
     expect = _zero_label_decisions(words, p, n1, r)
     assert np.array_equal(decode(words), expect)
@@ -120,7 +121,7 @@ def test_exhaustive_ml_impossible_pairs():
     # the fewest impossible pairs, then by likelihood, then lexicographically
     noise = PauliDist([[0.7, 0.3], [0.0, 0.0]], 2)
     table = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
-    decode = _batch_ml_decoder(table, np.array([[0], [1]]), noise)
+    decode = _batch_ml_decoder(2, table, np.array([[0], [1]]), noise)
     # x parts (0, 1): each codeword explains one pair; the z parts favour 1
     assert decode(np.array([0, 1, 1, 1])).tolist() == [1]
     # one impossible pair each and equal likelihoods: the smaller message
@@ -170,6 +171,47 @@ def test_repetition_decodes_small_noise():
 def test_random_linear_caps():
     with pytest.raises(SizeCapError):
         random_linear_code(2, 5, 3, dep2(), np.random.default_rng(0))
+
+
+def test_noise_over_another_field_rejected():
+    # a law over another field would be read with the wrong pair labels:
+    # refused when the code (or the check) is built, not when decoding
+    with pytest.raises(ValueError, match="F_3"):
+        repetition_code(2, 2, 2, depolarizing(0.1, 3))
+    with pytest.raises(ValueError, match="F_2"):
+        repetition_code(3, 2, 2, depolarizing(0.1, 2))
+    with pytest.raises(ValueError, match="F_3"):
+        random_linear_code(2, 2, 2, depolarizing(0.1, 3), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="F_3"):
+        _batch_ml_decoder(2, np.array([[0, 0], [1, 1]]), np.array([[0], [1]]),
+                          depolarizing(0.1, 3))
+    with pytest.raises(ValueError, match="F_3"):
+        check_code_conformance(identity_code(2, 1), noise=depolarizing(0.1, 3))
+
+
+def test_table_scores_each_pattern_once(monkeypatch):
+    # rows of every call of the shared ML scorer
+    rows = []
+    real = wiretap._ml_scorer
+
+    def scorer(*args):
+        decide = real(*args)
+        return lambda labels: rows.append(len(labels)) or decide(labels)
+
+    monkeypatch.setattr(wiretap, "_ml_scorer", scorer)
+    # the criterion-7 code: 3-pair blocks over p = 2, 4^3 patterns, 2 codewords
+    code = repetition_code(2, 10, 6, dep2())
+    assert rows == [64]
+    words = np.random.default_rng(14).integers(0, 2, (500, 60))
+    code.decode_batch(words)
+    assert rows == [64]
+    # above the size limit: nothing at construction, every call scores its words
+    rng = np.random.default_rng(15)
+    code = random_linear_code(3, 4, 8, depolarizing(0.1, 3), rng)
+    assert 81**4 * 3**8 > wiretap._TABLE_MAX_WORK
+    assert rows == [64]
+    code.decode_batch(rng.integers(0, 3, (7, 8)))
+    assert rows == [64, 7]
 
 
 # ---------------------------------------------------------------
@@ -243,7 +285,7 @@ def test_cko_coupled_error_domination():
             l2 = rng.integers(0, p, n1 - n2 - n3)
             info = psi_s(seed, m, y, l2)
             word = code.encode(info)
-            rec = ch.sample(word, rng)
+            rec = ch.sample_batch(word, rng)
             dec = code.decode_batch(rec)
             ecc_bad = not np.array_equal(dec, info)
             got = f_s(seed, dec)
