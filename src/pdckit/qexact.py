@@ -14,20 +14,15 @@ The infimum over sigma_B inside the optimized sandwiched conditional entropy
 has no closed form.  It is computed by quasi-Newton descent on an
 unconstrained PSD factorization (sigma = X X^dag up to trace, with analytic
 Daleckii-Krein gradients), seeded at the reduced state; the seed is
-returned whenever the descent does not end at or below its value.
+returned whenever the descent does not end at or below its value.  There
+is one solver path, over the full list of states.
 Correctness is validated against the closed classical forms available in
 the Weyl-Heisenberg setting.
 
-When the states are one orbit U_c W U_c^dag of a group of Weyl-type
-unitaries under uniform weights (quantum Eve's states over a linear code),
-the solver takes the single state W and the group.  For alpha > 1 the
-objective is convex in sigma and invariant under every U_c, so twirling a
-minimiser, T(sigma) = mean_c U_c sigma U_c^dag, gives another one; on the
-commutant all terms equal the W term.  The objective is evaluated at
-T(X X^dag) and its gradient twirled back, with T applied as an index
-gather because each U_c is a permutation times phases.  Every returned
-sigma is a density matrix in the commutant, where the one-state value is
-the exact orbit objective, so bounds built on it stay certified.
+The discrete Weyl twirl of a two-qudit state is the pinching onto the
+generalized Bell basis: every Bell state is a common eigenvector of the
+operators W(x, z) x conj(W(x, z)), and the twirl keeps exactly the
+Bell-diagonal part.
 """
 
 from __future__ import annotations
@@ -225,14 +220,21 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def twirl(rho: DensityMatrix) -> DensityMatrix:
     """Discrete twirl (1/p^2) sum (W(x,z) x conj(W(x,z))) rho (.)^dag.
 
-    Projects any two-qudit state onto the Bell-diagonal family; idempotent.
+    Computed as the pinching sum_b |b><b| rho |b><b| onto the Bell basis
+    |b> = (W(a,c) x I)|Phi>.  As (I x M)|Phi> = (M^T x I)|Phi>, the operator
+    W(x,z) x conj(W(x,z)) maps |b> to (W(x,z) W(a,c) W(x,z)^dag x I)|Phi>
+    = omega^{za - xc} |b>.  The symplectic form is nondegenerate, so distinct
+    Bell states have distinct characters, and the average over all p^2
+    labels cancels every term |b><b| rho |b'><b'| with b != b'.  The output
+    is Bell-diagonal; the map is idempotent.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError("twirl needs a two-subsystem state with equal dims")
     p = rho.dims[0]
-    ws = [weyl(x, z, p) for x in range(p) for z in range(p)]
-    group = monomial_form([np.kron(w, w.conj()) for w in ws])
-    return DensityMatrix(_group_twirl(*group)(rho.matrix), rho.dims)
+    basis = np.stack([bell_basis_state(x, z, p).vector
+                      for x in range(p) for z in range(p)], axis=1)
+    w = np.diag(basis.conj().T @ rho.matrix @ basis).real
+    return DensityMatrix((basis * w) @ basis.conj().T, rho.dims)
 
 
 def weyl_eigenbasis(k: int, l: int, p: int) -> np.ndarray:
@@ -447,45 +449,7 @@ def _xi_value_and_grad(omega: np.ndarray, states: np.ndarray,
     return F, grad
 
 
-def monomial_form(unitaries) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) with U[..., i, perm[..., i]] = phase[..., i].
-
-    Every Weyl operator, and every tensor product of Weyl operators and
-    identities, has exactly one nonzero entry per row; this is the form
-    ``_minimize_xi``'s ``group`` argument takes.
-    """
-    us = np.asarray(unitaries, dtype=complex)
-    perm = np.argmax(np.abs(us), axis=-1)
-    phase = np.take_along_axis(us, perm[..., None], axis=-1)[..., 0]
-    rebuilt = np.zeros_like(us)
-    np.put_along_axis(rebuilt, perm[..., None], phase[..., None], axis=-1)
-    if (np.max(np.abs(us - rebuilt)) > _HERM_TOL
-            or np.max(np.abs(np.abs(phase) - 1.0)) > _HERM_TOL):
-        raise ValueError("unitary is not a permutation times phases")
-    return perm, phase
-
-
-def _group_twirl(perm: np.ndarray, phase: np.ndarray):
-    """T(m) = mean_c U_c m U_c^dag for monomial unitaries U_c, given as
-    (|C|, D) ``monomial_form`` arrays.
-
-    Applied as an index gather, (U m U^dag)[i, j] = ph_i conj(ph_j) m[perm_i, perm_j],
-    averaged over c.  When the U_c form a group up to phases, T is the
-    orthogonal projection onto their commutant: idempotent, self-adjoint,
-    trace preserving and unital.
-    """
-    dim = perm.shape[1]
-    index = perm[:, :, None] * dim + perm[:, None, :]
-    outer = phase[:, :, None] * phase.conj()[:, None, :] / perm.shape[0]
-
-    def twirl(m):
-        return np.sum(m.reshape(-1)[index] * outer, axis=0)
-
-    return twirl
-
-
-def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
-                 group=None):
+def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None):
     """min over density sigma of sum_x w_x Xi_alpha(W_x || sigma-side).
 
     Returns (min value of the weighted Xi sum, minimizing sigma).  Uses the
@@ -493,38 +457,21 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
     unconstrained complex factor X.  The L-BFGS point is returned only if
     its value is at or below the seed's; otherwise (a worse or non-finite
     value) the seed is, so the result is always a feasible density matrix.
-
-    ``group`` = (perm, phase), the ``monomial_form`` of unitaries U_c that
-    form a group up to phases, declares the problem to be the uniform
-    mixture of U_c W U_c^dag over c for the single state W passed in
-    ``states``.  The objective is then evaluated at the twirl T(X X^dag),
-    where every term equals the one for W, and its gradient is twirled back
-    (T is self-adjoint).  Without ``group`` the solver is unreduced.  Logs
-    one DEBUG record per call on the ``pdckit`` logger.
+    Logs one DEBUG record per call on the ``pdckit`` logger.
     """
     t = alpha - 1.0
     states = np.asarray(states, dtype=complex)
     if states.ndim == 2:
         states = states[None, :, :]
     weights = np.asarray(weights, dtype=float)
-    twirl = None
-    order = 1
-    if group is not None:
-        if trace_first is not None:
-            raise ValueError("the group reduction needs trace_first=None")
-        twirl = _group_twirl(*group)
-        order = len(group[0])
 
     supp = None
     if trace_first is None:
         # the optimum is supported on the joint support of the states:
         # pinching onto it never increases the divergence and any mass off
         # it only wastes normalization.  Restricting shrinks and conditions
-        # the problem when the states are rank deficient.  The twirled mean
-        # is the mean over the whole orbit, so the support is the same.
+        # the problem when the states are rank deficient.
         mean = np.tensordot(weights, states, axes=(0, 0))
-        if twirl is not None:
-            mean = twirl(mean)
         lam_m, v_m = np.linalg.eigh(mean)
         supp = v_m[:, lam_m > 1e-12 * max(lam_m.max(), 1e-300)]
         if supp.shape[1] < mean.shape[0]:
@@ -533,18 +480,12 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
                 sigma0 = supp.conj().T @ sigma0 @ supp
                 tr0 = np.trace(sigma0).real
                 sigma0 = sigma0 / tr0 if tr0 > 1e-12 else None
-            if twirl is not None:
-                # the support is invariant under every U_c
-                full_twirl = twirl
-                twirl = lambda m: supp.conj().T @ full_twirl(supp @ m @ supp.conj().T) @ supp
         else:
             supp = None
     d = states.shape[1] if trace_first is None else states.shape[1] // trace_first
 
     if sigma0 is None:
         sigma0 = np.eye(d) / d
-    elif twirl is not None:
-        sigma0 = twirl(sigma0)
     lam0, v0 = np.linalg.eigh(sigma0)
     x0 = (v0 * np.sqrt(np.clip(lam0, 1e-9, None))) @ v0.conj().T
 
@@ -555,21 +496,15 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
         n = d * d
         return vec[:n].reshape(d, d) + 1j * vec[n:].reshape(d, d)
 
-    def gram(x):
-        omega = x @ x.conj().T
-        return omega if twirl is None else twirl(omega)
-
     def objective(vec):
         x = unpack(vec)
-        omega = gram(x)
+        omega = x @ x.conj().T
         tr = np.trace(omega).real
         f, g_omega = _xi_value_and_grad(omega, states, weights, alpha, trace_first)
         if not np.isfinite(f) or f <= 0:
             return 1e6, np.zeros_like(vec)
         val = np.log(f) + t * np.log(tr)
         g_total = g_omega / f + t / tr * np.eye(d)
-        if twirl is not None:
-            g_total = twirl(g_total)
         cg = 2.0 * (g_total @ x)
         return val, pack(cg)
 
@@ -578,14 +513,15 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None,
     f0, _ = _xi_value_and_grad(sigma0, states, weights, alpha, trace_first)
     best_f, best_sigma, path = f0, sigma0, "seed"
     if np.isfinite(res.fun):
-        omega = gram(unpack(res.x))
+        x = unpack(res.x)
+        omega = x @ x.conj().T
         sigma = omega / np.trace(omega).real
         f, _ = _xi_value_and_grad(sigma, states, weights, alpha, trace_first)
         # false for a NaN value, which keeps the seed
         if f <= f0:
             best_f, best_sigma, path = f, sigma, "lbfgs"
-    _log.debug("_minimize_xi: path=%s lbfgs_iters=%d group_order=%d "
-               "value=%.17g seed_value=%.17g", path, res.nit, order, best_f, f0)
+    _log.debug("_minimize_xi: path=%s lbfgs_iters=%d value=%.17g seed_value=%.17g",
+               path, res.nit, best_f, f0)
     if supp is not None:
         best_sigma = supp @ best_sigma @ supp.conj().T
     return best_f, best_sigma

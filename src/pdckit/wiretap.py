@@ -163,8 +163,8 @@ def _batch_ml_decoder(p: int, table: np.ndarray, messages: np.ndarray,
                       noise: PauliDist):
     """Exhaustive ML decoding against a codeword table under pair noise.
 
-    Returns ``decode_batch`` on (..., 2n) received words, with the decisions
-    of ``_ml_scorer``.  When (p^2)^n * n_codewords is at most
+    Returns ``decode_batch`` on (..., 2n) received words, read mod p, with
+    the decisions of ``_ml_scorer``.  When (p^2)^n * n_codewords is at most
     ``_TABLE_MAX_WORK``, every received pattern is scored once, here, into a
     decision table (standard-array decoding, Slepian 1956).  A word's row in
     it is the word read as a base-p number, which is its pair labels read in
@@ -180,10 +180,11 @@ def _batch_ml_decoder(p: int, table: np.ndarray, messages: np.ndarray,
         weights = p ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
         def decode_batch(words: np.ndarray) -> np.ndarray:
-            return np.take(decisions, np.asarray(words, dtype=np.int64) @ weights, axis=0)
+            return np.take(decisions, _mod(np.asarray(words, dtype=np.int64), p) @ weights,
+                           axis=0)
     else:
         def decode_batch(words: np.ndarray) -> np.ndarray:
-            labels = _pair_labels(words, p)
+            labels = _pair_labels(_mod(np.asarray(words, dtype=np.int64), p), p)
             return decide(labels.reshape(-1, length // 2)).reshape(
                 labels.shape[:-1] + messages.shape[1:])
 
@@ -286,8 +287,10 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
     row for row like the single vectors.  With ``noise`` given and
     p^{n1} <= 4096, also checks that the code's decoder agrees exactly, ties
     included, with exhaustive ML under that pair noise, on ``samples``
-    uniform words and ``samples`` noisy codewords.  Raises ValueError on the
-    first violated property.
+    uniform words and ``samples`` noisy codewords.  Last, ``decode_batch``
+    must read received symbols mod p: adding p to every symbol of the words
+    the ML check used, or else of the encoded batch, leaves its output
+    unchanged.  Raises ValueError on the first violated property.
     """
     rng = rng or np.random.default_rng(0)
     p, n1 = code.p, code.n1
@@ -307,6 +310,7 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
         raise ValueError("encode is not linear")
     if not np.array_equal(code.decode_batch(coded) % p, a):
         raise ValueError("decode_batch(encode(x)) != x on noiseless input")
+    checked = coded
     if p**n1 <= 4096:
         table = code.all_codewords()
         if len({tuple(w.tolist()) for w in table}) != p**n1:
@@ -319,6 +323,9 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
             ml = _batch_ml_decoder(p, table, code.all_messages(), noise)(words)
             if not np.array_equal(np.asarray(got) % p, ml):
                 raise ValueError("decode disagrees with exhaustive ML decoding")
+            checked = words
+    if not np.array_equal(code.decode_batch(checked + p), code.decode_batch(checked)):
+        raise ValueError("decode_batch does not read received symbols mod p")
 
 
 # ---------------------------------------------------------------------------
@@ -440,31 +447,14 @@ class QuantumEveChannel:
         psi = qexact.purify(P)
         self.tau_ae = qexact.partial_trace(psi.density(), [0, 2]).matrix
 
-    def _site_unitaries(self, codeword: np.ndarray) -> list[np.ndarray]:
+    def state(self, codeword: np.ndarray) -> np.ndarray:
         word = np.asarray(codeword, dtype=np.int64)
         p = self.p
-        return [np.kron(qexact.weyl(int(word[2 * i]), int(word[2 * i + 1]), p),
-                        np.eye(p * p)) for i in range(self.n)]
-
-    def state(self, codeword: np.ndarray) -> np.ndarray:
         out = np.ones((1, 1), dtype=complex)
-        for u in self._site_unitaries(codeword):
+        for i in range(self.n):
+            u = np.kron(qexact.weyl(int(word[2 * i]), int(word[2 * i + 1]), p), np.eye(p * p))
             out = np.kron(out, u @ self.tau_ae @ u.conj().T)
         return out
-
-    def weyl_group(self, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``qexact.monomial_form`` of U_c = W_c x I_E for each codeword c.
-
-        state(c) = U_c state(0) U_c^dag; for a linear code the U_c form a
-        group up to phases, which is ``qexact._minimize_xi``'s ``group``.
-        """
-        us = []
-        for word in codewords:
-            u = np.ones((1, 1), dtype=complex)
-            for site in self._site_unitaries(word):
-                u = np.kron(u, site)
-            us.append(u)
-        return qexact.monomial_form(np.stack(us))
 
 
 # ---------------------------------------------------------------------------

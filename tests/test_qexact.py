@@ -250,99 +250,37 @@ def test_solver_descends_from_cold_start():
         assert abs(got - sibson_mutual_info(px, W, alpha)) < 1e-9
 
 
-def weyl_group_n1(p=2, extra=2):
-    """U_c = W(x, z) x I over all p^2 labels, as dense stack and monomial form."""
-    us = np.stack([np.kron(qx.weyl(x, z, p), np.eye(extra))
-                   for x in range(p) for z in range(p)])
-    return us, qx.monomial_form(us)
-
-
-def test_monomial_form_round_trip_and_rejects_dense():
-    us, (perm, phase) = weyl_group_n1(3, 2)
-    for u, pm, ph in zip(us, perm, phase):
-        assert np.allclose(u[np.arange(u.shape[0]), pm], ph)
-        assert np.count_nonzero(np.abs(u) > 1e-12) == u.shape[0]
-    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    with pytest.raises(ValueError):
-        qx.monomial_form(hadamard)
-
-
-def test_group_twirl_is_the_commutant_projection():
-    rng = np.random.default_rng(12)
-    us, group = weyl_group_n1(2, 3)
-    tw = qx._group_twirl(*group)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    dense = np.mean([u @ a @ u.conj().T for u in us], axis=0)
-    assert np.allclose(tw(a), dense, atol=1e-14)
-    assert np.allclose(tw(tw(a)), tw(a), atol=1e-14)  # idempotent
-    # self-adjoint in the Hilbert-Schmidt inner product
-    assert abs(np.vdot(a, tw(b)) - np.vdot(tw(a), b)) < 1e-12
-    assert abs(np.trace(tw(a)) - np.trace(a)) < 1e-12
-    assert np.allclose(tw(np.eye(6)), np.eye(6))
-    for u in us:
-        assert np.allclose(u @ tw(a), tw(a) @ u, atol=1e-14)
-
-
-def test_twirled_gradient_matches_finite_differences():
-    # the reduced objective is G(omega) = F_W(T omega), with gradient T grad F_W
-    rng = np.random.default_rng(13)
-    _, group = weyl_group_n1(2, 2)
-    tw = qx._group_twirl(*group)
-    state = random_density(4, rng).matrix[None]
-    omega = random_density(4, rng).matrix
-    _, g = qx._xi_value_and_grad(tw(omega), state, np.ones(1), 1.6)
-    g = tw(g)
-    eps = 1e-6
-    for _ in range(5):
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (h + h.conj().T) / 2
-        h /= np.linalg.norm(h)
-        fp, _ = qx._xi_value_and_grad(tw(omega + eps * h), state, np.ones(1), 1.6)
-        fm, _ = qx._xi_value_and_grad(tw(omega - eps * h), state, np.ones(1), 1.6)
-        fd = (fp - fm) / (2 * eps)
-        an = np.trace(g @ h).real
-        assert abs(fd - an) < 1e-6 * max(1.0, abs(an))
-
-
-@pytest.mark.parametrize("rank", [6, 2])
-def test_group_reduced_solver_matches_unreduced(rank):
-    # full-rank and rank-deficient orbit means (the latter restricts to the support)
-    rng = np.random.default_rng(14 + rank)
-    us, group = weyl_group_n1(2, 3)
-    a = rng.normal(size=(6, rank)) + 1j * rng.normal(size=(6, rank))
+def test_solver_restricts_to_the_support_of_a_weyl_orbit():
+    # a rank-2 state's uniform orbit under W(x, z) x I: rank-deficient
+    # states, so the solve runs on their joint support
+    rng = np.random.default_rng(16)
+    us = [np.kron(qx.weyl(x, z, 2), np.eye(3)) for x in range(2) for z in range(2)]
+    a = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
     w0 = a @ a.conj().T
     w0 /= np.trace(w0).real
     orbit = np.stack([u @ w0 @ u.conj().T for u in us])
     weights = np.full(len(us), 1.0 / len(us))
     for alpha in (1.1, 1.5, 2.0):
-        f_full, _ = qx._minimize_xi(orbit, weights, alpha)
-        f_red, sigma = qx._minimize_xi(w0, [1.0], alpha, group=group)
-        assert abs(f_red - f_full) <= 1e-9 * f_full
-        # sigma is a density matrix in the commutant, where the one-state
-        # value is the exact orbit objective: the reduced value is certified
+        f, sigma = qx._minimize_xi(orbit, weights, alpha)
         assert abs(np.trace(sigma).real - 1.0) < 1e-12
+        assert np.linalg.norm(sigma - sigma.conj().T) < 1e-12
         assert np.linalg.eigvalsh(sigma).min() > -1e-12
-        for u in us:
-            assert np.linalg.norm(u @ sigma @ u.conj().T - sigma) < 1e-10
         f_check, _ = qx._xi_value_and_grad(sigma, orbit, weights, alpha)
-        assert abs(f_check - f_red) <= 1e-12 * f_red
+        assert abs(f_check - f) <= 1e-12 * f
 
 
 def test_solver_logs_one_debug_record_per_call(caplog):
     rng = np.random.default_rng(17)
-    _, group = weyl_group_n1(2, 2)
     w0 = random_density(4, rng).matrix
     with caplog.at_level("DEBUG", logger="pdckit"):
         qx._minimize_xi(w0, [1.0], 1.5)
-        qx._minimize_xi(w0, [1.0], 1.5, group=group)
+        qx._minimize_xi(w0, [1.0], 2.0)
     records = [r for r in caplog.records if r.name == "pdckit"]
     assert len(records) == 2
-    msgs = [r.getMessage() for r in records]
-    assert "group_order=1 " in msgs[0] and "group_order=4 " in msgs[1]
-    for msg in msgs:
-        assert "path=lbfgs" in msg or "path=seed" in msg
-        assert "lbfgs_iters=" in msg and "seed_value=" in msg
+    for record in records:
+        fields = dict(item.split("=") for item in record.getMessage().split()[1:])
+        assert set(fields) == {"path", "lbfgs_iters", "value", "seed_value"}
+        assert fields["path"] in ("lbfgs", "seed")
 
 
 def test_seed_guard_keeps_the_seed_over_a_nan_point(monkeypatch, caplog):
@@ -377,6 +315,29 @@ def test_twirl_fixes_bell_diagonal():
         P = random_dist(p, rng)
         bd = qx.bell_diagonal(P)
         assert np.max(np.abs(qx.twirl(bd).matrix - bd.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_twirl_is_the_weyl_commutant_projection(p):
+    # the Bell pinching against the dense average over W x conj(W); twirl
+    # takes density matrices, so the projection laws are checked on them
+    rng = np.random.default_rng(12 + p)
+    us = [np.kron(w, w.conj()) for w in (qx.weyl(x, z, p) for x in range(p) for z in range(p))]
+
+    def tw(m):
+        return qx.twirl(qx.DensityMatrix(m, [p, p])).matrix
+
+    a, b = (random_density(p * p, rng).matrix for _ in range(2))
+    dense = np.mean([u @ a @ u.conj().T for u in us], axis=0)
+    assert np.max(np.abs(tw(a) - dense)) < 1e-14
+    assert np.max(np.abs(tw(tw(a)) - tw(a))) < 1e-14  # idempotent
+    # self-adjoint in the Hilbert-Schmidt inner product
+    assert abs(np.vdot(a, tw(b)) - np.vdot(tw(a), b)) < 1e-14
+    assert abs(np.trace(tw(a)) - np.trace(a)) < 1e-14
+    eye = np.eye(p * p) / (p * p)
+    assert np.max(np.abs(tw(eye) - eye)) < 1e-14  # unital
+    for u in us:
+        assert np.max(np.abs(u @ tw(a) - tw(a) @ u)) < 1e-14
 
 
 def test_twirl_outputs_bell_diagonal():

@@ -142,6 +142,27 @@ def test_repetition_decoder_is_exhaustive_ml(p, n1, r):
         check_code_conformance(code, rng, samples=300, noise=noise)
 
 
+def test_decode_batch_reads_received_symbols_mod_p():
+    # the repetition code's per-block decoder is the table-lookup ML decoder
+    code = repetition_code(2, 2, 2, depolarizing(0.1, 2))
+    for word in ([0, 2, 0, 0], [-1, 1, 0, 0], [2, 0, 0, 0]):
+        words = np.array([word])
+        assert np.array_equal(code.decode_batch(words), code.decode_batch(words % 2))
+    # 3^8 received words times 9 codewords is above the table size, so
+    # this decoder scores each word
+    rng = np.random.default_rng(14)
+    big = random_linear_code(3, 4, 2, depolarizing(0.1, 3), rng)
+    words = rng.integers(-6, 9, (20, 8))
+    assert np.array_equal(big.decode_batch(words), big.decode_batch(words % 3))
+
+
+def test_conformance_rejects_decoder_not_reading_mod_p():
+    code = identity_code(2, 2)
+    code.decode_batch = lambda w: np.asarray(w)  # round-trips codewords only
+    with pytest.raises(ValueError, match="mod p"):
+        check_code_conformance(code)
+
+
 def test_conformance_rejects_non_ml_decoder():
     noise = dep2()
     code = repetition_code(2, 4, 4, noise)
@@ -429,7 +450,7 @@ def _assert_matches_unreduced(l2_size, eve, code):
 
 
 @pytest.mark.parametrize("name", sorted(QUANTUM_BOUND_CASES))
-def test_theorem_bound_group_reduction_matches_unreduced(name):
+def test_theorem_bound_closed_form_matches_unreduced(name):
     # the closed form H_beta(Q_C) against the |C|-state solver
     code, n2, n3, P, n = QUANTUM_BOUND_CASES[name]()
     _assert_matches_unreduced(2 ** (code.n1 - n2 - n3), QuantumEveChannel(P, n), code)
@@ -464,15 +485,15 @@ def test_theorem_bound_closed_form_matches_unreduced_p3(kind):
     assert all(v < 2.0 for _, v in curve)  # uncapped, so every t compares
 
 
-def test_quantum_eve_weyl_group():
+def test_quantum_eve_state_is_a_weyl_conjugate():
+    # state(c) = U_c state(0) U_c^dag with U_c = (W(c_1) x I_E) x (W(c_2) x I_E)
     code = repetition_code(2, 2, 2, depolarizing(0.5, 2))
     eve = QuantumEveChannel(depolarizing(0.1, 2), 2)
-    words = code.all_codewords()
-    perm, phase = eve.weyl_group(words)
     base = eve.state(np.zeros(4, dtype=np.int64))
-    for word, pm, ph in zip(words, perm, phase):
-        conj = ph[:, None] * base[np.ix_(pm, pm)] * ph.conj()[None, :]
-        assert np.allclose(conj, eve.state(word), atol=1e-14)
+    for word in code.all_codewords():
+        u = np.kron(np.kron(qx.weyl(word[0], word[1], 2), np.eye(4)),
+                    np.kron(qx.weyl(word[2], word[3], 2), np.eye(4)))
+        assert np.allclose(u @ base @ u.conj().T, eve.state(word), atol=1e-14)
 
 
 def test_enumeration_cap():
