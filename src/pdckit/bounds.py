@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .dists import PauliDist, convolve, shannon
+from .dists import PauliDist, _masses, _renyi_of_masses, convolve, renyi_entropy, shannon
 
 
 class InfeasibleTargets(ValueError):
@@ -119,33 +119,19 @@ def eps_B_bound(n3: int, p: int) -> float:
     return float(p) ** (-n3)
 
 
-def _renyi(P: PauliDist, alphas: np.ndarray) -> np.ndarray:
-    """H_alpha(P) for an array of orders alpha in [0, 1) (alpha = 0 is H_0).
-
-    The unvalidated kernel behind every bound; callers pass 1/(1+t) or 1-t
-    with t in [0.001, 1], so the order never reaches the Shannon point 1.
-    """
-    probs = P.flat()
-    probs = probs[probs > 1e-15]
-    sums = np.power(probs[None, :], alphas[:, None]).sum(axis=1)
-    return np.log2(sums) / (1.0 - alphas)
-
-
 def _eps_E(n: int, sacrifice_symbols: int, P: PauliDist,
            h_grid: np.ndarray) -> float:
     """eps_E_bound given h_grid = H_{1/(1+t)}(P) on the t grid."""
     log_p = np.log2(P.p)
+    masses = _masses(P.flat())  # once, not in each call of the refinement
 
     def exponent(t, h):
         return (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (
             n * h - sacrifice_symbols * log_p
         )
 
-    def refine(t):
-        t = np.asarray(t, dtype=float)
-        return float(exponent(t, _renyi(P, 1.0 / (1.0 + np.atleast_1d(t))))[0])
-
-    best = _refine_min(refine, _T_GRID, exponent(_T_GRID, h_grid))
+    best = _refine_min(lambda t: exponent(t, _renyi_of_masses(masses, 1.0 / (1.0 + t))),
+                       _T_GRID, exponent(_T_GRID, h_grid))
     if best >= 0.0:
         return 1.0
     return float(min(1.0, np.exp2(max(best, -1e6))))
@@ -155,15 +141,13 @@ def _eps_C(n: int, n1: int, P_eff: PauliDist,
            h_grid: np.ndarray) -> float:
     """eps_C_bound given h_grid = H_{1-t}(P_eff) on the t grid."""
     log_p = np.log2(P_eff.p)
+    masses = _masses(P_eff.flat())  # once, not in each call of the refinement
 
     def exponent(t, h):
         return t * (n1 * log_p - n * (2.0 * log_p - h))
 
-    def refine(t):
-        t = np.asarray(t, dtype=float)
-        return float(exponent(t, _renyi(P_eff, 1.0 - np.atleast_1d(t)))[0])
-
-    best = _refine_min(refine, _T_GRID, exponent(_T_GRID, h_grid))
+    best = _refine_min(lambda t: exponent(t, _renyi_of_masses(masses, 1.0 - t)),
+                       _T_GRID, exponent(_T_GRID, h_grid))
     return float(min(1.0, 4.0 * np.exp2(max(best, -1e6))))
 
 
@@ -175,7 +159,7 @@ def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
     """
     if sacrifice_symbols < 0:
         raise ValueError("sacrifice_symbols must be >= 0")
-    return _eps_E(n, sacrifice_symbols, P, _renyi(P, 1.0 / (1.0 + _T_GRID)))
+    return _eps_E(n, sacrifice_symbols, P, renyi_entropy(P.flat(), 1.0 / (1.0 + _T_GRID)))
 
 
 def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
@@ -185,7 +169,7 @@ def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
     """
     if n1 > 2 * n:
         raise ValueError(f"n1 = {n1} exceeds 2n = {2 * n}")
-    return _eps_C(n, n1, P_eff, _renyi(P_eff, 1.0 - _T_GRID))
+    return _eps_C(n, n1, P_eff, renyi_entropy(P_eff.flat(), 1.0 - _T_GRID))
 
 
 def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
@@ -218,7 +202,7 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
     m3 = int(np.ceil(-np.log2(targets.eps_B) / np.log2(p) - 1e-12))
 
     # each bisection keeps the bound value at the end it converges to
-    h_E = _renyi(P, 1.0 / (1.0 + _T_GRID))
+    h_E = renyi_entropy(P.flat(), 1.0 / (1.0 + _T_GRID))
     eps_E_at = _eps_E(n, 2 * n, P, h_E)
     if eps_E_at > targets.eps_E:
         raise InfeasibleTargets(
@@ -235,7 +219,7 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
     m2 = lo
 
     p_eff = convolve(P_tilde, P)
-    h_C = _renyi(p_eff, 1.0 - _T_GRID)
+    h_C = renyi_entropy(p_eff.flat(), 1.0 - _T_GRID)
     eps_C_at = _eps_C(n, 0, p_eff, h_C)
     if eps_C_at > targets.eps_C:
         raise InfeasibleTargets(

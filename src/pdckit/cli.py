@@ -194,9 +194,6 @@ def cmd_simulate(args) -> int:
     }[args.adversary]
     if args.transcript:
         symbols = [0] * config.n2 if args.message is None else _parse_int_list(args.message)
-        bad = [s for s in symbols if not 0 <= s < config.p]
-        if bad:
-            raise ValueError(f"message symbol {bad[0]} is outside [0, {config.p})")
         msg = FieldVec(symbols, config.p)
         tr = protocol.run_protocol3(config, msg, adversary) if args.masked \
             else protocol.run_protocol1(config, msg, adversary)

@@ -7,7 +7,8 @@ Shannon and Renyi entropies the bound formulas consume.
 
 Conventions fixed once for the whole package:
   * all logarithms are base 2 (bits), including log d_A = log2 p;
-  * 0 * log 0 := 0, with a 1e-15 floor before raising tiny masses to powers;
+  * 0 * log 0 := 0 and 0^alpha := 0: entropies drop exact zeros and keep
+    every positive mass, however small (``_masses``);
   * distributions are normalized at construction when within 1e-9 of total
     mass 1, and rejected otherwise.
 """
@@ -20,7 +21,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .gf import _check_prime
 
 _NORMALIZE_TOL = 1e-9
-_MASS_FLOOR = 1e-15
 
 
 def _validated_probs(probs, n: int, what: str) -> np.ndarray:
@@ -149,27 +149,39 @@ def shift(P: PauliDist, x, z) -> PauliDist:
     return PauliDist(np.roll(P.probs, (dx, dz), axis=(0, 1)), p)
 
 
+def _masses(probs) -> np.ndarray:
+    """The positive masses of a law, flat.  The one mass rule: only exact
+    zeros go, since at alpha < 1 even a 1e-20 mass adds 1e-20^alpha."""
+    x = np.asarray(probs, dtype=float).reshape(-1)
+    return x[x > 0.0]
+
+
+def _renyi_of_masses(masses: np.ndarray, orders) -> np.ndarray:
+    """The one Renyi power sum log2(sum x^alpha) / (1 - alpha), in the shape
+    of ``orders``: unvalidated, for ``_masses`` output and orders >= 0, != 1."""
+    orders = np.asarray(orders)
+    return np.log2(np.power(masses, orders[..., None]).sum(axis=-1)) / (1.0 - orders)
+
+
 def shannon(probs) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
-    x = np.asarray(probs, dtype=float).reshape(-1)
-    x = x[x > _MASS_FLOOR]
+    x = _masses(probs)
     return float(-(x * np.log2(x)).sum())
 
 
-def renyi_entropy(probs, alpha: float) -> float:
-    """Renyi entropy H_alpha in bits; alpha = 1 routes to Shannon.
-
-    H_alpha(P) = log2(sum P(x)^alpha) / (1 - alpha) for alpha > 0, alpha != 1.
-    Only zero masses are dropped: at alpha < 1 a mass of 1e-20 still adds
-    1e-20^alpha to the sum.
-    """
-    if alpha <= 0:
-        raise ValueError(f"Renyi order must be positive, got {alpha}")
-    if abs(alpha - 1.0) < 1e-12:
-        return shannon(probs)
-    x = np.asarray(probs, dtype=float).reshape(-1)
-    x = x[x > 0.0]
-    return float(np.log2(np.sum(x**alpha)) / (1.0 - alpha))
+def renyi_entropy(probs, alpha):
+    """Renyi entropy H_alpha in bits at one order (a float) or an array of
+    orders (an array), each >= 0: alpha = 0 is H_0, and within 1e-12 of 1
+    the Shannon entropy.  Raises ValueError on a negative or NaN order."""
+    orders = np.asarray(alpha, dtype=float)
+    if not np.all(orders >= 0.0):
+        raise ValueError(f"Renyi orders must be >= 0, got {alpha}")
+    x = _masses(probs)
+    at_one = np.abs(orders - 1.0) < 1e-12
+    h = _renyi_of_masses(x, np.where(at_one, 0.0, orders))
+    if at_one.any():
+        h = np.where(at_one, shannon(x), h)
+    return float(h) if h.ndim == 0 else h
 
 
 def marginal(P: PauliDist, l, k) -> MarginalDist:
@@ -203,7 +215,7 @@ def sibson_mutual_info(px, channel, alpha: float) -> float:
     """Sibson's Renyi mutual information min_Q D_alpha(P_XE || P_X x Q), in bits.
 
     ``channel`` is a (n_outputs, n_inputs) column-stochastic matrix W[e, x];
-    ``px`` an input distribution.  The minimizer over For Q is closed form and
+    ``px`` an input distribution.  The minimizer over Q is closed form and
     yields  (alpha / (alpha - 1)) log2 sum_e [sum_x P(x) W(e|x)^alpha]^{1/alpha}.
 
     For classical channels the Petz and sandwiched optimized mutual

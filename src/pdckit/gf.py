@@ -56,16 +56,21 @@ class FieldVec:
     """A nonempty vector over F_p with a uniform modulus.
 
     Stores an int64 numpy array of residues in ``.values``, the form the
-    batched hashing and protocol layers consume.
+    batched hashing and protocol layers consume.  Symbols outside [0, p)
+    raise ValueError rather than being reduced: at the API edge they are
+    more likely a typo than an intended residue.
     """
 
     __slots__ = ("p", "values")
 
     def __init__(self, values, p: int):
         self.p = _check_prime(p)
-        arr = np.asarray(values, dtype=np.int64) % self.p
+        arr = np.asarray(values, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("FieldVec requires a nonempty 1-d sequence")
+        bad = arr[(arr < 0) | (arr >= self.p)]
+        if bad.size:
+            raise ValueError(f"symbol {bad[0]} is outside [0, {self.p})")
         self.values = arr
 
     def __len__(self) -> int:

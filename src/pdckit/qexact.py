@@ -527,8 +527,7 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None):
     return best_f, best_sigma
 
 
-def cond_entropy_up_sandwiched(rho_ab: DensityMatrix, alpha: float,
-                               sigma0: np.ndarray | None = None) -> float:
+def cond_entropy_up_sandwiched(rho_ab: DensityMatrix, alpha: float) -> float:
     """Optimized sandwiched conditional entropy H~_alpha^up(A|B).
 
     Equals -inf over density sigma_B of D~_alpha(rho_AB || I_A x sigma_B);
@@ -543,11 +542,9 @@ def cond_entropy_up_sandwiched(rho_ab: DensityMatrix, alpha: float,
         return vn_entropy(rho_ab) - vn_entropy(rho_b)
     if t < 0:
         raise ValueError("optimized sandwiched entropy implemented for alpha > 1")
-    da = rho_ab.dims[0]
-    if sigma0 is None:
-        sigma0 = partial_trace(rho_ab, [1]).matrix
-    f, _sigma = _minimize_xi([rho_ab.matrix], [1.0], alpha, sigma0=sigma0,
-                             trace_first=da)
+    f, _sigma = _minimize_xi([rho_ab.matrix], [1.0], alpha,
+                             sigma0=partial_trace(rho_ab, [1]).matrix,
+                             trace_first=rho_ab.dims[0])
     return float(-np.log2(f) / t)
 
 
@@ -572,8 +569,7 @@ def petz_mutual_info_up_cq(weights, states, alpha: float) -> float:
     return float(np.log2(total) / t)
 
 
-def sandwiched_mutual_info_down_cq(weights, states, alpha: float,
-                                   sigma0: np.ndarray | None = None) -> float:
+def sandwiched_mutual_info_down_cq(weights, states, alpha: float) -> float:
     """I~_alpha^down(X;E) for a cq state sum_x w_x |x><x| x W_x.
 
     Because X is classical and the first marginal is the true one, the
@@ -584,5 +580,5 @@ def sandwiched_mutual_info_down_cq(weights, states, alpha: float,
     if t <= 0:
         raise ValueError("implemented for alpha > 1")
     mats = [_as_matrix(w) for w in states]
-    f, _sigma = _minimize_xi(mats, weights, alpha, sigma0=sigma0)
+    f, _sigma = _minimize_xi(mats, weights, alpha)
     return float(np.log2(f) / t)

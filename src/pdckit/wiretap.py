@@ -12,7 +12,9 @@ module enumerates it for the exact leakage.
 A code is two batch-first callables, like the hashing module: ``encode``
 maps (..., n1) information words to (..., 2n) codewords and
 ``decode_batch`` maps (..., 2n) received words to (..., n1) decisions,
-both keeping the leading axes.
+both keeping the leading axes.  Eve channels are batch-first too: their
+``states`` maps a (words, 2n) codeword stack to Eve's stacked laws or
+density matrices, which ``exact_leakage`` requests once.
 
 Baseline codes: identity (n1 = 2n), r-fold symbol repetition, and random
 linear codes.  Random linear codes are decoded by exhaustive maximum
@@ -360,100 +362,91 @@ class ClassicalChannelWc:
 
 
 class ClassicalEveChannel:
-    """Eve observes the codeword through a classical channel W[e, word-index].
-
-    ``dist(codeword)`` returns the distribution over Eve's alphabet.
-    """
+    """Eve observes each codeword through a classical channel: ``kernel`` maps
+    a (words, 2n) int64 codeword stack to the (words, outputs) laws of Eve's
+    observation, one row per word."""
 
     is_quantum = False
 
-    def __init__(self, dist_fn: Callable[[np.ndarray], np.ndarray], n_outputs: int):
-        self._fn = dist_fn
-        self.n_outputs = n_outputs
+    def __init__(self, kernel: Callable[[np.ndarray], np.ndarray]):
+        self._kernel = kernel
 
-    def state(self, codeword: np.ndarray) -> np.ndarray:
-        d = np.asarray(self._fn(np.asarray(codeword, dtype=np.int64)), dtype=float)
-        if d.shape != (self.n_outputs,) or abs(d.sum() - 1.0) > 1e-9:
+    def states(self, words: np.ndarray) -> np.ndarray:
+        """The kernel's rows; ValueError unless each word gets a probability row."""
+        words = np.asarray(words, dtype=np.int64)
+        rows = np.asarray(self._kernel(words), dtype=float)
+        if (rows.ndim != 2 or rows.shape[0] != words.shape[0] or np.any(rows < 0.0)
+                or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9)):
             raise ValueError("Eve channel returned an invalid distribution")
-        return d
-
-
-def _word_index(word: np.ndarray, p: int) -> int:
-    idx = 0
-    for s in word:
-        idx = idx * p + int(s)
-    return idx
+        return rows
 
 
 def eve_noiseless(p: int, n: int) -> ClassicalEveChannel:
-    """Eve sees the transmitted word exactly."""
-    total = p ** (2 * n)
+    """Eve sees the transmitted word exactly: a point mass on its base-p index."""
+    weights = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
 
-    def fn(word):
-        d = np.zeros(total)
-        d[_word_index(word, p)] = 1.0
-        return d
+    def kernel(words):
+        rows = np.zeros((len(words), p ** (2 * n)))
+        rows[np.arange(len(words)), words @ weights] = 1.0
+        return rows
 
-    return ClassicalEveChannel(fn, total)
+    return ClassicalEveChannel(kernel)
 
 
 def eve_constant(p: int, n: int) -> ClassicalEveChannel:
     """Eve's observation carries no signal."""
-    return ClassicalEveChannel(lambda word: np.ones(1), 1)
+    return ClassicalEveChannel(lambda words: np.ones((len(words), 1)))
 
 
 def eve_additive(noise: PauliDist, n: int) -> ClassicalEveChannel:
-    """Eve sees the word through the additive pair-noise channel."""
+    """Eve sees the word through the additive pair-noise channel: her law is
+    the Kronecker product over pairs c_i of noise(v - c_i) on labels v = x p + z."""
     p = noise.p
-    total = p ** (2 * n)
+    v = np.arange(p * p)
 
-    def fn(word):
-        d = np.ones(1)
+    def kernel(words):
+        rows = np.ones((len(words), 1))
         for i in range(n):
-            pair = np.roll(np.roll(noise.probs, int(word[2 * i]), axis=0),
-                           int(word[2 * i + 1]), axis=1).reshape(-1)
-            d = np.kron(d, pair)
-        return d
+            pair = noise.probs[(v // p - words[:, 2 * i, None]) % p,
+                               (v % p - words[:, 2 * i + 1, None]) % p]
+            rows = (rows[:, :, None] * pair[:, None, :]).reshape(len(words), -1)
+        return rows
 
-    return ClassicalEveChannel(fn, total)
+    return ClassicalEveChannel(kernel)
 
 
 def eve_first_symbol(p: int, n: int) -> ClassicalEveChannel:
     """Eve learns only the first symbol of the word (deterministic)."""
-
-    def fn(word):
-        d = np.zeros(p)
-        d[int(word[0])] = 1.0
-        return d
-
-    return ClassicalEveChannel(fn, p)
+    return ClassicalEveChannel(lambda words: np.eye(p)[words[:, 0]])
 
 
 class QuantumEveChannel:
     """Eve holds (U_{g_1} x ... x U_{g_n}) tau_AE^{x n} (.)^dag per codeword.
 
-    Dimension grows as (p^3)^n, so n <= 2 and p = 2 are enforced.  ``P`` is
-    kept because ``theorem1_bound`` needs only the noise law, not the states.
+    U_g = W(g) x I_E and tau_AE is p^3-dimensional, so the constructor raises
+    SizeCapError when (p^3)^n exceeds ``qexact.DIM_CAP`` (256), and
+    ``qexact.purify`` raises it for p > 3: quantum Eve runs at p = 2 with
+    n <= 2 and at p = 3 with n = 1.  ``theorem1_bound`` needs only ``P``.
     """
 
     is_quantum = True
 
     def __init__(self, P: PauliDist, n: int):
-        if P.p != 2 or n > 2:
-            raise ValueError("quantum Eve instances are limited to p = 2, n <= 2")
-        self.P = P
-        self.p = P.p
-        self.n = n
-        psi = qexact.purify(P)
-        self.tau_ae = qexact.partial_trace(psi.density(), [0, 2]).matrix
+        qexact._check_dims([P.p**3] * n)  # SizeCapError above the cap
+        self.P, self.n = P, n
+        tau = qexact.partial_trace(qexact.purify(P).density(), [0, 2]).matrix
+        # tau_AE rotated by U_g, one per pair label g = x p + z
+        rotations = [np.kron(qexact.weyl(x, z, P.p), np.eye(P.p**2)) for x, z in all_vectors(P.p, 2)]
+        self._sites = np.stack([u @ tau @ u.conj().T for u in rotations])
 
-    def state(self, codeword: np.ndarray) -> np.ndarray:
-        word = np.asarray(codeword, dtype=np.int64)
-        p = self.p
-        out = np.ones((1, 1), dtype=complex)
+    def states(self, words: np.ndarray) -> np.ndarray:
+        """Eve's (words, (p^3)^n, (p^3)^n) states for a (words, 2n) codeword stack."""
+        labels = _pair_labels(words, self.P.p)
+        out = np.ones((len(labels), 1, 1), dtype=complex)
         for i in range(self.n):
-            u = np.kron(qexact.weyl(int(word[2 * i]), int(word[2 * i + 1]), p), np.eye(p * p))
-            out = np.kron(out, u @ self.tau_ae @ u.conj().T)
+            site = self._sites[labels[:, i]]
+            d = out.shape[1] * site.shape[1]
+            out = (out[:, :, None, :, None] * site[:, None, :, None, :]).reshape(-1, d, d)
         return out
 
 
@@ -462,28 +455,25 @@ class QuantumEveChannel:
 # ---------------------------------------------------------------------------
 
 def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
-    """Per seed, the list of ||tau_{E|m'} - tau_E||_1 over m' in index order.
+    """Per seed, the list of ||tau_{E|m'} - tau_E||_1 over m' in index order
+    (the trace norm for quantum Eve, the l1 norm for classical Eve).
 
     Hashes every information word to M' = L1 + T(S) L2 (the f_S map, with
     n1 = k allowed) and averages Eve's states over each preimage.
     """
     p, n1 = code.p, code.n1
     infos = all_vectors(p, n1)
-    states = [eve.state(w) for w in code.encode(infos)]
-    avg = sum(states) / len(states)
+    states = eve.states(code.encode(infos))
+    avg = states.mean(axis=0)
     weights = p ** np.arange(k - 1, -1, -1)
     for seed_vec in seeds:
         mvals = _mod(infos[:, :k] + toeplitz_apply_batch(seed_vec, infos[:, k:], k, n1 - k, p), p)
         midx = mvals @ weights
-        norms = []
-        for m in range(p**k):
-            members = np.nonzero(midx == m)[0]
-            diff = sum(states[i] for i in members) / len(members) - avg
-            if eve.is_quantum:
-                norms.append(float(np.abs(np.linalg.eigvalsh(diff)).sum()))
-            else:
-                norms.append(float(np.abs(diff).sum()))
-        yield norms
+        # sum the preimage's rows one view at a time: indexing states by the
+        # preimage would copy all its rows out of the stack
+        members = (np.flatnonzero(midx == m) for m in range(p**k))
+        diffs = (sum(states[i] for i in idx) / len(idx) - avg for idx in members)
+        yield [float(np.abs(np.linalg.eigvalsh(d) if eve.is_quantum else d).sum()) for d in diffs]
 
 
 def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
@@ -492,26 +482,23 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
 
     Enumerates every seed S (or the supplied subset), every message m', and
     the uniform randomization inside each hash preimage; Eve's conditional
-    states come from ``eve.state`` on the encoded codewords.  Uses the
-    paper's unhalved 1-norm, so values range up to 2.
+    states come from one ``eve.states`` call on all encoded codewords.
+    Uses the paper's unhalved 1-norm, so values range up to 2.
     """
-    p, n1 = code.p, code.n1
-    k = n2 + n3
+    p, n1, k = code.p, code.n1, n2 + n3
     if not (n1 >= k > 0):
         raise ValueError("need n1 >= n2 + n3 > 0")
     n_seeds = p ** (n1 - 1) if seeds is None else len(seeds)
-    total_states = n_seeds * p**n1
-    if total_states > _ENUM_CAP:
+    if n_seeds * p**n1 > _ENUM_CAP:
         raise qexact.SizeCapError(
-            f"enumeration of {total_states} states exceeds cap {_ENUM_CAP}")
+            f"enumeration of {n_seeds * p**n1} states exceeds cap {_ENUM_CAP}")
     if seeds is None:
         seeds = all_vectors(p, n1 - 1)
-    mprime_count = p**k
     total = 0.0
     for norms in _message_norms(code, k, eve, seeds):
         d_s = 0.0
         for norm in norms:
-            d_s += norm / mprime_count
+            d_s += norm / p**k
         total += d_s
     return total / len(seeds)
 
@@ -589,22 +576,14 @@ def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
         raise ValueError("L2 size must be >= 1")
     words = code.all_codewords()  # also bounds the p^{n1} syndrome law
     if eve.is_quantum:
-        syndromes = _syndrome_law(eve.P, code)
+        ts = _QUANTUM_T_GRID
+        info = renyi_entropy(_syndrome_law(eve.P, code), (1.0 + ts) / (1.0 + 2.0 * ts))
     else:
-        weights = np.full(len(words), 1.0 / len(words))
-        Wmat = np.stack([eve.state(w) for w in words]).T  # (outputs, inputs)
-
-    best = np.inf
-    curve = []
-    for t in _QUANTUM_T_GRID if eve.is_quantum else _CLASSICAL_T_GRID:
-        if eve.is_quantum:
-            info = renyi_entropy(syndromes, (1.0 + t) / (1.0 + 2.0 * t))
-        else:
-            info = sibson_mutual_info(weights, Wmat, 1.0 + t)
-        log2_val = (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (-np.log2(l2_size) + info)
-        val = min(2.0, float(np.exp2(log2_val)))
-        curve.append((float(t), val))
-        best = min(best, val)
-    if return_curve:
-        return best, curve
-    return best
+        ts = _CLASSICAL_T_GRID
+        weights, W = np.full(len(words), 1.0 / len(words)), eve.states(words).T
+        # one order at a time: a stack of W^alpha over all t would hold 100 W's
+        info = np.array([sibson_mutual_info(weights, W, 1.0 + t) for t in ts])
+    log2_val = (1.0 - ts) / (1.0 + ts) + (ts / (1.0 + ts)) * (-np.log2(l2_size) + info)
+    curve = np.minimum(2.0, np.exp2(log2_val))
+    best = float(curve.min())
+    return (best, list(zip(ts.tolist(), curve.tolist()))) if return_curve else best

@@ -73,6 +73,18 @@ def test_finite_rows(capsys):
     assert r3[0] > r3[1]  # m3 constant, so R3 = m3/n decreases
 
 
+@pytest.mark.parametrize("mix,n,column,value", [
+    # masses of 1e-15 / 4 and of their convolution, which a 1e-15 floor used
+    # to drop, still count: R1 = 1.995 and R2 = 6e-05 missed their targets
+    ("1e-15", "1000", "R1", "1.993"),
+    ("3e-15", "1000000", "R2", "6.1e-05"),
+])
+def test_finite_counts_every_mass(capsys, mix, n, column, value):
+    code, out = run_cli(capsys, "finite", "--p", "2", "--mix", mix, "--n-grid", n)
+    assert code == 0
+    assert next(csv.DictReader(io.StringIO(out)))[column] == value
+
+
 def test_finite_infeasible_exit(capsys):
     code, out = run_cli(capsys, "finite", "--mix", "1.0", "--n-grid", "100")
     assert code == 3
@@ -182,16 +194,23 @@ def test_leakage_size_cap_exit(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--n", "3", "--eve", "quantum:0.25"),
-    ("--p", "3", "--eve", "quantum:0.25"),
-    ("--eve", "quantum:abc"),
+    ("--n", "3", "--eve", "quantum:0.25"),  # (p^3)^n = 512 > 256: size cap, exit 4
+    ("--p", "3", "--eve", "quantum:0.25"),  # (p^3)^n = 27: runs
+    ("--eve", "quantum:abc"),  # not a mix: exit 2
 ])
 def test_leakage_bad_eve_exit(capsys, argv):
     code = main(["leakage", "--n2", "1", "--n3", "0", *argv])
     out, err = capsys.readouterr()
-    assert code == 2
+    if argv[0] == "--p":
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["dominated"] is True
+        assert 0.0 < payload["exact_leakage"] <= payload["theorem_bound"]
+        return
+    assert code == (4 if argv[0] == "--n" else 2)
     assert out == ""
-    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+    prefix = "size cap exceeded:" if code == 4 else "invalid arguments:"
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 # random_linear with n1 > 2n: no full-rank generator exists

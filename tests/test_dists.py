@@ -139,7 +139,15 @@ def test_renyi_monotone_and_continuous():
     d = random_dist(3, rng)
     assert abs(renyi_entropy(d.flat(), 1.0 + 1e-7) - shannon(d.flat())) < 1e-5
     with pytest.raises(ValueError):
-        renyi_entropy(d.flat(), 0.0)
+        renyi_entropy(d.flat(), -0.1)
+    with pytest.raises(ValueError):
+        renyi_entropy(d.flat(), [0.5, -0.1])
+    # order 0 is H_0, the log2 of the support size, as the bounds use it
+    assert renyi_entropy([0.5, 0.5, 0.0, 0.0], 0.0) == 1.0
+    # an array of orders gives each order's value, the Shannon point included
+    orders = np.array([0.0, 0.5, 1.0, 2.0])
+    np.testing.assert_allclose(renyi_entropy(d.flat(), orders),
+                               [renyi_entropy(d.flat(), a) for a in orders], rtol=1e-14)
 
 
 # ---------------------------------------------------------------
@@ -191,3 +199,13 @@ def test_sibson_is_minimum():
             q = rng.dirichlet(np.ones(4))
             div = np.log2(np.sum(px[None, :] * W**alpha * q[:, None] ** (1 - alpha))) / (alpha - 1)
             assert val <= div + 1e-10
+
+
+def test_sibson_drops_unreached_outputs():
+    # an output no input reaches adds nothing, like a zero mass
+    rng = np.random.default_rng(10)
+    W = rng.dirichlet(np.ones(4), size=6).T
+    px = rng.dirichlet(np.ones(6))
+    padded = np.vstack([W, np.zeros(6)])
+    for alpha in (0.5, 1.3, 1.9, 2.0):
+        assert sibson_mutual_info(px, padded, alpha) == sibson_mutual_info(px, W, alpha)

@@ -30,15 +30,19 @@ def test_fieldvec_prime_validation():
 
 
 def test_fieldvec_basic():
-    v = FieldVec([1, 2, 7], 5)
-    assert v.tolist() == [1, 2, 2]
+    v = FieldVec([1, 2, 4], 5)
+    assert v.tolist() == [1, 2, 4]
     assert len(v) == 3
-    assert v == FieldVec([6, 2, 2], 5)
-    assert v != FieldVec([1, 2, 2], 7)
+    assert v == FieldVec(np.array([1, 2, 4]), 5)
+    assert v != FieldVec([1, 2, 4], 7)
     with pytest.raises(ValueError):
         FieldVec([], 5)
     with pytest.raises(ValueError):
         FieldVec([[1, 2]], 5)
+    # symbols outside [0, p) are rejected, not reduced: [5] at p = 2 is not message 1
+    for values, p in (([1, 2, 7], 5), ([5], 2), ([-1], 2), ([0, 2], 2)):
+        with pytest.raises(ValueError, match="outside"):
+            FieldVec(values, p)
 
 
 # ---------------------------------------------------------------

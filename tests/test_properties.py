@@ -1,7 +1,8 @@
 """Property-based checks of the batched Toeplitz kernel, the hash laws,
 the batch-first code contract, the decision-table ML decoder, the F_p x F_p
-kernels and the bound inversions, the Renyi kernel behind the bounds and
-the syndrome law behind quantum Eve's leakage bound.
+kernels and the bound inversions, the Renyi kernel behind the bounds (with
+masses far below 1e-15, which count) and the syndrome law behind quantum
+Eve's leakage bound.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The reduction mod p is
@@ -15,14 +16,16 @@ convolution and character-inversion kernels are compared bit for bit
 against the per-cell loops they replaced, which fix the summation order.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from pdckit.bounds import (InfeasibleTargets, SecurityTargets, _renyi, eps_C_bound,
+from pdckit.bounds import (InfeasibleTargets, SecurityTargets, eps_C_bound,
                            eps_E_bound, finite_length_report, m_hat_lengths)
 from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, marginal,
                           renyi_entropy)
@@ -497,17 +500,103 @@ def test_eps_C_bound_is_monotone(case):
 
 
 # ---------------------------------------------------------------------------
-# the Renyi kernel of the bounds
+# the Renyi kernel of the bounds, and masses below 1e-15
 # ---------------------------------------------------------------------------
 
+@st.composite
+def tiny_mass_dists(draw, p):
+    """A ``pauli_dists`` law with up to three cells, never the largest, moved
+    to masses in [1e-300, 1e-15]: below any floor, yet at the order 0.001
+    that the bounds reach, 1e-300 still raises to 0.5."""
+    probs = draw(pauli_dists(p)).flat().copy()
+    others = [c for c in range(p * p) if c != int(np.argmax(probs))]
+    cells = draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    tiny = [10.0 ** -draw(st.floats(15.0, 300.0)) for _ in cells]
+    rest = np.ones(p * p, dtype=bool)
+    rest[cells] = False
+    probs[rest] *= (1.0 - sum(tiny)) / probs[rest].sum()
+    probs[cells] = tiny
+    return PauliDist(probs, p)
+
+
+def _all_mass_renyi(P, alpha):
+    """H_alpha(P) from every positive mass, by an exactly rounded sum."""
+    power_sum = math.fsum(float(x) ** alpha for x in P.flat() if x > 0.0)
+    return math.log2(power_sum) / (1.0 - alpha)
+
+
 @SETTINGS
-@given(st.sampled_from([2, 3, 5, 7]).flatmap(pauli_dists),
-       st.lists(st.floats(0.0, 1.0 - 1e-9, exclude_min=True), min_size=1, max_size=8))
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(tiny_mass_dists),
+       st.lists(st.floats(0.0, 1.0 - 1e-9) | st.floats(1.0 + 1e-9, 3.0), min_size=1, max_size=8))
 def test_renyi_kernel_matches_renyi_entropy(P, alphas):
-    # orders in (0, 1) clear of 1, where renyi_entropy switches to Shannon;
-    # the bounds pass 1/(1+t) and 1-t with t in [0.001, 1], so at most 0.999
-    want = [renyi_entropy(P.flat(), a) for a in alphas]
-    np.testing.assert_allclose(_renyi(P, np.array(alphas)), want, rtol=1e-12, atol=0.0)
+    # the one kernel, over an array of orders (H_0 included), gives the
+    # one-order-at-a-time values and counts every positive mass, however
+    # small.  The bounds pass 1/(1+t) and 1-t with t in [0.001, 1], up to
+    # 0.999; orders reach within 1e-9 of the Shannon point, where
+    # log2(sum)/(1 - alpha) scales the sum's rounding by 1/|1 - alpha|.
+    # Orders 1e-6 and 1e-3 either side of it, on every law, pin where
+    # renyi_entropy switches to Shannon.
+    alphas = np.array(alphas + [1.0 - 1e-3, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 + 1e-3])
+    got = renyi_entropy(P.flat(), alphas)
+    np.testing.assert_allclose(got, [renyi_entropy(P.flat(), a) for a in alphas],
+                               rtol=1e-12, atol=0.0)
+    want = np.array([_all_mass_renyi(P, a) for a in alphas])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 2e-14 / np.abs(1.0 - alphas))
+
+
+def _all_mass_eps(n, m, P, secrecy):
+    """eps_E_bound(n, m, P) (secrecy) or eps_C_bound(n, m, P) from
+    ``_all_mass_renyi``: the same formulas, minimised over t in [0.001, 1]
+    by a 400-point grid and a bounded refinement, apart from the package."""
+    log_p = math.log2(P.p)
+
+    def exponent(t):
+        if secrecy:
+            h = _all_mass_renyi(P, 1.0 / (1.0 + t))
+            return (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (n * h - m * log_p)
+        return t * (m * log_p - n * (2.0 * log_p - _all_mass_renyi(P, 1.0 - t)))
+
+    ts = np.logspace(-3.0, 0.0, 400)
+    vals = [exponent(t) for t in ts]
+    i = int(np.argmin(vals))
+    res = minimize_scalar(exponent, bounds=(ts[max(i - 1, 0)], ts[min(i + 1, 399)]),
+                          method="bounded", options={"xatol": 1e-12})
+    best = min(vals[i], float(res.fun))
+    if secrecy:
+        return 1.0 if best >= 0.0 else min(1.0, 2.0 ** best)
+    return min(1.0, 4.0 * 2.0 ** best)
+
+
+@st.composite
+def tiny_mass_inversion_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    targets = SecurityTargets(eps_C=10.0 ** -draw(st.floats(0.0, 3.0)),
+                              eps_E=10.0 ** -draw(st.floats(0.0, 12.0)),
+                              eps_B=1e-9)
+    return draw(st.integers(1, 2000)), draw(tiny_mass_dists(p)), targets
+
+
+@SETTINGS
+@given(tiny_mass_inversion_cases())
+def test_finite_length_report_inverts_the_all_mass_bounds(case):
+    # m2 is the smallest sacrifice and m1 the largest coding length that
+    # meet their targets under bounds counting every positive mass; a 1e-15
+    # floor certified m1 = 1995 at p = 2, mix 1e-15, n = 1000 where the
+    # all-mass eps_C is 0.381 > 0.2.  The slack only absorbs the two
+    # minimisers' differences in t.
+    n, P, targets = case
+    p_eff = convolve(P, P)
+    slack = 1e-9
+    try:
+        rep = finite_length_report(targets, n, P, P)
+    except InfeasibleTargets:
+        assert (_all_mass_eps(n, 2 * n, P, True) > targets.eps_E * (1 - slack)
+                or _all_mass_eps(n, 0, p_eff, False) > targets.eps_C * (1 - slack))
+        return
+    assert _all_mass_eps(n, rep.m2, P, True) <= targets.eps_E * (1 + slack)
+    assert rep.m2 == 0 or _all_mass_eps(n, rep.m2 - 1, P, True) > targets.eps_E * (1 - slack)
+    assert _all_mass_eps(n, rep.m1, p_eff, False) <= targets.eps_C * (1 + slack)
+    assert rep.m1 == 2 * n or _all_mass_eps(n, rep.m1 + 1, p_eff, False) > targets.eps_C * (1 - slack)
 
 
 # ---------------------------------------------------------------------------

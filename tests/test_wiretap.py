@@ -3,7 +3,7 @@ import pytest
 
 from pdckit import qexact as qx
 from pdckit import wiretap
-from pdckit.dists import PauliDist, convolve, depolarizing
+from pdckit.dists import PauliDist, convolve, depolarizing, sibson_mutual_info
 from pdckit.gf import all_vectors
 from pdckit.hashing import SeedS, f_s, f_s_split, psi_s
 from pdckit.qexact import SizeCapError
@@ -367,8 +367,14 @@ def test_bound_dominates_exact_classical():
     for eve in (eve_noiseless(2, 1), eve_additive(depolarizing(0.3, 2), 1),
                 eve_first_symbol(2, 1), eve_constant(2, 1)):
         exact = exact_leakage(code, 1, 0, eve)
-        bound = theorem1_bound(2, eve, code)
+        bound, curve = theorem1_bound(2, eve, code, return_curve=True)
         assert exact <= bound + 1e-12
+        # the curve against Sibson's form evaluated t by t
+        W = eve.states(code.all_codewords()).T
+        for t, val in curve:
+            info = sibson_mutual_info(np.full(4, 0.25), W, 1.0 + t)
+            ref = min(2.0, 2.0 ** ((1 - t) / (1 + t) + t / (1 + t) * (info - 1.0)))
+            assert abs(val - ref) <= 1e-14 * ref
 
 
 def test_bound_dominates_exact_quantum_every_t():
@@ -398,7 +404,7 @@ def test_leakage_d_matches_wiretap_enumeration():
     eve = QuantumEveChannel(depolarizing(0.25, p), 1)
     seed = SeedS(np.array([1]), code.n1, n2, n3, p)
     infos = all_vectors(p, code.n1)
-    states = [eve.state(code.encode(v)) for v in infos]
+    states = eve.states(code.encode(infos))
     mvals = f_s(seed, infos)
     conds = []
     for m in range(2):
@@ -415,7 +421,7 @@ def test_leakage_d_matches_wiretap_enumeration():
 def _unreduced_curve(l2_size, eve, code, t_grid):
     """theorem1_bound's curve from the |C|-state solver."""
     words = code.all_codewords()
-    states = np.stack([eve.state(w) for w in words])
+    states = eve.states(words)
     weights = np.full(len(words), 1.0 / len(words))
     sigma = None
     curve = []
@@ -456,24 +462,6 @@ def test_theorem_bound_closed_form_matches_unreduced(name):
     _assert_matches_unreduced(2 ** (code.n1 - n2 - n3), QuantumEveChannel(P, n), code)
 
 
-class _QutritEve:
-    """Quantum Eve at p = 3, n = 1, which QuantumEveChannel refuses.
-
-    Built from the oracle's purification directly: Eve's state for codeword
-    c is (W_c x I_E) tau_AE (W_c x I_E)^dag.
-    """
-
-    is_quantum = True
-
-    def __init__(self, P):
-        self.P = P
-        self._tau = qx.partial_trace(qx.purify(P).density(), [0, 2]).matrix
-
-    def state(self, word):
-        u = np.kron(qx.weyl(int(word[0]), int(word[1]), 3), np.eye(9))
-        return u @ self._tau @ u.conj().T
-
-
 @pytest.mark.parametrize("kind", ["identity", "repetition"])
 def test_theorem_bound_closed_form_matches_unreduced_p3(kind):
     # asymmetric P: pairing the syndrome by the dot product x.x' + z.z'
@@ -481,19 +469,43 @@ def test_theorem_bound_closed_form_matches_unreduced_p3(kind):
     # up to 0.06 bit here, far outside the tolerance
     P = PauliDist(np.random.default_rng(5 if kind == "identity" else 6).dirichlet(np.ones(9)), 3)
     code = identity_code(3, 1) if kind == "identity" else repetition_code(3, 1, 2, P)
-    curve = _assert_matches_unreduced(3 ** (code.n1 - 1), _QutritEve(P), code)
+    curve = _assert_matches_unreduced(3 ** (code.n1 - 1), QuantumEveChannel(P, 1), code)
     assert all(v < 2.0 for _, v in curve)  # uncapped, so every t compares
 
 
 def test_quantum_eve_state_is_a_weyl_conjugate():
-    # state(c) = U_c state(0) U_c^dag with U_c = (W(c_1) x I_E) x (W(c_2) x I_E)
+    # states(c) = U_c states(0) U_c^dag with U_c = (W(c_1) x I_E) x (W(c_2) x I_E),
+    # and state 0 is tau_AE^{x 2}
     code = repetition_code(2, 2, 2, depolarizing(0.5, 2))
-    eve = QuantumEveChannel(depolarizing(0.1, 2), 2)
-    base = eve.state(np.zeros(4, dtype=np.int64))
-    for word in code.all_codewords():
+    P = depolarizing(0.1, 2)
+    eve = QuantumEveChannel(P, 2)
+    words = code.all_codewords()
+    states = eve.states(words)
+    assert states.shape == (len(words), 64, 64)
+    tau = qx.partial_trace(qx.purify(P).density(), [0, 2]).matrix
+    base = eve.states(np.zeros((1, 4), dtype=np.int64))[0]
+    assert np.allclose(base, np.kron(tau, tau), atol=1e-14)
+    for word, state in zip(words, states):
         u = np.kron(np.kron(qx.weyl(word[0], word[1], 2), np.eye(4)),
                     np.kron(qx.weyl(word[2], word[3], 2), np.eye(4)))
-        assert np.allclose(u @ base @ u.conj().T, eve.state(word), atol=1e-14)
+        assert np.allclose(u @ base @ u.conj().T, state, atol=1e-14)
+
+
+def test_quantum_eve_at_p3():
+    # p = 3, n = 1 is within the dimension cap: 27-dim states, one per word
+    # state(c) = (W_c x I_E) tau_AE (W_c x I_E)^dag from the oracle's purification
+    P = PauliDist(np.random.default_rng(7).dirichlet(np.ones(9)), 3)
+    eve = QuantumEveChannel(P, 1)
+    code = identity_code(3, 1)
+    words = code.all_codewords()
+    states = eve.states(words)
+    assert states.shape == (9, 27, 27)
+    tau = qx.partial_trace(qx.purify(P).density(), [0, 2]).matrix
+    for word, state in zip(words, states):
+        u = np.kron(qx.weyl(word[0], word[1], 3), np.eye(9))
+        assert np.allclose(state, u @ tau @ u.conj().T, atol=1e-14)
+    exact = exact_leakage(code, 1, 0, eve)
+    assert 0.0 < exact <= theorem1_bound(3, eve, code) + 1e-12
 
 
 def test_enumeration_cap():
@@ -503,10 +515,42 @@ def test_enumeration_cap():
 
 
 def test_quantum_eve_caps():
-    with pytest.raises(ValueError):
-        QuantumEveChannel(depolarizing(0.1, 3), 1)
-    with pytest.raises(ValueError):
-        QuantumEveChannel(depolarizing(0.1, 2), 3)
+    # (p^3)^n states above qexact.DIM_CAP = 256 (512 and 729 here), and at
+    # p = 5 the 625-dim purification behind tau_AE
+    for p, n in ((2, 3), (3, 2), (5, 1)):
+        with pytest.raises(SizeCapError):
+            QuantumEveChannel(depolarizing(0.1, p), n)
+
+
+def test_classical_eve_channel_checks_its_rows():
+    words = identity_code(2, 1).all_codewords()
+    assert wiretap.ClassicalEveChannel(lambda w: np.full((len(w), 2), 0.5)).states(
+        words).shape == (4, 2)
+    bad_kernels = {
+        "rows sum to 0.9": lambda w: np.full((len(w), 2), 0.45),
+        "one row too few": lambda w: np.full((len(w) - 1, 2), 0.5),
+        "one law, not a row per word": lambda w: np.full(2, 0.5),
+        "negative entry": lambda w: np.tile([1.5, -0.5], (len(w), 1)),
+    }
+    for name, kernel in bad_kernels.items():
+        with pytest.raises(ValueError, match="invalid distribution"):
+            wiretap.ClassicalEveChannel(kernel).states(words)
+
+
+def test_classical_eve_factories_batch_first():
+    # every row is the law the factory's docstring describes, for each word
+    p, n = 3, 2
+    noise = PauliDist(np.random.default_rng(8).dirichlet(np.ones(9)), p)
+    words = all_vectors(p, 2 * n)[::7]
+    idx = words @ p ** np.arange(2 * n - 1, -1, -1)
+    np.testing.assert_array_equal(eve_noiseless(p, n).states(words), np.eye(p ** (2 * n))[idx])
+    np.testing.assert_array_equal(eve_first_symbol(p, n).states(words), np.eye(p)[words[:, 0]])
+    np.testing.assert_array_equal(eve_constant(p, n).states(words), np.ones((len(words), 1)))
+    additive = eve_additive(noise, n).states(words)
+    for word, row in zip(words, additive):
+        want = np.kron(np.roll(noise.probs, tuple(word[:2]), axis=(0, 1)).reshape(-1),
+                       np.roll(noise.probs, tuple(word[2:]), axis=(0, 1)).reshape(-1))
+        np.testing.assert_array_equal(row, want)
 
 
 def test_generator_code_overflow_guard():
