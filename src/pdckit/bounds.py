@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dists import PauliDist, _masses, _renyi_of_masses, convolve, renyi_entropy, shannon
 
@@ -44,6 +43,8 @@ _T_GRID.flags.writeable = False
 
 def _refine_min(fn, grid: np.ndarray, vals: np.ndarray) -> float:
     """Grid minimum of a smooth scalar function plus bounded refinement."""
+    from scipy.optimize import minimize_scalar
+
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]

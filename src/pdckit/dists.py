@@ -199,18 +199,6 @@ def marginal(P: PauliDist, l, k) -> MarginalDist:
     return MarginalDist(out, p)
 
 
-def char_value(P: PauliDist, l, k) -> complex:
-    """Characteristic value E[omega^{lX - kZ}] with omega = e^{2 pi i / p}."""
-    p = P.p
-    li = int(l) % p
-    ki = int(k) % p
-    if li == 0 and ki == 0:
-        return complex(1.0)
-    m = marginal(P, li, ki)
-    omega = np.exp(2j * np.pi / p)
-    return complex(np.sum(m.probs * omega ** np.arange(p)))
-
-
 def sibson_mutual_info(px, channel, alpha: float) -> float:
     """Sibson's Renyi mutual information min_Q D_alpha(P_XE || P_X x Q), in bits.
 

@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bounds import eps_E_bound
 from .dists import PauliDist, convolve
@@ -314,6 +313,8 @@ def _min_sigma_distance(joint: np.ndarray) -> float:
 
     ``joint`` has shape (M, F).  Solved exactly as a linear program.
     """
+    from scipy.optimize import linprog
+
     m_count, f_count = joint.shape
     pm = joint.sum(axis=1)
     n_sigma = f_count

@@ -1,8 +1,8 @@
 """Exact small-dimension quantum oracle.
 
-Dense complex density matrices, Weyl operators, Bell states, Petz and
-sandwiched Renyi divergences, conditional entropies and mutual
-informations, twirling, and the sandwiched infimum solver.
+Dense complex density matrices, Weyl operators, Bell states, the Petz
+Renyi divergence, conditional entropies, the Petz cq mutual information,
+twirling, and the sandwiched infimum solver.
 Every quantum identity used by the rate formulas is checked against this
 module numerically; it is an oracle, not a large-n simulator, so the total
 Hilbert dimension is capped at 256.
@@ -15,7 +15,9 @@ has no closed form.  It is computed by quasi-Newton descent on an
 unconstrained PSD factorization (sigma = X X^dag up to trace, with analytic
 Daleckii-Krein gradients), seeded at the reduced state; the seed is
 returned whenever the descent does not end at or below its value.  There
-is one solver path, over the full list of states.
+is one solver path, over the full list of states.  scipy is imported where
+it runs (the descent step ``minimize`` and the ``_eigh`` fallback), so
+importing this module loads numpy alone.
 Correctness is validated against the closed classical forms available in
 the Weyl-Heisenberg setting.
 
@@ -30,8 +32,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize
 
 from .dists import PauliDist
 from .gf import _check_prime
@@ -352,26 +352,6 @@ def petz_divergence(rho, sigma, alpha: float) -> float:
     return float(np.log2(val) / t)
 
 
-def sandwiched_divergence(rho, sigma, alpha: float) -> float:
-    """Sandwiched Renyi divergence (1/t) log2 Tr (sigma^{-t/2a} rho sigma^{-t/2a})^alpha."""
-    t = alpha - 1.0
-    if alpha <= 0:
-        raise ValueError(f"order must be positive, got {alpha}")
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    if abs(t) < 1e-12:
-        return relative_entropy(r, s)
-    if t > 0:
-        _support_check(r, s)
-    half = _herm_power(s, -t / (2.0 * alpha))
-    inner = half @ r @ half
-    lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    val = np.sum(lam**alpha)
-    if val <= 0:
-        return np.inf
-    return float(np.log2(val) / t)
-
-
 def cond_entropy_down(rho_ab: DensityMatrix, alpha: float) -> float:
     """Petz conditional entropy H_alpha^down(A|B) = -D_alpha(rho_AB || I_A x rho_B)."""
     if len(rho_ab.dims) != 2:
@@ -396,6 +376,8 @@ def _eigh(mat: np.ndarray):
     try:
         return np.linalg.eigh(mat)
     except np.linalg.LinAlgError:
+        import scipy.linalg
+
         stack = mat.reshape(-1, *mat.shape[-2:])
         lam, vecs = map(np.stack, zip(*(scipy.linalg.eigh(m, driver="evr") for m in stack)))
         return lam.reshape(mat.shape[:-1]), vecs.reshape(mat.shape)
@@ -447,6 +429,13 @@ def _xi_value_and_grad(omega: np.ndarray, states: np.ndarray,
     grad = alpha * ((v @ (phi * b) @ v.conj().T))
     grad = 0.5 * (grad + grad.conj().T)
     return F, grad
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call, not with this module."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None):
@@ -527,27 +516,6 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None):
     return best_f, best_sigma
 
 
-def cond_entropy_up_sandwiched(rho_ab: DensityMatrix, alpha: float) -> float:
-    """Optimized sandwiched conditional entropy H~_alpha^up(A|B).
-
-    Equals -inf over density sigma_B of D~_alpha(rho_AB || I_A x sigma_B);
-    the infimum is solved numerically (seeded at rho_B, which already attains
-    the unoptimized H~_alpha^down value, so the result can only improve on it).
-    """
-    if len(rho_ab.dims) != 2:
-        raise ValueError("conditional entropy needs a bipartite state")
-    t = alpha - 1.0
-    if abs(t) < 1e-12:
-        rho_b = partial_trace(rho_ab, [1])
-        return vn_entropy(rho_ab) - vn_entropy(rho_b)
-    if t < 0:
-        raise ValueError("optimized sandwiched entropy implemented for alpha > 1")
-    f, _sigma = _minimize_xi([rho_ab.matrix], [1.0], alpha,
-                             sigma0=partial_trace(rho_ab, [1]).matrix,
-                             trace_first=rho_ab.dims[0])
-    return float(-np.log2(f) / t)
-
-
 def petz_mutual_info_up_cq(weights, states, alpha: float) -> float:
     """I_alpha^up(X;B) = D_alpha(rho_XB || rho_X x rho_B) for a cq state.
 
@@ -567,18 +535,3 @@ def petz_mutual_info_up_cq(weights, states, alpha: float) -> float:
     s_pow = (vecs * lam[:, None, :] ** alpha) @ np.conj(np.swapaxes(vecs, 1, 2))
     total = float(np.einsum("x,xij,ji->", weights, s_pow, rb_pow).real)
     return float(np.log2(total) / t)
-
-
-def sandwiched_mutual_info_down_cq(weights, states, alpha: float) -> float:
-    """I~_alpha^down(X;E) for a cq state sum_x w_x |x><x| x W_x.
-
-    Because X is classical and the first marginal is the true one, the
-    divergence block-decomposes and the quantity reduces to
-    (1/t) log2 min_sigma sum_x w_x Xi_alpha(W_x || sigma).
-    """
-    t = alpha - 1.0
-    if t <= 0:
-        raise ValueError("implemented for alpha > 1")
-    mats = [_as_matrix(w) for w in states]
-    f, _sigma = _minimize_xi(mats, weights, alpha)
-    return float(np.log2(f) / t)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -368,14 +369,20 @@ class ClassicalEveChannel:
 
     is_quantum = False
 
-    def __init__(self, kernel: Callable[[np.ndarray], np.ndarray]):
-        self._kernel = kernel
+    def __init__(self, kernel: Callable[[np.ndarray], np.ndarray], outputs: int):
+        self._kernel, self.outputs = kernel, outputs
 
     def states(self, words: np.ndarray) -> np.ndarray:
-        """The kernel's rows; ValueError unless each word gets a probability row."""
+        """The kernel's rows; SizeCapError when words x outputs exceeds
+        ``_ENUM_CAP``, before the kernel runs, and ValueError unless each word
+        gets a probability row over the outputs."""
         words = np.asarray(words, dtype=np.int64)
+        if len(words) * self.outputs > _ENUM_CAP:
+            raise qexact.SizeCapError(
+                f"Eve's law of {len(words)} words x {self.outputs} outputs "
+                f"exceeds cap {_ENUM_CAP}")
         rows = np.asarray(self._kernel(words), dtype=float)
-        if (rows.ndim != 2 or rows.shape[0] != words.shape[0] or np.any(rows < 0.0)
+        if (rows.shape != (len(words), self.outputs) or np.any(rows < 0.0)
                 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9)):
             raise ValueError("Eve channel returned an invalid distribution")
         return rows
@@ -390,12 +397,12 @@ def eve_noiseless(p: int, n: int) -> ClassicalEveChannel:
         rows[np.arange(len(words)), words @ weights] = 1.0
         return rows
 
-    return ClassicalEveChannel(kernel)
+    return ClassicalEveChannel(kernel, p ** (2 * n))
 
 
 def eve_constant(p: int, n: int) -> ClassicalEveChannel:
     """Eve's observation carries no signal."""
-    return ClassicalEveChannel(lambda words: np.ones((len(words), 1)))
+    return ClassicalEveChannel(lambda words: np.ones((len(words), 1)), 1)
 
 
 def eve_additive(noise: PauliDist, n: int) -> ClassicalEveChannel:
@@ -412,35 +419,40 @@ def eve_additive(noise: PauliDist, n: int) -> ClassicalEveChannel:
             rows = (rows[:, :, None] * pair[:, None, :]).reshape(len(words), -1)
         return rows
 
-    return ClassicalEveChannel(kernel)
+    return ClassicalEveChannel(kernel, p ** (2 * n))
 
 
 def eve_first_symbol(p: int, n: int) -> ClassicalEveChannel:
     """Eve learns only the first symbol of the word (deterministic)."""
-    return ClassicalEveChannel(lambda words: np.eye(p)[words[:, 0]])
+    return ClassicalEveChannel(lambda words: np.eye(p)[words[:, 0]], p)
 
 
 class QuantumEveChannel:
     """Eve holds (U_{g_1} x ... x U_{g_n}) tau_AE^{x n} (.)^dag per codeword.
 
-    U_g = W(g) x I_E and tau_AE is p^3-dimensional, so the constructor raises
+    U_g = W(g) x I_E and tau_AE is p^3-dimensional, so ``states`` raises
     SizeCapError when (p^3)^n exceeds ``qexact.DIM_CAP`` (256), and
-    ``qexact.purify`` raises it for p > 3: quantum Eve runs at p = 2 with
-    n <= 2 and at p = 3 with n = 1.  ``theorem1_bound`` needs only ``P``.
+    ``qexact.purify`` raises it for p > 3: the states exist at p = 2 with
+    n <= 2 and at p = 3 with n = 1.  ``theorem1_bound`` needs only ``P``, so
+    it runs at any size the code's syndrome law allows.
     """
 
     is_quantum = True
 
     def __init__(self, P: PauliDist, n: int):
-        qexact._check_dims([P.p**3] * n)  # SizeCapError above the cap
         self.P, self.n = P, n
-        tau = qexact.partial_trace(qexact.purify(P).density(), [0, 2]).matrix
-        # tau_AE rotated by U_g, one per pair label g = x p + z
-        rotations = [np.kron(qexact.weyl(x, z, P.p), np.eye(P.p**2)) for x, z in all_vectors(P.p, 2)]
-        self._sites = np.stack([u @ tau @ u.conj().T for u in rotations])
+
+    @cached_property
+    def _sites(self) -> np.ndarray:
+        """tau_AE rotated by U_g, one per pair label g = x p + z."""
+        p = self.P.p
+        tau = qexact.partial_trace(qexact.purify(self.P).density(), [0, 2]).matrix
+        rotations = [np.kron(qexact.weyl(x, z, p), np.eye(p**2)) for x, z in all_vectors(p, 2)]
+        return np.stack([u @ tau @ u.conj().T for u in rotations])
 
     def states(self, words: np.ndarray) -> np.ndarray:
         """Eve's (words, (p^3)^n, (p^3)^n) states for a (words, 2n) codeword stack."""
+        qexact._check_dims([self.P.p**3] * self.n)  # SizeCapError above the cap
         labels = _pair_labels(words, self.P.p)
         out = np.ones((len(labels), 1, 1), dtype=complex)
         for i in range(self.n):

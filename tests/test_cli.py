@@ -194,6 +194,19 @@ def test_leakage_size_cap_exit(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # 4 codewords x 2^28 dense noiseless-Eve outputs
+    ("--n", "14", "--n1", "2", "--code", "repetition:14", "--eve", "noiseless"),
+    # (p^3)^n = 512 quantum states; the bound alone would run
+    ("--n", "3", "--n2", "1", "--n3", "0", "--code", "identity", "--eve", "quantum:0.1"),
+])
+def test_leakage_eve_size_cap_exit(capsys, argv):
+    code = main(["leakage", *argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("size cap exceeded:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ("--n", "3", "--eve", "quantum:0.25"),  # (p^3)^n = 512 > 256: size cap, exit 4
     ("--p", "3", "--eve", "quantum:0.25"),  # (p^3)^n = 27: runs
     ("--eve", "quantum:abc"),  # not a mix: exit 2

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from pdckit import qexact as qx
-from pdckit.dists import PauliDist, char_value, depolarizing, marginal
+from pdckit.dists import PauliDist, depolarizing, marginal
 from pdckit.estimation import (MeasurementSetting, char_table_from_marginals,
                                estimate, reconstruct,
                                setting_distribution_exact, settings,
                                simplex_project, simulate_setting,
                                twirled_statistics_check)
+
+from oracle_reference import char_value
 
 
 def random_dist(p, rng):

@@ -180,6 +180,8 @@ CLI_DIGESTS = {
         "9ce6f489137d64e22df75bf457b91e716e3f0241a415d1e55880796a88893bfa",
     "rates --p 2 --mix-grid 0:0.25:0.0025 --format json":
         "13ebb984b45f45d97907ef6dc94070f460643a0e4fd4da4de885de71f99602f8",
+    "rates --p 2 --mix-grid 0:0.25:0.0025":
+        "77bddd1cd879b670d54bfada6ea2b0b8bb247a8d208aacc4fcec8e4417188cea",
 }
 
 # Outputs whose printed residuals sit at rounding level (1e-14), so their
@@ -198,13 +200,63 @@ def test_cli_stdout_pinned(argv, capsys):
     assert _digest(capsys.readouterr().out) == CLI_DIGESTS[argv]
 
 
+def _one_blas_thread_env() -> dict:
+    src = str(Path(pdckit.__file__).resolve().parents[1])
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("argv", sorted(CLI_DIGESTS_ONE_THREAD))
 def test_cli_stdout_pinned_one_blas_thread(argv):
-    src = str(Path(pdckit.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-m", "pdckit.cli", *argv.split()],
-                         env=env, capture_output=True, text=True, check=True,
-                         timeout=120)
+                         env=_one_blas_thread_env(), capture_output=True, text=True,
+                         check=True, timeout=120)
     assert _digest(run.stdout) == CLI_DIGESTS_ONE_THREAD[argv]
+
+
+# Commands that run without scipy's optimizers or dense linear algebra.
+NO_SCIPY_ARGV = [
+    "rates --p 2 --mix-grid 0:0.25:0.0025",
+    "estimate --p 2 --mix 0.05 --shots 10000 --seed 1",
+    "leakage --n 1 --n2 1 --n3 0 --code identity --eve quantum:0.25",
+]
+
+# Imports every pdckit module, runs the commands in NO_SCIPY_ARGV and then
+# `finite`, and prints which scipy modules were loaded at each stage.
+_FOOTPRINT_SCRIPT = """
+import contextlib, hashlib, importlib, io, json, pkgutil, sys
+import pdckit
+for info in pkgutil.iter_modules(pdckit.__path__):
+    importlib.import_module("pdckit." + info.name)
+from pdckit.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv.split())
+    return [code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+
+report = {"after_import": scipy_modules()}
+report["runs"] = {argv: run(argv) for argv in json.loads(sys.argv[1])}
+report["after_runs"] = scipy_modules()
+report["finite"] = run("finite --p 2 --mix 0.05 --n-grid 1000")
+report["after_finite"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_cold_start_defers_scipy():
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(NO_SCIPY_ARGV)],
+                         env=_one_blas_thread_env(), capture_output=True, text=True,
+                         check=True, timeout=120)
+    report = json.loads(run.stdout)
+    assert report["after_import"] == []
+    assert report["runs"] == {argv: [0, CLI_DIGESTS[argv]] for argv in NO_SCIPY_ARGV}
+    assert {"scipy.optimize", "scipy.linalg"}.isdisjoint(report["after_runs"])
+    # deferred, not removed: the bound refinement loads the optimizers
+    assert report["finite"][0] == 0
+    assert "scipy.optimize" in report["after_finite"]

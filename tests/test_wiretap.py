@@ -516,25 +516,58 @@ def test_enumeration_cap():
 
 def test_quantum_eve_caps():
     # (p^3)^n states above qexact.DIM_CAP = 256 (512 and 729 here), and at
-    # p = 5 the 625-dim purification behind tau_AE
+    # p = 5 the 625-dim purification behind tau_AE.  The cap guards the
+    # states alone: the Theorem-1 bound reads only P and the code.
     for p, n in ((2, 3), (3, 2), (5, 1)):
+        eve = QuantumEveChannel(depolarizing(0.1, p), n)
+        code = identity_code(p, n)
+        assert 0.0 < theorem1_bound(p, eve, code) <= 2.0
         with pytest.raises(SizeCapError):
-            QuantumEveChannel(depolarizing(0.1, p), n)
+            eve.states(code.all_codewords()[:1])
+        with pytest.raises(SizeCapError):
+            exact_leakage(code, 1, 0, eve)
 
 
 def test_classical_eve_channel_checks_its_rows():
     words = identity_code(2, 1).all_codewords()
-    assert wiretap.ClassicalEveChannel(lambda w: np.full((len(w), 2), 0.5)).states(
+    assert wiretap.ClassicalEveChannel(lambda w: np.full((len(w), 2), 0.5), 2).states(
         words).shape == (4, 2)
     bad_kernels = {
         "rows sum to 0.9": lambda w: np.full((len(w), 2), 0.45),
         "one row too few": lambda w: np.full((len(w) - 1, 2), 0.5),
+        "one output too many": lambda w: np.full((len(w), 3), 1.0 / 3.0),
         "one law, not a row per word": lambda w: np.full(2, 0.5),
         "negative entry": lambda w: np.tile([1.5, -0.5], (len(w), 1)),
     }
     for name, kernel in bad_kernels.items():
         with pytest.raises(ValueError, match="invalid distribution"):
-            wiretap.ClassicalEveChannel(kernel).states(words)
+            wiretap.ClassicalEveChannel(kernel, 2).states(words)
+
+
+def test_classical_eve_law_cap():
+    # words x outputs above _ENUM_CAP is refused before the kernel runs
+    cap = wiretap._ENUM_CAP
+    words = identity_code(2, 1).all_codewords()
+
+    def uniform(w):
+        return np.full((len(w), cap // 4), 4.0 / cap)
+
+    assert wiretap.ClassicalEveChannel(uniform, cap // 4).states(words).shape == (4, cap // 4)
+
+    def never(w):
+        raise AssertionError("kernel ran above the cap")
+
+    with pytest.raises(SizeCapError):
+        wiretap.ClassicalEveChannel(never, cap // 4 + 1).states(words)
+    # noiseless Eve on a 4-word code at n = 14: 4 x 2^28 dense rows
+    code = repetition_code(2, 2, 14, dep2())
+    for eve in (eve_noiseless(2, 14), eve_additive(dep2(), 14)):
+        with pytest.raises(SizeCapError):
+            eve.states(code.all_codewords())
+        with pytest.raises(SizeCapError):
+            exact_leakage(code, 1, 0, eve)
+        with pytest.raises(SizeCapError):
+            theorem1_bound(2, eve, code)
 
 
 def test_classical_eve_factories_batch_first():
