@@ -57,7 +57,7 @@ def _check_dims(dims) -> list[int]:
     dims = [int(d) for d in dims]
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid subsystem dimensions {dims}")
-    total = int(np.prod(dims))
+    total = int(np.prod(dims, dtype=object))  # Python ints: 2^64 does not wrap to 0
     if total > DIM_CAP:
         raise SizeCapError(f"total dimension {total} exceeds oracle cap {DIM_CAP}")
     return dims
@@ -314,34 +314,19 @@ def _support_check(rho: np.ndarray, sigma: np.ndarray) -> None:
         raise ValueError("support of rho is not contained in support of sigma")
 
 
-def relative_entropy(rho, sigma) -> float:
-    """Umegaki relative entropy Tr rho (log2 rho - log2 sigma)."""
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    _support_check(r, s)
-    lam_r, v_r = np.linalg.eigh(r)
-    lam_s, v_s = np.linalg.eigh(s)
-    lam_r = np.clip(lam_r, 0.0, None)
-    log_r = (v_r * np.where(lam_r > _EIG_CLIP, np.log2(np.clip(lam_r, _EIG_CLIP, None)), 0.0)) @ v_r.conj().T
-    log_s = (v_s * np.where(lam_s > _EIG_CLIP, np.log2(np.clip(lam_s, _EIG_CLIP, None)), 0.0)) @ v_s.conj().T
-    val = np.trace(r @ (log_r - log_s)).real
-    # the clipped logs only touch directions outside the supports
-    return float(val)
-
-
 def petz_divergence(rho, sigma, alpha: float) -> float:
     """Petz Renyi divergence D_alpha(rho || sigma) = (1/t) log2 Tr rho^alpha sigma^{-t}.
 
     alpha = 1 + t; sigma may be any PSD operator (not necessarily unit
-    trace).  alpha = 1 routes to the relative entropy.
+    trace).  alpha = 1 (|t| < 1e-12) raises ValueError.
     """
     t = alpha - 1.0
     if alpha <= 0:
         raise ValueError(f"order must be positive, got {alpha}")
+    if abs(t) < 1e-12:
+        raise ValueError("alpha = 1 not supported; use Shannon quantities")
     r = _as_matrix(rho)
     s = _as_matrix(sigma)
-    if abs(t) < 1e-12:
-        return relative_entropy(r, s)
     if t > 0:
         _support_check(r, s)
     ra = _herm_power(r, alpha)
@@ -353,7 +338,8 @@ def petz_divergence(rho, sigma, alpha: float) -> float:
 
 
 def cond_entropy_down(rho_ab: DensityMatrix, alpha: float) -> float:
-    """Petz conditional entropy H_alpha^down(A|B) = -D_alpha(rho_AB || I_A x rho_B)."""
+    """Petz conditional entropy H_alpha^down(A|B) = -D_alpha(rho_AB || I_A x rho_B),
+    alpha != 1."""
     if len(rho_ab.dims) != 2:
         raise ValueError("conditional entropy needs a bipartite state")
     da = rho_ab.dims[0]

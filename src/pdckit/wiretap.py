@@ -12,9 +12,10 @@ module enumerates it for the exact leakage.
 A code is two batch-first callables, like the hashing module: ``encode``
 maps (..., n1) information words to (..., 2n) codewords and
 ``decode_batch`` maps (..., 2n) received words to (..., n1) decisions,
-both keeping the leading axes.  Eve channels are batch-first too: their
-``states`` maps a (words, 2n) codeword stack to Eve's stacked laws or
-density matrices, which ``exact_leakage`` requests once.
+both keeping the leading axes.  Classical Eve channels are batch-first
+too: ``states`` maps a (words, 2n) codeword stack to Eve's stacked laws,
+which ``exact_leakage`` requests once.  Quantum Eve is read through the
+code's syndrome law alone, for her exact leakage and for her bound.
 
 Baseline codes: identity (n1 = 2n), r-fold symbol repetition, and random
 linear codes.  Random linear codes are decoded by exhaustive maximum
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -407,11 +407,14 @@ def eve_constant(p: int, n: int) -> ClassicalEveChannel:
 
 def eve_additive(noise: PauliDist, n: int) -> ClassicalEveChannel:
     """Eve sees the word through the additive pair-noise channel: her law is
-    the Kronecker product over pairs c_i of noise(v - c_i) on labels v = x p + z."""
+    the Kronecker product over pairs c_i of noise(v - c_i) on labels v = x p + z;
+    ValueError on words of another length than 2n."""
     p = noise.p
     v = np.arange(p * p)
 
     def kernel(words):
+        if words.shape[1] != 2 * n:
+            raise ValueError(f"additive Eve reads words of {2 * n} symbols, got {words.shape[1]}")
         rows = np.ones((len(words), 1))
         for i in range(n):
             pair = noise.probs[(v // p - words[:, 2 * i, None]) % p,
@@ -430,36 +433,15 @@ def eve_first_symbol(p: int, n: int) -> ClassicalEveChannel:
 class QuantumEveChannel:
     """Eve holds (U_{g_1} x ... x U_{g_n}) tau_AE^{x n} (.)^dag per codeword.
 
-    U_g = W(g) x I_E and tau_AE is p^3-dimensional, so ``states`` raises
-    SizeCapError when (p^3)^n exceeds ``qexact.DIM_CAP`` (256), and
-    ``qexact.purify`` raises it for p > 3: the states exist at p = 2 with
-    n <= 2 and at p = 3 with n = 1.  ``theorem1_bound`` needs only ``P``, so
-    it runs at any size the code's syndrome law allows.
+    U_g = W(g) x I_E.  Her exact leakage and bound read ``P`` only through
+    the code's syndrome law: the leakage runs wherever p^{n1} <=
+    ``qexact.DIM_CAP`` (256), the bound wherever p^{n1} enumerates.
     """
 
     is_quantum = True
 
     def __init__(self, P: PauliDist, n: int):
         self.P, self.n = P, n
-
-    @cached_property
-    def _sites(self) -> np.ndarray:
-        """tau_AE rotated by U_g, one per pair label g = x p + z."""
-        p = self.P.p
-        tau = qexact.partial_trace(qexact.purify(self.P).density(), [0, 2]).matrix
-        rotations = [np.kron(qexact.weyl(x, z, p), np.eye(p**2)) for x, z in all_vectors(p, 2)]
-        return np.stack([u @ tau @ u.conj().T for u in rotations])
-
-    def states(self, words: np.ndarray) -> np.ndarray:
-        """Eve's (words, (p^3)^n, (p^3)^n) states for a (words, 2n) codeword stack."""
-        qexact._check_dims([self.P.p**3] * self.n)  # SizeCapError above the cap
-        labels = _pair_labels(words, self.P.p)
-        out = np.ones((len(labels), 1, 1), dtype=complex)
-        for i in range(self.n):
-            site = self._sites[labels[:, i]]
-            d = out.shape[1] * site.shape[1]
-            out = (out[:, :, None, :, None] * site[:, None, :, None, :]).reshape(-1, d, d)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +453,45 @@ def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
     (the trace norm for quantum Eve, the l1 norm for classical Eve).
 
     Hashes every information word to M' = L1 + T(S) L2 (the f_S map, with
-    n1 = k allowed) and averages Eve's states over each preimage.
+    n1 = k allowed).  Classical Eve's laws are averaged over each preimage.
+
+    Quantum Eve's states are never built.  By step 1 of ``theorem1_bound``
+    she holds (I_A x Z_m) tau^{x n} (I_A x Z_m)^dag for the word m, and the
+    mean of omega^{m.D} over all m is delta_{D,0}.  So a preimage's average
+    state minus the overall one is X = p^{-n} V (I_A x K) V^dag, with the
+    unitary V = sum_g W_g x |g><g|, K(g, g') = sqrt(P(g) P(g')) c(s(g) - s(g'))
+    and c(D) the preimage mean of omega^{m.D} minus delta_{D,0}.  I_A is
+    p^n-dimensional, so ||X||_1 = ||K||_1.  K = D^{1/2} S^T C S D^{1/2} with
+    D = diag(P), S the 0/1 map g -> s(g) and C(s, s') = c(s - s'); AB and BA
+    share their nonzero spectrum and S D S^T = diag(Q_C), so ||X||_1 is
+    sum |eig(M)| for the p^{n1} x p^{n1} M(s, s') = sqrt(Q_C(s) Q_C(s')) c(s - s').
+    SizeCapError when p^{n1} exceeds ``qexact.DIM_CAP``.
     """
     p, n1 = code.p, code.n1
     infos = all_vectors(p, n1)
-    states = eve.states(code.encode(infos))
-    avg = states.mean(axis=0)
+    if eve.is_quantum:
+        qexact._check_dims([p] * n1)  # SizeCapError above the cap
+        root = np.sqrt(_quantum_syndrome_law(eve, code))
+        scale = root[:, None] * root[None, :]
+        # chars[m, D] = omega^{m.D}; diff[s, s'] is the index of s - s'
+        chars = np.exp(2j * np.pi / p * _mod(infos @ infos.T, p))
+        diff = _mod(infos[:, None, :] - infos[None, :, :], p) @ p ** np.arange(n1 - 1, -1, -1)
+
+        def norm(idx):
+            c = chars[idx].mean(axis=0)
+            c[0] -= 1.0
+            return np.abs(np.linalg.eigvalsh(scale * c[diff])).sum()
+    else:
+        states = eve.states(code.encode(infos))
+        avg = states.mean(axis=0)
+
+        def norm(idx):
+            return np.abs(sum(states[i] for i in idx) / len(idx) - avg).sum()
     weights = p ** np.arange(k - 1, -1, -1)
     for seed_vec in seeds:
         mvals = _mod(infos[:, :k] + toeplitz_apply_batch(seed_vec, infos[:, k:], k, n1 - k, p), p)
         midx = mvals @ weights
-        # sum the preimage's rows one view at a time: indexing states by the
-        # preimage would copy all its rows out of the stack
-        members = (np.flatnonzero(midx == m) for m in range(p**k))
-        diffs = (sum(states[i] for i in idx) / len(idx) - avg for idx in members)
-        yield [float(np.abs(np.linalg.eigvalsh(d) if eve.is_quantum else d).sum()) for d in diffs]
+        yield [float(norm(np.flatnonzero(midx == m))) for m in range(p**k)]
 
 
 def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
@@ -493,9 +499,9 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
     """Exact average leakage d_bar(M'; E S) by full enumeration.
 
     Enumerates every seed S (or the supplied subset), every message m', and
-    the uniform randomization inside each hash preimage; Eve's conditional
-    states come from one ``eve.states`` call on all encoded codewords.
-    Uses the paper's unhalved 1-norm, so values range up to 2.
+    the uniform randomization inside each hash preimage (``_message_norms``).
+    Uses the paper's unhalved 1-norm, so values range up to 2.  ValueError
+    when additive or quantum Eve was built for another n than the code.
     """
     p, n1, k = code.p, code.n1, n2 + n3
     if not (n1 >= k > 0):
@@ -538,6 +544,13 @@ def _syndrome_law(P: PauliDist, code: LinearCodeSpec) -> np.ndarray:
                 site += w * np.roll(law, tuple(shift.tolist()), axis=axes)
         law = site
     return law.reshape(-1)
+
+
+def _quantum_syndrome_law(eve: QuantumEveChannel, code: LinearCodeSpec) -> np.ndarray:
+    """Eve's ``_syndrome_law``; ValueError unless she holds the code's n pairs over F_p."""
+    if (eve.n, eve.P.p) != (code.n, code.p):
+        raise ValueError(f"quantum Eve n={eve.n}, p={eve.P.p} != code n={code.n}, p={code.p}")
+    return _syndrome_law(eve.P, code)
 
 
 def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
@@ -589,7 +602,7 @@ def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
     words = code.all_codewords()  # also bounds the p^{n1} syndrome law
     if eve.is_quantum:
         ts = _QUANTUM_T_GRID
-        info = renyi_entropy(_syndrome_law(eve.P, code), (1.0 + ts) / (1.0 + 2.0 * ts))
+        info = renyi_entropy(_quantum_syndrome_law(eve, code), (1.0 + ts) / (1.0 + 2.0 * ts))
     else:
         ts = _CLASSICAL_T_GRID
         weights, W = np.full(len(words), 1.0 / len(words)), eve.states(words).T

@@ -1,18 +1,38 @@
 """Reference quantities that only the tests evaluate.
 
-The sandwiched Renyi divergence, the optimized sandwiched conditional
-entropy, the sandwiched cq mutual information and the characteristic value
-of a Pauli distribution.  The package computes none of them on a command
-path; the tests use them as independent anchors for ``qexact``'s solver and
-``estimation``'s character table.
+The Umegaki relative entropy, the sandwiched Renyi divergence, the
+optimized sandwiched conditional entropy, the sandwiched cq mutual
+information, the characteristic value of a Pauli distribution and quantum
+Eve's dense (p^3)^n-dimensional states.  The package computes none of them
+on a command path; the tests use them as independent anchors for
+``qexact``'s solver, ``estimation``'s character table and ``wiretap``'s
+syndrome-law leakage.
 """
 
 import numpy as np
 
 from pdckit.dists import PauliDist, marginal
-from pdckit.qexact import (DensityMatrix, _as_matrix, _herm_power, _minimize_xi,
-                           _support_check, partial_trace, relative_entropy,
-                           vn_entropy)
+from pdckit.gf import all_vectors
+from pdckit.hashing import SeedS, f_s
+from pdckit.qexact import (_EIG_CLIP, DensityMatrix, _as_matrix, _check_dims, _herm_power,
+                           _minimize_xi, _support_check, partial_trace, purify, vn_entropy,
+                           weyl)
+from pdckit.wiretap import _pair_labels
+
+
+def relative_entropy(rho, sigma) -> float:
+    """Umegaki relative entropy Tr rho (log2 rho - log2 sigma)."""
+    r = _as_matrix(rho)
+    s = _as_matrix(sigma)
+    _support_check(r, s)
+    lam_r, v_r = np.linalg.eigh(r)
+    lam_s, v_s = np.linalg.eigh(s)
+    lam_r = np.clip(lam_r, 0.0, None)
+    log_r = (v_r * np.where(lam_r > _EIG_CLIP, np.log2(np.clip(lam_r, _EIG_CLIP, None)), 0.0)) @ v_r.conj().T
+    log_s = (v_s * np.where(lam_s > _EIG_CLIP, np.log2(np.clip(lam_s, _EIG_CLIP, None)), 0.0)) @ v_s.conj().T
+    val = np.trace(r @ (log_r - log_s)).real
+    # the clipped logs only touch directions outside the supports
+    return float(val)
 
 
 def sandwiched_divergence(rho, sigma, alpha: float) -> float:
@@ -81,3 +101,44 @@ def char_value(P: PauliDist, l, k) -> complex:
     m = marginal(P, li, ki)
     omega = np.exp(2j * np.pi / p)
     return complex(np.sum(m.probs * omega ** np.arange(p)))
+
+
+def quantum_eve_states(P: PauliDist, n: int, words: np.ndarray) -> np.ndarray:
+    """Quantum Eve's (words, (p^3)^n, (p^3)^n) states for a (words, 2n) codeword stack.
+
+    Word c gives (U_{c_1} x ... x U_{c_n}) tau_AE^{x n} (.)^dag with
+    U_g = W(g) x I_E and tau_AE = Tr_B of ``purify(P)``.  SizeCapError when
+    (p^3)^n exceeds ``qexact.DIM_CAP`` (256), and from ``purify`` for p > 3.
+    """
+    p = P.p
+    _check_dims([p**3] * n)  # SizeCapError above the cap
+    tau = partial_trace(purify(P).density(), [0, 2]).matrix
+    rotations = [np.kron(weyl(x, z, p), np.eye(p**2)) for x, z in all_vectors(p, 2)]
+    sites = np.stack([u @ tau @ u.conj().T for u in rotations])
+    labels = _pair_labels(words, p)
+    out = np.ones((len(labels), 1, 1), dtype=complex)
+    for i in range(n):
+        site = sites[labels[:, i]]
+        d = out.shape[1] * site.shape[1]
+        out = (out[:, :, None, :, None] * site[:, None, :, None, :]).reshape(-1, d, d)
+    return out
+
+
+def quantum_eve_leakage(code, n2: int, n3: int, P: PauliDist, n: int) -> float:
+    """``exact_leakage`` for quantum Eve from her dense states.
+
+    Every seed S, and per message m' the trace norm of the average state
+    over the f_S preimage of m' minus the average over all words, weighted
+    1/p^{n2+n3} and averaged over the seeds.  Needs n1 > n2 + n3.
+    """
+    p, n1 = code.p, code.n1
+    infos = all_vectors(p, n1)
+    states = quantum_eve_states(P, n, code.encode(infos))
+    avg = states.mean(axis=0)
+    total = 0.0
+    for vec in all_vectors(p, n1 - 1):
+        mvals = f_s(SeedS(vec, n1, n2, n3, p), infos)
+        for m in np.unique(mvals, axis=0):
+            cond = states[(mvals == m).all(axis=1)].mean(axis=0)
+            total += np.abs(np.linalg.eigvalsh(cond - avg)).sum() / p ** (n2 + n3)
+    return total / p ** (n1 - 1)

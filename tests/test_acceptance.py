@@ -127,6 +127,12 @@ def test_criterion_4_leakage_bound_domination():
          QuantumEveChannel(depolarizing(0.1, p), 2)),
         ("quantum n=2 identity dep 0.3", id2, 1, 1,
          QuantumEveChannel(depolarizing(0.3, p), 2)),
+        # reachable only through the syndrome law: (p^3)^n dense states
+        # would be 512- and 2^60-dimensional
+        ("quantum n=3 identity dep 0.1", identity_code(p, 3), 1, 0,
+         QuantumEveChannel(depolarizing(0.1, p), 3)),
+        ("quantum n=20 repetition dep 0.1", repetition_code(p, 4, 10, depolarizing(0.5, p)),
+         1, 0, QuantumEveChannel(depolarizing(0.1, p), 20)),
     ]
     ok = True
     strict = 0

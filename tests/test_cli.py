@@ -196,10 +196,18 @@ def test_leakage_size_cap_exit(capsys):
 @pytest.mark.parametrize("argv", [
     # 4 codewords x 2^28 dense noiseless-Eve outputs
     ("--n", "14", "--n1", "2", "--code", "repetition:14", "--eve", "noiseless"),
-    # (p^3)^n = 512 quantum states; the bound alone would run
+    # quantum Eve's p^{n1} = 64 syndrome matrices run; p^{n1} = 1024 > 256 does not
     ("--n", "3", "--n2", "1", "--n3", "0", "--code", "identity", "--eve", "quantum:0.1"),
 ])
 def test_leakage_eve_size_cap_exit(capsys, argv):
+    if argv[-1].startswith("quantum"):
+        code = main(["leakage", *argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["dominated"] is True
+        assert 0.0 < payload["exact_leakage"] <= payload["theorem_bound"]
+        argv = ("--n", "5", *argv[2:])
     code = main(["leakage", *argv])
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
@@ -207,19 +215,24 @@ def test_leakage_eve_size_cap_exit(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--n", "3", "--eve", "quantum:0.25"),  # (p^3)^n = 512 > 256: size cap, exit 4
-    ("--p", "3", "--eve", "quantum:0.25"),  # (p^3)^n = 27: runs
+    # p^{n1} = 64 runs; --n 5 makes p^{n1} = 1024 > 256: size cap, exit 4
+    ("--n", "3", "--eve", "quantum:0.25"),
+    ("--p", "3", "--eve", "quantum:0.25"),  # p^{n1} = 9: runs
     ("--eve", "quantum:abc"),  # not a mix: exit 2
 ])
 def test_leakage_bad_eve_exit(capsys, argv):
     code = main(["leakage", "--n2", "1", "--n3", "0", *argv])
     out, err = capsys.readouterr()
-    if argv[0] == "--p":
+    if argv[0] in ("--n", "--p"):
         assert (code, err) == (0, "")
         payload = json.loads(out)
         assert payload["dominated"] is True
         assert 0.0 < payload["exact_leakage"] <= payload["theorem_bound"]
-        return
+        if argv[0] == "--p":
+            return
+        # the same Eve at p^{n1} = 1024
+        code = main(["leakage", "--n2", "1", "--n3", "0", "--n", "5", *argv[2:]])
+        out, err = capsys.readouterr()
     assert code == (4 if argv[0] == "--n" else 2)
     assert out == ""
     prefix = "size cap exceeded:" if code == 4 else "invalid arguments:"

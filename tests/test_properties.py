@@ -2,7 +2,8 @@
 the batch-first code contract, the decision-table ML decoder, the F_p x F_p
 kernels and the bound inversions, the Renyi kernel behind the bounds (with
 masses far below 1e-15, which count) and the syndrome law behind quantum
-Eve's leakage bound.
+Eve's leakage bound, and the syndrome-law form of her exact leakage against
+her dense states.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The reduction mod p is
@@ -34,8 +35,11 @@ from pdckit import gf
 from pdckit.gf import all_vectors, toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
 from pdckit.wiretap import (_QUANTUM_T_GRID, _TABLE_MAX_WORK, ClassicalChannelWc,
-                            _generator_code, _ml_scorer, _pair_labels, _syndrome_law,
-                            identity_code, random_linear_code, repetition_code)
+                            QuantumEveChannel, _generator_code, _ml_scorer, _pair_labels,
+                            _syndrome_law, exact_leakage, identity_code, random_linear_code,
+                            repetition_code)
+
+from oracle_reference import quantum_eve_leakage
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -666,3 +670,35 @@ def test_syndrome_law_of_even_repetition_is_a_product(case):
     for _ in range(code.n1):
         law = np.kron(law, marginal(block, 1, 1).probs)
     np.testing.assert_allclose(_syndrome_law(P, code), law, rtol=0.0, atol=1e-15)
+
+
+@st.composite
+def dense_leakage_cases(draw):
+    """A code the dense (p^3)^n states reach (p = 2 with n <= 2, p = 3 with
+    n = 1), n1 >= 2, a noise law P and a split n2 + n3 < n1."""
+    p = draw(st.sampled_from([2, 3]))
+    n = 1 if p == 3 else draw(st.integers(1, 2))
+    P = draw(pauli_dists(p))
+    kind = draw(st.sampled_from(["identity", "repetition", "random"]))
+    if kind == "identity":
+        code = identity_code(p, n)
+    elif kind == "repetition":
+        # r * n1 = 2n with n1 >= 2: r = 1, or r = 2 at n = 2
+        r = draw(st.sampled_from([1, 2] if n == 2 else [1]))
+        code = repetition_code(p, 2 * n // r, r, P)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        code = random_linear_code(p, n, draw(st.integers(2, 2 * n)), P, rng)
+    k = draw(st.integers(1, code.n1 - 1))
+    n3 = draw(st.integers(0, k - 1))
+    return code, k - n3, n3, P
+
+
+@SETTINGS
+@given(dense_leakage_cases())
+def test_syndrome_leakage_matches_dense_states(case):
+    # the spectra of the p^{n1} x p^{n1} syndrome-law matrices give the
+    # trace norms of Eve's (p^3)^n-dimensional state differences
+    code, n2, n3, P = case
+    got = exact_leakage(code, n2, n3, QuantumEveChannel(P, code.n))
+    assert abs(got - quantum_eve_leakage(code, n2, n3, P, code.n)) <= 1e-12

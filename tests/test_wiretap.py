@@ -14,6 +14,8 @@ from pdckit.wiretap import (ClassicalChannelWc, QuantumEveChannel,
                             identity_code, random_linear_code, repetition_code,
                             theorem1_bound)
 
+from oracle_reference import quantum_eve_leakage, quantum_eve_states
+
 
 def dep2():
     return convolve(depolarizing(0.05, 2), depolarizing(0.05, 2))
@@ -404,7 +406,7 @@ def test_leakage_d_matches_wiretap_enumeration():
     eve = QuantumEveChannel(depolarizing(0.25, p), 1)
     seed = SeedS(np.array([1]), code.n1, n2, n3, p)
     infos = all_vectors(p, code.n1)
-    states = eve.states(code.encode(infos))
+    states = quantum_eve_states(eve.P, eve.n, code.encode(infos))
     mvals = f_s(seed, infos)
     conds = []
     for m in range(2):
@@ -421,7 +423,7 @@ def test_leakage_d_matches_wiretap_enumeration():
 def _unreduced_curve(l2_size, eve, code, t_grid):
     """theorem1_bound's curve from the |C|-state solver."""
     words = code.all_codewords()
-    states = eve.states(words)
+    states = quantum_eve_states(eve.P, eve.n, words)
     weights = np.full(len(words), 1.0 / len(words))
     sigma = None
     curve = []
@@ -473,17 +475,35 @@ def test_theorem_bound_closed_form_matches_unreduced_p3(kind):
     assert all(v < 2.0 for _, v in curve)  # uncapped, so every t compares
 
 
+P3 = PauliDist(np.random.default_rng(7).dirichlet(np.ones(9)), 3)
+QUANTUM_LEAKAGE_CASES = {
+    **QUANTUM_BOUND_CASES,
+    # test_quantum_eve_at_p3's asymmetric P, and the CLI's p = 3 instance
+    "identity-p3": lambda: (identity_code(3, 1), 1, 0, P3, 1),
+    "identity-p3-depolarizing": lambda: (identity_code(3, 1), 1, 0, depolarizing(0.25, 3), 1),
+    "repetition-p3": lambda: (repetition_code(3, 2, 1, P3), 1, 0, P3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUANTUM_LEAKAGE_CASES))
+def test_syndrome_leakage_matches_dense_oracle(name):
+    # the p^{n1}-dimensional syndrome-law spectra against the trace norms of
+    # Eve's dense (p^3)^n states
+    code, n2, n3, P, n = QUANTUM_LEAKAGE_CASES[name]()
+    got = exact_leakage(code, n2, n3, QuantumEveChannel(P, n))
+    assert abs(got - quantum_eve_leakage(code, n2, n3, P, n)) <= 1e-12
+
+
 def test_quantum_eve_state_is_a_weyl_conjugate():
-    # states(c) = U_c states(0) U_c^dag with U_c = (W(c_1) x I_E) x (W(c_2) x I_E),
-    # and state 0 is tau_AE^{x 2}
+    # the dense oracle: states(c) = U_c states(0) U_c^dag with
+    # U_c = (W(c_1) x I_E) x (W(c_2) x I_E), and state 0 is tau_AE^{x 2}
     code = repetition_code(2, 2, 2, depolarizing(0.5, 2))
     P = depolarizing(0.1, 2)
-    eve = QuantumEveChannel(P, 2)
     words = code.all_codewords()
-    states = eve.states(words)
+    states = quantum_eve_states(P, 2, words)
     assert states.shape == (len(words), 64, 64)
     tau = qx.partial_trace(qx.purify(P).density(), [0, 2]).matrix
-    base = eve.states(np.zeros((1, 4), dtype=np.int64))[0]
+    base = quantum_eve_states(P, 2, np.zeros((1, 4), dtype=np.int64))[0]
     assert np.allclose(base, np.kron(tau, tau), atol=1e-14)
     for word, state in zip(words, states):
         u = np.kron(np.kron(qx.weyl(word[0], word[1], 2), np.eye(4)),
@@ -498,7 +518,7 @@ def test_quantum_eve_at_p3():
     eve = QuantumEveChannel(P, 1)
     code = identity_code(3, 1)
     words = code.all_codewords()
-    states = eve.states(words)
+    states = quantum_eve_states(P, 1, words)
     assert states.shape == (9, 27, 27)
     tau = qx.partial_trace(qx.purify(P).density(), [0, 2]).matrix
     for word, state in zip(words, states):
@@ -515,17 +535,60 @@ def test_enumeration_cap():
 
 
 def test_quantum_eve_caps():
-    # (p^3)^n states above qexact.DIM_CAP = 256 (512 and 729 here), and at
-    # p = 5 the 625-dim purification behind tau_AE.  The cap guards the
-    # states alone: the Theorem-1 bound reads only P and the code.
+    # the dense oracle's (p^3)^n states exceed qexact.DIM_CAP = 256 here (512
+    # and 729, and at p = 5 the 625-dim purification behind tau_AE), but the
+    # syndrome-law leakage is p^{n1}-dimensional (64, 81 and 25), so the
+    # exact value exists and the Theorem-1 bound dominates it
     for p, n in ((2, 3), (3, 2), (5, 1)):
         eve = QuantumEveChannel(depolarizing(0.1, p), n)
         code = identity_code(p, n)
-        assert 0.0 < theorem1_bound(p, eve, code) <= 2.0
+        bound = theorem1_bound(p, eve, code)
+        assert 0.0 < bound <= 2.0
+        assert 0.0 < exact_leakage(code, 1, 0, eve) <= bound + 1e-12
         with pytest.raises(SizeCapError):
-            eve.states(code.all_codewords()[:1])
-        with pytest.raises(SizeCapError):
+            quantum_eve_states(eve.P, n, code.all_codewords()[:1])
+    # p^{n1} = 1024 > 256 is still refused; the bound alone runs
+    eve, code = QuantumEveChannel(depolarizing(0.1, 2), 5), identity_code(2, 5)
+    assert 0.0 < theorem1_bound(2, eve, code) <= 2.0
+    with pytest.raises(SizeCapError):
+        exact_leakage(code, 1, 0, eve)
+
+
+def test_additive_eve_for_fewer_pairs_is_refused():
+    # her kernel looped over her own n pairs, so on a longer word she read
+    # only its first pair: 0.39375 instead of the matched 0.81375
+    code, noise = identity_code(2, 2), depolarizing(0.3, 2)
+    assert abs(exact_leakage(code, 1, 1, eve_additive(noise, 2)) - 0.81375) < 1e-12
+    eve = eve_additive(noise, 1)
+    with pytest.raises(ValueError, match="additive Eve reads words of 2 symbols, got 4"):
+        exact_leakage(code, 1, 1, eve)
+    with pytest.raises(ValueError, match="additive Eve reads words of 2 symbols, got 4"):
+        theorem1_bound(2, eve, code)
+
+
+def test_quantum_eve_for_fewer_pairs_is_refused():
+    # the syndrome law reads the code alone, so an Eve built for n = 1 got
+    # the n = 2 value from both the exact leakage and the bound; a field
+    # other than the code's is refused the same way
+    code = identity_code(2, 2)
+    for eve in (QuantumEveChannel(depolarizing(0.3, 2), 1),
+                QuantumEveChannel(depolarizing(0.3, 3), 2)):
+        with pytest.raises(ValueError, match="quantum Eve n="):
+            exact_leakage(code, 1, 1, eve)
+        with pytest.raises(ValueError, match="quantum Eve n="):
+            theorem1_bound(2, eve, code)
+
+
+def test_eve_for_more_pairs_is_refused():
+    # an Eve built for n = 2 on an n = 1 code indexed past the word
+    # (a bare IndexError); now a ValueError names the mismatch
+    code, noise = identity_code(2, 1), depolarizing(0.3, 2)
+    for eve, message in ((eve_additive(noise, 2), "reads words of 4 symbols, got 2"),
+                         (QuantumEveChannel(noise, 2), "quantum Eve n=2, p=2 != code n=1")):
+        with pytest.raises(ValueError, match=message):
             exact_leakage(code, 1, 0, eve)
+        with pytest.raises(ValueError, match=message):
+            theorem1_bound(2, eve, code)
 
 
 def test_classical_eve_channel_checks_its_rows():
