@@ -15,7 +15,9 @@ maps (..., n1) information words to (..., 2n) codewords and
 both keeping the leading axes.  Classical Eve channels are batch-first
 too: ``states`` maps a (words, 2n) codeword stack to Eve's stacked laws,
 which ``exact_leakage`` requests once.  Quantum Eve is read through the
-code's syndrome law alone, for her exact leakage and for her bound.
+code's syndrome law alone, for her bound and for her exact leakage, which
+splits the law into the cosets of (ker f_S)^perp, one real p^{n2+n3}-
+dimensional block each (``_seed_norms``).
 
 Baseline codes: identity (n1 = 2n), r-fold symbol repetition, and random
 linear codes.  Random linear codes are decoded by exhaustive maximum
@@ -59,6 +61,11 @@ _QUANTUM_T_GRID.flags.writeable = False
 _CLASSICAL_T_GRID.flags.writeable = False
 
 
+def _check_enum(total: int, what: str) -> None:
+    if total > _ENUM_CAP:
+        raise qexact.SizeCapError(f"enumeration of {total} {what} exceeds cap {_ENUM_CAP}")
+
+
 # ---------------------------------------------------------------------------
 # linear codes
 # ---------------------------------------------------------------------------
@@ -81,10 +88,7 @@ class LinearCodeSpec:
 
     def all_messages(self) -> np.ndarray:
         """All p^{n1} information vectors, one per row."""
-        total = self.p**self.n1
-        if total > _ENUM_CAP:
-            raise qexact.SizeCapError(
-                f"enumeration of {total} messages exceeds cap {_ENUM_CAP}")
+        _check_enum(self.p**self.n1, "messages")
         return all_vectors(self.p, self.n1)
 
     def all_codewords(self) -> np.ndarray:
@@ -434,8 +438,10 @@ class QuantumEveChannel:
     """Eve holds (U_{g_1} x ... x U_{g_n}) tau_AE^{x n} (.)^dag per codeword.
 
     U_g = W(g) x I_E.  Her exact leakage and bound read ``P`` only through
-    the code's syndrome law: the leakage runs wherever p^{n1} <=
-    ``qexact.DIM_CAP`` (256), the bound wherever p^{n1} enumerates.
+    the code's syndrome law.  The bound runs wherever p^{n1} enumerates; the
+    leakage, one trace norm per seed over coset blocks of size p^{n2+n3},
+    wherever p^{n2+n3} <= ``qexact.DIM_CAP`` (256) and seeds x p^{n1}
+    enumerates.
     """
 
     is_quantum = True
@@ -448,12 +454,20 @@ class QuantumEveChannel:
 # leakage
 # ---------------------------------------------------------------------------
 
-def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
-    """Per seed, the list of ||tau_{E|m'} - tau_E||_1 over m' in index order
-    (the trace norm for quantum Eve, the l1 norm for classical Eve).
+def _seed_norms(code: LinearCodeSpec, k: int, eve, seeds):
+    """Per seed, the distinct norms ||tau_{E|m'} - tau_E||_1 over the messages
+    m', whose mean is the seed's leakage d_S.
 
-    Hashes every information word to M' = L1 + T(S) L2 (the f_S map, with
-    n1 = k allowed).  Classical Eve's laws are averaged over each preimage.
+    The hash is f_S(x) = x1 + T x2 (M' = L1 + T(S) L2, n1 = k allowed), with
+    a vector v = (v1, v2) of F_p^{n1} split after k = n2 + n3 symbols.  One
+    Toeplitz call per seed gives T's columns.  Each row v of the p^{n1}
+    enumeration, a word for classical Eve and a syndrome for quantum Eve,
+    gets a label, and one stable sort of the base-p labels groups the rows
+    into equal-size groups, each in index order.
+
+    Classical Eve gets one l1 norm per message, in index order: her laws
+    averaged over the preimage of m' (labelled f_S(x)) minus the overall
+    mean.  Each group's rows are added in index order.
 
     Quantum Eve's states are never built.  By step 1 of ``theorem1_bound``
     she holds (I_A x Z_m) tau^{x n} (I_A x Z_m)^dag for the word m, and the
@@ -465,33 +479,39 @@ def _message_norms(code: LinearCodeSpec, k: int, eve, seeds):
     D = diag(P), S the 0/1 map g -> s(g) and C(s, s') = c(s - s'); AB and BA
     share their nonzero spectrum and S D S^T = diag(Q_C), so ||X||_1 is
     sum |eig(M)| for the p^{n1} x p^{n1} M(s, s') = sqrt(Q_C(s) Q_C(s')) c(s - s').
-    SizeCapError when p^{n1} exceeds ``qexact.DIM_CAP``.
+
+    The preimage of m' is a coset x0 + K of K = ker f_S = {(-T y, y)}, so
+    c(D) = omega^{x0.D} [D in K^perp] - delta_{D,0}, with K^perp =
+    {(D1, T^T D1)}.  M(s, s') therefore vanishes unless s and s' share the
+    coset label s2 - T^T s1 of K^perp, and on one coset B it is
+    U (r r^T - diag(r^2)) U^dag with r = sqrt(Q_C) on B and the diagonal
+    unitary U = diag(omega^{x0.s}).  U drops out of the spectrum, so every
+    message has the same norm: sum |eig| over the p^{n1-k} cosets, each a
+    real p^k x p^k block, given once.  SizeCapError when p^k exceeds
+    ``qexact.DIM_CAP`` or the blocks hold more than ``_ENUM_CAP`` entries.
     """
     p, n1 = code.p, code.n1
     infos = all_vectors(p, n1)
+    v1, v2 = infos[:, :k], infos[:, k:]
     if eve.is_quantum:
-        qexact._check_dims([p] * n1)  # SizeCapError above the cap
+        qexact._check_dims([p] * k)  # each coset block is p^k-dimensional
+        _check_enum(p ** (n1 + k), "coset-block entries")
         root = np.sqrt(_quantum_syndrome_law(eve, code))
-        scale = root[:, None] * root[None, :]
-        # chars[m, D] = omega^{m.D}; diff[s, s'] is the index of s - s'
-        chars = np.exp(2j * np.pi / p * _mod(infos @ infos.T, p))
-        diff = _mod(infos[:, None, :] - infos[None, :, :], p) @ p ** np.arange(n1 - 1, -1, -1)
-
-        def norm(idx):
-            c = chars[idx].mean(axis=0)
-            c[0] -= 1.0
-            return np.abs(np.linalg.eigvalsh(scale * c[diff])).sum()
     else:
         states = eve.states(code.encode(infos))
         avg = states.mean(axis=0)
-
-        def norm(idx):
-            return np.abs(sum(states[i] for i in idx) / len(idx) - avg).sum()
-    weights = p ** np.arange(k - 1, -1, -1)
     for seed_vec in seeds:
-        mvals = _mod(infos[:, :k] + toeplitz_apply_batch(seed_vec, infos[:, k:], k, n1 - k, p), p)
-        midx = mvals @ weights
-        yield [float(norm(np.flatnonzero(midx == m))) for m in range(p**k)]
+        cols = toeplitz_apply_batch(seed_vec, np.eye(n1 - k, dtype=np.int64), k, n1 - k, p)
+        labels = _mod(v2 - v1 @ cols.T if eve.is_quantum else v1 + v2 @ cols, p)
+        order = np.argsort(labels @ p ** np.arange(labels.shape[1] - 1, -1, -1), kind="stable")
+        if eve.is_quantum:
+            r = root[order.reshape(-1, p**k)]
+            blocks = r[:, :, None] * (r[:, None, :] - r[:, :, None] * np.eye(p**k))
+            yield [float(np.abs(np.linalg.eigvalsh(blocks)).sum())]
+        else:
+            # rows[j, m] is the j-th word of m's preimage: axis 0 adds them in order
+            rows = states[order.reshape(p**k, -1).T.ravel()].reshape(-1, p**k, states.shape[1])
+            yield np.abs(rows.sum(axis=0) / len(rows) - avg).sum(axis=1).tolist()
 
 
 def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
@@ -499,24 +519,24 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
     """Exact average leakage d_bar(M'; E S) by full enumeration.
 
     Enumerates every seed S (or the supplied subset), every message m', and
-    the uniform randomization inside each hash preimage (``_message_norms``).
+    the uniform randomization inside each hash preimage (``_seed_norms``).
     Uses the paper's unhalved 1-norm, so values range up to 2.  ValueError
-    when additive or quantum Eve was built for another n than the code.
+    on an empty seed set, and when additive or quantum Eve was built for
+    another n than the code.
     """
     p, n1, k = code.p, code.n1, n2 + n3
     if not (n1 >= k > 0):
         raise ValueError("need n1 >= n2 + n3 > 0")
-    n_seeds = p ** (n1 - 1) if seeds is None else len(seeds)
-    if n_seeds * p**n1 > _ENUM_CAP:
-        raise qexact.SizeCapError(
-            f"enumeration of {n_seeds * p**n1} states exceeds cap {_ENUM_CAP}")
+    if seeds is not None and len(seeds) == 0:
+        raise ValueError("the seed set is empty: exact_leakage averages over at least one seed S")
+    _check_enum((p ** (n1 - 1) if seeds is None else len(seeds)) * p**n1, "states")
     if seeds is None:
         seeds = all_vectors(p, n1 - 1)
     total = 0.0
-    for norms in _message_norms(code, k, eve, seeds):
+    for norms in _seed_norms(code, k, eve, seeds):
         d_s = 0.0
         for norm in norms:
-            d_s += norm / p**k
+            d_s += norm / len(norms)
         total += d_s
     return total / len(seeds)
 
@@ -547,7 +567,9 @@ def _syndrome_law(P: PauliDist, code: LinearCodeSpec) -> np.ndarray:
 
 
 def _quantum_syndrome_law(eve: QuantumEveChannel, code: LinearCodeSpec) -> np.ndarray:
-    """Eve's ``_syndrome_law``; ValueError unless she holds the code's n pairs over F_p."""
+    """Eve's ``_syndrome_law``; SizeCapError when its p^{n1} cells exceed
+    ``_ENUM_CAP``, ValueError unless she holds the code's n pairs over F_p."""
+    _check_enum(code.p**code.n1, "messages")
     if (eve.n, eve.P.p) != (code.n, code.p):
         raise ValueError(f"quantum Eve n={eve.n}, p={eve.P.p} != code n={code.n}, p={code.p}")
     return _syndrome_law(eve.P, code)
@@ -599,12 +621,12 @@ def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
     """
     if l2_size < 1:
         raise ValueError("L2 size must be >= 1")
-    words = code.all_codewords()  # also bounds the p^{n1} syndrome law
     if eve.is_quantum:
         ts = _QUANTUM_T_GRID
         info = renyi_entropy(_quantum_syndrome_law(eve, code), (1.0 + ts) / (1.0 + 2.0 * ts))
     else:
         ts = _CLASSICAL_T_GRID
+        words = code.all_codewords()
         weights, W = np.full(len(words), 1.0 / len(words)), eve.states(words).T
         # one order at a time: a stack of W^alpha over all t would hold 100 W's
         info = np.array([sibson_mutual_info(weights, W, 1.0 + t) for t in ts])

@@ -2,22 +2,24 @@
 
 The Umegaki relative entropy, the sandwiched Renyi divergence, the
 optimized sandwiched conditional entropy, the sandwiched cq mutual
-information, the characteristic value of a Pauli distribution and quantum
-Eve's dense (p^3)^n-dimensional states.  The package computes none of them
+information, the characteristic value of a Pauli distribution, quantum
+Eve's dense (p^3)^n-dimensional states, and her per-message leakage through
+p^{n1} x p^{n1} syndrome-law matrices.  The package computes none of them
 on a command path; the tests use them as independent anchors for
 ``qexact``'s solver, ``estimation``'s character table and ``wiretap``'s
-syndrome-law leakage.
+coset-block leakage.
 """
 
 import numpy as np
 
+from pdckit import qexact
 from pdckit.dists import PauliDist, marginal
-from pdckit.gf import all_vectors
+from pdckit.gf import _mod, all_vectors, toeplitz_apply_batch
 from pdckit.hashing import SeedS, f_s
 from pdckit.qexact import (_EIG_CLIP, DensityMatrix, _as_matrix, _check_dims, _herm_power,
                            _minimize_xi, _support_check, partial_trace, purify, vn_entropy,
                            weyl)
-from pdckit.wiretap import _pair_labels
+from pdckit.wiretap import _pair_labels, _quantum_syndrome_law
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -142,3 +144,49 @@ def quantum_eve_leakage(code, n2: int, n3: int, P: PauliDist, n: int) -> float:
             cond = states[(mvals == m).all(axis=1)].mean(axis=0)
             total += np.abs(np.linalg.eigvalsh(cond - avg)).sum() / p ** (n2 + n3)
     return total / p ** (n1 - 1)
+
+
+def message_norms(code, k: int, eve, seeds):
+    """Per seed, the list of ||tau_{E|m'} - tau_E||_1 over m' in index order
+    (the trace norm for quantum Eve, the l1 norm for classical Eve).
+
+    Hashes every information word to M' = L1 + T(S) L2 (the f_S map, with
+    n1 = k allowed).  Classical Eve's laws are averaged over each preimage.
+
+    Quantum Eve's states are never built.  By step 1 of ``theorem1_bound``
+    she holds (I_A x Z_m) tau^{x n} (I_A x Z_m)^dag for the word m, and the
+    mean of omega^{m.D} over all m is delta_{D,0}.  So a preimage's average
+    state minus the overall one is X = p^{-n} V (I_A x K) V^dag, with the
+    unitary V = sum_g W_g x |g><g|, K(g, g') = sqrt(P(g) P(g')) c(s(g) - s(g'))
+    and c(D) the preimage mean of omega^{m.D} minus delta_{D,0}.  I_A is
+    p^n-dimensional, so ||X||_1 = ||K||_1.  K = D^{1/2} S^T C S D^{1/2} with
+    D = diag(P), S the 0/1 map g -> s(g) and C(s, s') = c(s - s'); AB and BA
+    share their nonzero spectrum and S D S^T = diag(Q_C), so ||X||_1 is
+    sum |eig(M)| for the p^{n1} x p^{n1} M(s, s') = sqrt(Q_C(s) Q_C(s')) c(s - s').
+    SizeCapError when p^{n1} exceeds ``qexact.DIM_CAP``.
+    """
+    p, n1 = code.p, code.n1
+    infos = all_vectors(p, n1)
+    if eve.is_quantum:
+        qexact._check_dims([p] * n1)  # SizeCapError above the cap
+        root = np.sqrt(_quantum_syndrome_law(eve, code))
+        scale = root[:, None] * root[None, :]
+        # chars[m, D] = omega^{m.D}; diff[s, s'] is the index of s - s'
+        chars = np.exp(2j * np.pi / p * _mod(infos @ infos.T, p))
+        diff = _mod(infos[:, None, :] - infos[None, :, :], p) @ p ** np.arange(n1 - 1, -1, -1)
+
+        def norm(idx):
+            c = chars[idx].mean(axis=0)
+            c[0] -= 1.0
+            return np.abs(np.linalg.eigvalsh(scale * c[diff])).sum()
+    else:
+        states = eve.states(code.encode(infos))
+        avg = states.mean(axis=0)
+
+        def norm(idx):
+            return np.abs(sum(states[i] for i in idx) / len(idx) - avg).sum()
+    weights = p ** np.arange(k - 1, -1, -1)
+    for seed_vec in seeds:
+        mvals = _mod(infos[:, :k] + toeplitz_apply_batch(seed_vec, infos[:, k:], k, n1 - k, p), p)
+        midx = mvals @ weights
+        yield [float(norm(np.flatnonzero(midx == m))) for m in range(p**k)]

@@ -196,7 +196,7 @@ def test_leakage_size_cap_exit(capsys):
 @pytest.mark.parametrize("argv", [
     # 4 codewords x 2^28 dense noiseless-Eve outputs
     ("--n", "14", "--n1", "2", "--code", "repetition:14", "--eve", "noiseless"),
-    # quantum Eve's p^{n1} = 64 syndrome matrices run; p^{n1} = 1024 > 256 does not
+    # quantum Eve at n = 3 runs; at n = 6, 2^11 seeds x 2^12 words exceed 10^6
     ("--n", "3", "--n2", "1", "--n3", "0", "--code", "identity", "--eve", "quantum:0.1"),
 ])
 def test_leakage_eve_size_cap_exit(capsys, argv):
@@ -207,15 +207,26 @@ def test_leakage_eve_size_cap_exit(capsys, argv):
         payload = json.loads(out)
         assert payload["dominated"] is True
         assert 0.0 < payload["exact_leakage"] <= payload["theorem_bound"]
-        argv = ("--n", "5", *argv[2:])
+        argv = ("--n", "6", *argv[2:])
     code = main(["leakage", *argv])
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
     assert err.startswith("size cap exceeded:") and err.count("\n") == 1
 
 
+def test_leakage_quantum_coset_blocks(capsys):
+    # p^{n1} = 1024 syndromes in 512 cosets of 2: exited 4 while the leakage
+    # took p^{n1} x p^{n1} matrices
+    code, out = run_cli(capsys, "leakage", "--n", "5", "--n2", "1", "--n3", "0",
+                        "--code", "identity", "--eve", "quantum:0.1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dominated"] is True
+    assert (payload["exact_leakage"], payload["theorem_bound"]) == (0.0250285927696, 0.17991343453)
+
+
 @pytest.mark.parametrize("argv", [
-    # p^{n1} = 64 runs; --n 5 makes p^{n1} = 1024 > 256: size cap, exit 4
+    # n = 3 runs; --n 6 makes 2^11 seeds x 2^12 words > 10^6: size cap, exit 4
     ("--n", "3", "--eve", "quantum:0.25"),
     ("--p", "3", "--eve", "quantum:0.25"),  # p^{n1} = 9: runs
     ("--eve", "quantum:abc"),  # not a mix: exit 2
@@ -230,8 +241,8 @@ def test_leakage_bad_eve_exit(capsys, argv):
         assert 0.0 < payload["exact_leakage"] <= payload["theorem_bound"]
         if argv[0] == "--p":
             return
-        # the same Eve at p^{n1} = 1024
-        code = main(["leakage", "--n2", "1", "--n3", "0", "--n", "5", *argv[2:]])
+        # the same Eve at n = 6
+        code = main(["leakage", "--n2", "1", "--n3", "0", "--n", "6", *argv[2:]])
         out, err = capsys.readouterr()
     assert code == (4 if argv[0] == "--n" else 2)
     assert out == ""

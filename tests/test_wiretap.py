@@ -8,13 +8,13 @@ from pdckit.gf import all_vectors
 from pdckit.hashing import SeedS, f_s, f_s_split, psi_s
 from pdckit.qexact import SizeCapError
 from pdckit.wiretap import (ClassicalChannelWc, QuantumEveChannel,
-                            _batch_ml_decoder, _message_norms,
+                            _batch_ml_decoder, _seed_norms,
                             check_code_conformance, eve_additive, eve_constant,
                             eve_first_symbol, eve_noiseless, exact_leakage,
                             identity_code, random_linear_code, repetition_code,
                             theorem1_bound)
 
-from oracle_reference import quantum_eve_leakage, quantum_eve_states
+from oracle_reference import message_norms, quantum_eve_leakage, quantum_eve_states
 
 
 def dep2():
@@ -393,7 +393,7 @@ def test_symmetric_eve_message_independent_leakage():
     code = identity_code(2, 1)
     eve = eve_additive(depolarizing(0.4, 2), 1)
     for seed_vec in ([0], [1]):
-        vals = next(_message_norms(code, 1, eve, [np.array(seed_vec)]))
+        vals = next(_seed_norms(code, 1, eve, [np.array(seed_vec)]))
         assert np.max(vals) - np.min(vals) < 1e-12
 
 
@@ -494,6 +494,36 @@ def test_syndrome_leakage_matches_dense_oracle(name):
     assert abs(got - quantum_eve_leakage(code, n2, n3, P, n)) <= 1e-12
 
 
+P3_RANDOM = PauliDist(np.random.default_rng(9).dirichlet(np.ones(9)), 3)
+SYNDROME_MATRIX_CASES = {
+    # shapes beyond the dense (p^3)^n oracle: (code, n2, n3, P)
+    "identity-p2-n3": lambda: (identity_code(2, 3), 1, 0, depolarizing(0.1, 2)),
+    "identity-p3-n2": lambda: (identity_code(3, 2), 1, 0, P3_RANDOM),
+    "identity-p5-n1": lambda: (identity_code(5, 1), 1, 0, depolarizing(0.1, 5)),
+    "repetition-n20": lambda: (repetition_code(2, 4, 10, depolarizing(0.5, 2)), 1, 0,
+                               depolarizing(0.1, 2)),
+    "random-linear-p3": lambda: (random_linear_code(3, 2, 3, P3_RANDOM, np.random.default_rng(2)),
+                                 1, 1, P3_RANDOM),
+    # n1 = n2 + n3: no L2, one coset holding all p^{n1} syndromes
+    "identity-n1-equals-k": lambda: (identity_code(2, 2), 3, 1, depolarizing(0.3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNDROME_MATRIX_CASES))
+def test_coset_leakage_matches_syndrome_matrices(name):
+    # the coset blocks against the p^{n1} x p^{n1} matrices of every message
+    code, n2, n3, P = SYNDROME_MATRIX_CASES[name]()
+    eve, k = QuantumEveChannel(P, code.n), n2 + n3
+    seeds = all_vectors(code.p, code.n1 - 1)
+    reference = list(message_norms(code, k, eve, seeds))
+    for norms, got in zip(reference, _seed_norms(code, k, eve, seeds)):
+        assert len(norms) == code.p**k
+        assert max(norms) - min(norms) <= 1e-12  # every message, one norm
+        assert len(got) == 1 and abs(got[0] - norms[0]) <= 1e-12
+    want = sum(sum(norms) / len(norms) for norms in reference) / len(reference)
+    assert abs(exact_leakage(code, n2, n3, eve) - want) <= 1e-12
+
+
 def test_quantum_eve_state_is_a_weyl_conjugate():
     # the dense oracle: states(c) = U_c states(0) U_c^dag with
     # U_c = (W(c_1) x I_E) x (W(c_2) x I_E), and state 0 is tau_AE^{x 2}
@@ -537,8 +567,8 @@ def test_enumeration_cap():
 def test_quantum_eve_caps():
     # the dense oracle's (p^3)^n states exceed qexact.DIM_CAP = 256 here (512
     # and 729, and at p = 5 the 625-dim purification behind tau_AE), but the
-    # syndrome-law leakage is p^{n1}-dimensional (64, 81 and 25), so the
-    # exact value exists and the Theorem-1 bound dominates it
+    # coset blocks of the leakage are p^{n2+n3}-dimensional, so the exact
+    # value exists and the Theorem-1 bound dominates it
     for p, n in ((2, 3), (3, 2), (5, 1)):
         eve = QuantumEveChannel(depolarizing(0.1, p), n)
         code = identity_code(p, n)
@@ -547,11 +577,40 @@ def test_quantum_eve_caps():
         assert 0.0 < exact_leakage(code, 1, 0, eve) <= bound + 1e-12
         with pytest.raises(SizeCapError):
             quantum_eve_states(eve.P, n, code.all_codewords()[:1])
-    # p^{n1} = 1024 > 256 is still refused; the bound alone runs
+    # p^{n1} = 1024 syndromes fall into 512 cosets of 2; the p^{n1} x p^{n1}
+    # syndrome matrices were refused here
     eve, code = QuantumEveChannel(depolarizing(0.1, 2), 5), identity_code(2, 5)
+    bound = theorem1_bound(2 ** (code.n1 - 1), eve, code)
+    exact = exact_leakage(code, 1, 0, eve)
+    assert abs(bound - 0.17991343453) < 1e-11
+    assert abs(exact - 0.0250285927696) < 1e-12
+    # 2^11 seeds x 2^12 words exceed the enumeration cap; the bound alone runs
+    eve, code = QuantumEveChannel(depolarizing(0.1, 2), 6), identity_code(2, 6)
     assert 0.0 < theorem1_bound(2, eve, code) <= 2.0
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match="enumeration of 8388608 states exceeds cap"):
         exact_leakage(code, 1, 0, eve)
+
+
+def test_quantum_eve_coset_block_caps():
+    # each coset block is a p^{n2+n3}-dimensional eigenproblem: k = 9 at
+    # identity n = 5 enumerates (2^9 seeds x 2^10 words) but its 512-dim
+    # blocks exceed qexact.DIM_CAP
+    eve, code = QuantumEveChannel(depolarizing(0.1, 2), 5), identity_code(2, 5)
+    with pytest.raises(SizeCapError, match="total dimension 512 exceeds oracle cap 256"):
+        exact_leakage(code, 5, 4, eve)
+    # one seed of identity n = 9 enumerates 2^18 words, but k = 3 stacks
+    # 2^15 blocks of 8 x 8, 2^21 entries, over the 10^6 cap
+    eve, code = QuantumEveChannel(depolarizing(0.1, 2), 9), identity_code(2, 9)
+    with pytest.raises(SizeCapError, match="enumeration of 2097152 coset-block entries"):
+        exact_leakage(code, 2, 1, eve, seeds=np.zeros((1, code.n1 - 1), dtype=np.int64))
+
+
+def test_exact_leakage_refuses_an_empty_seed_set():
+    # the average over no seeds divided by zero (ZeroDivisionError)
+    code = identity_code(2, 1)
+    for eve in (QuantumEveChannel(depolarizing(0.1, 2), 1), eve_noiseless(2, 1)):
+        with pytest.raises(ValueError, match="seed set is empty"):
+            exact_leakage(code, 1, 0, eve, seeds=np.empty((0, code.n1 - 1), dtype=np.int64))
 
 
 def test_additive_eve_for_fewer_pairs_is_refused():
