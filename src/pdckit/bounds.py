@@ -14,13 +14,21 @@ Finite-length bounds, all capped at 1 before reporting:
 
 where m = n1 - n2 - n3 is the sacrificed symbol count.  The secrecy
 prefactor has three inconsistent printed variants; the largest one,
-2^{(1-t)/(1+t)} <= 2, is used so the bound stays an upper bound.  The
-inversions to sacrificed lengths work directly on these n-fold bounds
-(integer bisection with an inner optimization over t), so the n-scaling of
-the per-copy Renyi entropies is explicit.
+2^{(1-t)/(1+t)} <= 2, is used so the bound stays an upper bound.
 
 Minimization over t uses a 200-point logarithmic grid on (0.001, 1] plus
 bounded scalar refinement around the grid optimum.
+
+The inversions to sacrificed lengths work directly on these n-fold bounds
+by integer bisection, so the n-scaling of the per-copy Renyi entropies is
+explicit.  Each step asks only whether the bound meets its target, and
+settles that by the cheapest of three tests, each giving the answer of the
+refined bound: it passes when the grid minimum already meets the target
+(the refinement never raises the minimum); it fails when a certified lower
+bound on the exponent over the refinement bracket, minus a 1e-9 relative
+margin for rounding, still misses it (the Renyi entropies are
+nondecreasing in t, so their value at the bracket's left end bounds them
+inside it); otherwise it refines.
 """
 
 from __future__ import annotations
@@ -41,13 +49,19 @@ _T_GRID = np.logspace(-3.0, 0.0, 200)
 _T_GRID.flags.writeable = False
 
 
+def _bracket(i: int, size: int) -> tuple[int, int]:
+    """Indices of the grid points around the grid minimum i between which
+    the refinement evaluates, and over which a floor must hold."""
+    return max(i - 1, 0), min(i + 1, size - 1)
+
+
 def _refine_min(fn, grid: np.ndarray, vals: np.ndarray) -> float:
     """Grid minimum of a smooth scalar function plus bounded refinement."""
     from scipy.optimize import minimize_scalar
 
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    a, b = _bracket(i, grid.size)
+    lo, hi = grid[a], grid[b]
     best = float(vals[i])
     if hi > lo:
         res = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
@@ -120,36 +134,94 @@ def eps_B_bound(n3: int, p: int) -> float:
     return float(p) ** (-n3)
 
 
-def _eps_E(n: int, sacrifice_symbols: int, P: PauliDist,
-           h_grid: np.ndarray) -> float:
-    """eps_E_bound given h_grid = H_{1/(1+t)}(P) on the t grid."""
-    log_p = np.log2(P.p)
-    masses = _masses(P.flat())  # once, not in each call of the refinement
+class _NFoldBound:
+    """One n-fold bound at block length n, as a function of its length m
+    (the sacrifice of eps_E, the coding length of eps_C).
 
-    def exponent(t, h):
-        return (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (
-            n * h - sacrifice_symbols * log_p
-        )
+    The law's Renyi entropies h on the t grid and its positive masses are
+    built once and shared by every m.  A subclass gives the Renyi order of
+    t, the exponent e(m, t, h), the epsilon of min_t e (nondecreasing in
+    it), and ``floor``: a lower bound on e over the refinement bracket
+    [t_a, t_b] from h_a = h(t_a), less 1e-9 of the largest size the
+    exponent's terms reach (h <= 2 log2 p).  That margin covers the
+    rounding between the grid's entropies and the refinement's own, which
+    stayed below 1e-19 of that size on random laws up to n = 2e7.
+    """
 
-    best = _refine_min(lambda t: exponent(t, _renyi_of_masses(masses, 1.0 / (1.0 + t))),
-                       _T_GRID, exponent(_T_GRID, h_grid))
-    if best >= 0.0:
-        return 1.0
-    return float(min(1.0, np.exp2(max(best, -1e6))))
+    def __init__(self, n: int, law: PauliDist):
+        self.n = n
+        self.log_p = np.log2(law.p)
+        self.masses = _masses(law.flat())
+        self.h_grid = renyi_entropy(law.flat(), self.order(_T_GRID))
+
+    def _grid(self, m: int) -> np.ndarray:
+        return self.exponent(m, _T_GRID, self.h_grid)
+
+    def _refined(self, m: int, grid: np.ndarray) -> float:
+        return _refine_min(
+            lambda t: self.exponent(m, t, _renyi_of_masses(self.masses, self.order(t))),
+            _T_GRID, grid)
+
+    def value(self, m: int) -> float:
+        """The bound at length m, capped at 1."""
+        return self.eps(self._refined(m, self._grid(m)))
+
+    def meets(self, m: int, target: float) -> bool:
+        """value(m) <= target, refining only when the grid leaves it open."""
+        grid = self._grid(m)
+        i = int(np.argmin(grid))
+        if self.eps(float(grid[i])) <= target:
+            return True
+        a, b = _bracket(i, _T_GRID.size)
+        if self.eps(self.floor(m, _T_GRID[a], _T_GRID[b], self.h_grid[a])) > target:
+            return False
+        return self.eps(self._refined(m, grid)) <= target
 
 
-def _eps_C(n: int, n1: int, P_eff: PauliDist,
-           h_grid: np.ndarray) -> float:
-    """eps_C_bound given h_grid = H_{1-t}(P_eff) on the t grid."""
-    log_p = np.log2(P_eff.p)
-    masses = _masses(P_eff.flat())  # once, not in each call of the refinement
+class _SecrecyBound(_NFoldBound):
+    """eps_E at sacrifice m; h = H_{1/(1+t)}(P)."""
 
-    def exponent(t, h):
-        return t * (n1 * log_p - n * (2.0 * log_p - h))
+    @staticmethod
+    def order(t):
+        return 1.0 / (1.0 + t)
 
-    best = _refine_min(lambda t: exponent(t, _renyi_of_masses(masses, 1.0 - t)),
-                       _T_GRID, exponent(_T_GRID, h_grid))
-    return float(min(1.0, 4.0 * np.exp2(max(best, -1e6))))
+    def exponent(self, m, t, h):
+        return (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (self.n * h - m * self.log_p)
+
+    @staticmethod
+    def eps(best: float) -> float:
+        if best >= 0.0:
+            return 1.0
+        return float(min(1.0, np.exp2(max(best, -1e6))))
+
+    def floor(self, m, t_a, t_b, h_a) -> float:
+        # on [t_a, t_b]: (1-t)/(1+t) >= its value at t_b, h >= h_a, and
+        # t/(1+t) lies between its end values
+        c_a = self.n * h_a - m * self.log_p
+        low = (1.0 - t_b) / (1.0 + t_b) + min(t_a / (1.0 + t_a) * c_a, t_b / (1.0 + t_b) * c_a)
+        return low - 1e-9 * (1.0 + (2 * self.n + m) * self.log_p)
+
+
+class _CompletenessBound(_NFoldBound):
+    """eps_C at coding length m; h = H_{1-t}(Ptilde * P)."""
+
+    @staticmethod
+    def order(t):
+        return 1.0 - t
+
+    def exponent(self, m, t, h):
+        return t * (m * self.log_p - self.n * (2.0 * self.log_p - h))
+
+    @staticmethod
+    def eps(best: float) -> float:
+        # above exponent 0, 4 * 2^best > 1 is capped anyway; clamping there
+        # keeps exp2 from overflowing at large n
+        return float(min(1.0, 4.0 * np.exp2(min(max(best, -1e6), 0.0))))
+
+    def floor(self, m, t_a, t_b, h_a) -> float:
+        # on [t_a, t_b]: h >= h_a and t lies between its end values
+        d_a = m * self.log_p - self.n * (2.0 * self.log_p - h_a)
+        return min(t_a * d_a, t_b * d_a) - 1e-9 * (1.0 + (m + 4 * self.n) * self.log_p)
 
 
 def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
@@ -160,7 +232,7 @@ def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
     """
     if sacrifice_symbols < 0:
         raise ValueError("sacrifice_symbols must be >= 0")
-    return _eps_E(n, sacrifice_symbols, P, renyi_entropy(P.flat(), 1.0 / (1.0 + _T_GRID)))
+    return _SecrecyBound(n, P).value(sacrifice_symbols)
 
 
 def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
@@ -170,7 +242,7 @@ def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
     """
     if n1 > 2 * n:
         raise ValueError(f"n1 = {n1} exceeds 2n = {2 * n}")
-    return _eps_C(n, n1, P_eff, renyi_entropy(P_eff.flat(), 1.0 - _T_GRID))
+    return _CompletenessBound(n, P_eff).value(n1)
 
 
 def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
@@ -189,11 +261,17 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
                          P_tilde: PauliDist) -> FiniteLengthReport:
     """Rates R_i = m_i log2(p) / n and the bound values achieved at them.
 
-    m_hat_lengths returns this report's (m1, m2, m3).  The bisections
-    compute exactly the values eps_E_bound and eps_C_bound return, but
-    H_{1/(1+t)}(P) and H_{1-t}(Ptilde * P) on the t grid are built once per
-    call and shared by every step, and the achieved values are the ones the
-    bisections already computed at m2 and m1.
+    m_hat_lengths returns this report's (m1, m2, m3).  Both bisections
+    visit the mids of a plain bisection on eps_E_bound and eps_C_bound, and
+    share H_{1/(1+t)}(P) and H_{1-t}(Ptilde * P) on the t grid, built once
+    per call.  Each step is settled by the module docstring's three-way
+    rule, which gives the full bound's answer at every step: a grid pass
+    stands because the refined minimum is never above the grid minimum, a
+    floor fail because the refinement evaluates only inside the bracket the
+    floor bounds, and every other step refines as the full bound does.  So
+    every m is the plain bisection's, and the achieved values, the full
+    bounds at m2 and m1, are bit for bit what eps_E_bound and eps_C_bound
+    return there.
     """
     if P.p != P_tilde.p:
         raise ValueError(f"modulus mismatch: {P.p} vs {P_tilde.p}")
@@ -202,36 +280,30 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
     p = P.p
     m3 = int(np.ceil(-np.log2(targets.eps_B) / np.log2(p) - 1e-12))
 
-    # each bisection keeps the bound value at the end it converges to
-    h_E = renyi_entropy(P.flat(), 1.0 / (1.0 + _T_GRID))
-    eps_E_at = _eps_E(n, 2 * n, P, h_E)
-    if eps_E_at > targets.eps_E:
+    secrecy = _SecrecyBound(n, P)
+    if not secrecy.meets(2 * n, targets.eps_E):
         raise InfeasibleTargets(
             f"eps_E = {targets.eps_E} unreachable even sacrificing all 2n symbols"
         )
     lo, hi = 0, 2 * n
     while lo < hi:
         mid = (lo + hi) // 2
-        val = _eps_E(n, mid, P, h_E)
-        if val <= targets.eps_E:
-            hi, eps_E_at = mid, val
+        if secrecy.meets(mid, targets.eps_E):
+            hi = mid
         else:
             lo = mid + 1
     m2 = lo
 
-    p_eff = convolve(P_tilde, P)
-    h_C = renyi_entropy(p_eff.flat(), 1.0 - _T_GRID)
-    eps_C_at = _eps_C(n, 0, p_eff, h_C)
-    if eps_C_at > targets.eps_C:
+    completeness = _CompletenessBound(n, convolve(P_tilde, P))
+    if not completeness.meets(0, targets.eps_C):
         raise InfeasibleTargets(
             f"eps_C = {targets.eps_C} unreachable even at coding length 0"
         )
     lo, hi = 0, 2 * n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        val = _eps_C(n, mid, p_eff, h_C)
-        if val <= targets.eps_C:
-            lo, eps_C_at = mid, val
+        if completeness.meets(mid, targets.eps_C):
+            lo = mid
         else:
             hi = mid - 1
     m1 = lo
@@ -241,8 +313,8 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
         n=n, m1=m1, m2=m2, m3=m3,
         R1=m1 * log_p / n, R2=m2 * log_p / n, R3=m3 * log_p / n,
         R=(m1 - m2 - m3) * log_p / n,
-        eps_C_achieved=eps_C_at,
-        eps_E_achieved=eps_E_at,
+        eps_C_achieved=completeness.value(m1),
+        eps_E_achieved=secrecy.value(m2),
         eps_B_achieved=eps_B_bound(m3, p),
     )
 

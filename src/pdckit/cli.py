@@ -71,13 +71,21 @@ def _roundtree(obj):
     return obj
 
 
+# grid points one --mix-grid may ask for, about 1,000 times the README's 101
+_GRID_CAP = 10**5
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}") from None
-    if step <= 0 or stop < start:
+    if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
         raise ValueError(f"bad grid {spec!r}")
+    # np.arange's own point count, taken before it allocates them
+    points = np.ceil((stop + step / 2 - start) / step)
+    if points > _GRID_CAP:
+        raise SizeCapError(f"grid {spec!r} has {points:.0f} points, above {_GRID_CAP}")
     return np.arange(start, stop + step / 2, step)
 
 

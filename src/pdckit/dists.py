@@ -124,9 +124,12 @@ def convolve(P: PauliDist, Q: PauliDist) -> PauliDist:
     byte-identical to summing each cell with its own ``np.sum``.  A window
     view of the reversed, 2x2-tiled Q lines up Q(x-x', z-z') for every (z, x',
     z') of one row x, and each row is one (p, p^2) multiply-and-sum: no
-    Python loop over cells, no p^4 index array, a p^3 temporary.  An FFT (or
-    a separable transform) would be O(p^2 log p) but rounds differently and
-    would change printed digits, so it is not used.
+    Python loop over cells and no p^4 index array.  Every row's products go
+    into one reused C-contiguous (p, p, p) buffer, whose (p, p^2) view is
+    summed in place, so no row allocates and no reshape copies the
+    negatively strided product.  An FFT (or a separable transform) would be
+    O(p^2 log p) but rounds differently and would change printed digits, so
+    it is not used.
     """
     if P.p != Q.p:
         raise ValueError(f"modulus mismatch: {P.p} vs {Q.p}")
@@ -136,8 +139,11 @@ def convolve(P: PauliDist, Q: PauliDist) -> PauliDist:
     windows = sliding_window_view(np.tile(Q.probs, (2, 2))[::-1, ::-1], (p, p))
     win = windows[p - 1::-1, p - 1::-1]
     out = np.empty((p, p))
+    products = np.empty((p, p, p))
+    rows = products.reshape(p, p * p)  # a view: products is C-contiguous
     for x in range(p):
-        out[x] = (P.probs * win[x]).reshape(p, p * p).sum(axis=1)
+        np.multiply(P.probs, win[x], out=products)
+        rows.sum(axis=1, out=out[x])
     return PauliDist(out, p)
 
 

@@ -93,6 +93,9 @@ def test_eps_c_above_capacity_no_decay():
     n = 200
     n1 = int(n * (cap + 0.3))
     assert eps_C_bound(n, n1, P) == 1.0
+    # an exponent near 1e7: 2^1e7 overflowed exp2 with a RuntimeWarning, an
+    # error under this suite's warning filter
+    assert eps_C_bound(10**7, 2 * 10**7, depolarizing(0.05, 2)) == 1.0
 
 
 def test_eps_c_dep05_example():

@@ -73,6 +73,15 @@ def test_finite_rows(capsys):
     assert r3[0] > r3[1]  # m3 constant, so R3 = m3/n decreases
 
 
+def test_finite_long_block_is_silent(capsys):
+    # eps_C's exponent far above capacity at n = 10^7 overflowed exp2 with a
+    # RuntimeWarning on stderr
+    code = main(["finite", "--mix", "0.05", "--n-grid", "10000000"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",ok")
+
+
 @pytest.mark.parametrize("mix,n,column,value", [
     # masses of 1e-15 / 4 and of their convolution, which a 1e-15 floor used
     # to drop, still count: R1 = 1.995 and R2 = 6e-05 missed their targets
@@ -305,6 +314,9 @@ CONFIG_CHANGES = {"readme": {}, "neg_n2": {"n2": -1, "n3": 2}, "big_n2": {"n2": 
     (("rates", "--mix-grid", "0:0.1:0.1", "--out", "{no_dir}"), 2, "invalid arguments:"),
     (("simulate", "--config", "{null_mix}", "--trials", "5"), 2, "invalid arguments:"),
     (("simulate", "--config", "{number}", "--trials", "5"), 2, "invalid arguments:"),
+    # 1e13 points ended in a MemoryError traceback; 1e8 took 800 MB and hours
+    (("rates", "--mix-grid", "0:1:1e-13"), 4, "size cap exceeded:"),
+    (("rates", "--mix-grid", "0:0.1:1e-9"), 4, "size cap exceeded:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"

@@ -14,7 +14,8 @@ long blocks and primes up to 2^31 - 1 reach both of its algorithms (the
 FFT and the int64 einsum), the exactness cut between them, and a hash
 seed's reused spectrum.  The
 convolution and character-inversion kernels are compared bit for bit
-against the per-cell loops they replaced, which fix the summation order.
+against the per-cell loops they replaced, which fix the summation order,
+and the bound inversion against the plain bisection it replaced.
 """
 
 import math
@@ -22,10 +23,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from pdckit import bounds
 from pdckit.bounds import (InfeasibleTargets, SecurityTargets, eps_C_bound,
                            eps_E_bound, finite_length_report, m_hat_lengths)
 from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, marginal,
@@ -379,8 +381,14 @@ def dist_triples(draw):
     return p, draw(pauli_dists(p)), draw(pauli_dists(p)), draw(pauli_dists(p))
 
 
+def _dense_dist(p, seed):
+    raw = np.random.default_rng(seed).random(p * p)
+    return PauliDist(raw / raw.sum(), p)
+
+
 @SETTINGS
 @given(dist_triples())
+@example((101, _dense_dist(101, 1), _dense_dist(101, 2), None))  # p = 101: 0.5 s
 def test_convolve_matches_reference_bit_for_bit(case):
     _p, P, Q, _R = case
     assert np.array_equal(convolve(P, Q).probs, reference_convolve(P, Q).probs)
@@ -456,6 +464,107 @@ def test_m_hat_lengths_is_exact_inversion_of_the_public_bounds(case):
     assert (rep.m1, rep.m2, rep.m3) == (m1, m2, m3)
     assert rep.eps_C_achieved == eps_C_bound(n, m1, p_eff)
     assert rep.eps_E_achieved == eps_E_bound(n, m2, P)
+
+
+def reference_finite_length_report(targets, n, P, P_tilde):
+    """The plain bisection that finite_length_report replaced: every step
+    evaluates the public bound in full.  Returns (m1, m2, m3, eps_C_achieved,
+    eps_E_achieved) or raises InfeasibleTargets with the same message."""
+    p = P.p
+    m3 = int(np.ceil(-np.log2(targets.eps_B) / np.log2(p) - 1e-12))
+
+    eps_E_at = eps_E_bound(n, 2 * n, P)
+    if eps_E_at > targets.eps_E:
+        raise InfeasibleTargets(
+            f"eps_E = {targets.eps_E} unreachable even sacrificing all 2n symbols"
+        )
+    lo, hi = 0, 2 * n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        val = eps_E_bound(n, mid, P)
+        if val <= targets.eps_E:
+            hi, eps_E_at = mid, val
+        else:
+            lo = mid + 1
+    m2 = lo
+
+    p_eff = convolve(P_tilde, P)
+    eps_C_at = eps_C_bound(n, 0, p_eff)
+    if eps_C_at > targets.eps_C:
+        raise InfeasibleTargets(
+            f"eps_C = {targets.eps_C} unreachable even at coding length 0"
+        )
+    lo, hi = 0, 2 * n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        val = eps_C_bound(n, mid, p_eff)
+        if val <= targets.eps_C:
+            lo, eps_C_at = mid, val
+        else:
+            hi = mid - 1
+    m1 = lo
+    return m1, m2, m3, eps_C_at, eps_E_at
+
+
+@st.composite
+def report_cases(draw):
+    """Depolarizing laws and ``pauli_dists`` (point masses and zero masses)
+    at p up to 31, block lengths up to 10^7 and eps_E down to 1e-15.  Half
+    the targets are the bound's own value at a drawn length, where the
+    refined minimum meets the target exactly and the grid minimum need not:
+    the one step a plain grid test or a floor above the refined minimum
+    would decide wrongly (a bound value of 0, not a valid target, keeps
+    the drawn one)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 31]))
+    laws = st.floats(0.0, 0.5).map(lambda mix: depolarizing(mix, p)) | pauli_dists(p)
+    n = draw(st.integers(1, 10**3) | st.integers(1, 10**7))
+    P, P_tilde = draw(laws), draw(laws)
+    eps_C = 10.0 ** -draw(st.floats(0.0, 3.0))
+    eps_E = 10.0 ** -draw(st.floats(0.0, 15.0))
+    if draw(st.booleans()):
+        eps_C = eps_C_bound(n, draw(st.integers(0, 2 * n)), convolve(P_tilde, P)) or eps_C
+        eps_E = eps_E_bound(n, draw(st.integers(0, 2 * n)), P) or eps_E
+    targets = SecurityTargets(eps_C=eps_C, eps_E=eps_E, eps_B=10.0 ** -draw(st.floats(0.0, 12.0)))
+    return n, P, P_tilde, targets
+
+
+@SETTINGS
+@given(report_cases())
+def test_finite_length_report_matches_the_plain_bisection_bit_for_bit(case):
+    # the grid pass and the certified floor fail only skip refinements: the
+    # lengths, the achieved values and the infeasibility verdict are the
+    # plain bisection's, bit for bit
+    n, P, P_tilde, targets = case
+    try:
+        want = reference_finite_length_report(targets, n, P, P_tilde)
+    except InfeasibleTargets as exc:
+        with pytest.raises(InfeasibleTargets) as got:
+            finite_length_report(targets, n, P, P_tilde)
+        assert str(got.value) == str(exc)
+        return
+    rep = finite_length_report(targets, n, P, P_tilde)
+    assert (rep.m1, rep.m2, rep.m3, rep.eps_C_achieved, rep.eps_E_achieved) == want
+
+
+def test_finite_length_report_refines_only_the_steps_in_doubt(monkeypatch):
+    # the shape of `pdckit finite --p 31 --mix 0.05 --n-grid
+    # 1000,10000,100000,1000000`: the plain bisection refines 136 times and
+    # the three-way steps 33.  Without the grid pass they refine 113 times,
+    # without the floor fail 64, so the bound, well under half of 136,
+    # fails on the loss of either
+    calls = []
+    refine = bounds._refine_min
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(bounds, "_refine_min", counted)
+    P = depolarizing(0.05, 31)
+    targets = SecurityTargets(0.2, 1e-9, 1e-9)
+    for n in (1000, 10000, 100000, 1000000):
+        finite_length_report(targets, n, P, P)
+    assert len(calls) <= 48
 
 
 # ---------------------------------------------------------------------------
