@@ -311,77 +311,47 @@ def stats_csv(stats: dict) -> str:
 def _min_sigma_distance(joint: np.ndarray) -> float:
     """min over distributions sigma of sum_{m,f} |P(m,f) - P(m) sigma(f)|.
 
-    ``joint`` has shape (M, F).  Solved exactly as a linear program.
+    Column f of the nonnegative (M, F) ``joint`` costs the convex
+    g_f(s) = sum_m |a_mf - p_m s|: its slope starts at -sum_m p_m and rises
+    by 2 p_m at each breakpoint a_mf / p_m (rows with p_m = 0 add nothing).
+    Under sum_f sigma_f = 1, filling the segments of every column, the last
+    one unbounded, in ascending slope order is optimal (the stable sort
+    keeps a column's ties in order).  Returns the objective at that sigma.
     """
-    from scipy.optimize import linprog
-
-    m_count, f_count = joint.shape
     pm = joint.sum(axis=1)
-    n_sigma = f_count
-    n_u = m_count * f_count
-    cost = np.concatenate([np.zeros(n_sigma), np.ones(n_u)])
-    # u_{mf} >= +-(P(m,f) - pm sigma_f)
-    rows = []
-    rhs = []
-    for m in range(m_count):
-        for f in range(f_count):
-            row = np.zeros(n_sigma + n_u)
-            row[f] = pm[m]
-            row[n_sigma + m * f_count + f] = -1.0
-            rows.append(row)
-            rhs.append(joint[m, f])
-            row2 = np.zeros(n_sigma + n_u)
-            row2[f] = -pm[m]
-            row2[n_sigma + m * f_count + f] = -1.0
-            rows.append(row2)
-            rhs.append(-joint[m, f])
-    a_eq = np.zeros((1, n_sigma + n_u))
-    a_eq[0, :n_sigma] = 1.0
-    res = linprog(cost, A_ub=np.stack(rows), b_ub=np.array(rhs), A_eq=a_eq,
-                  b_eq=[1.0], bounds=[(0, None)] * (n_sigma + n_u),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"leakage LP failed: {res.message}")
-    return float(res.fun)
+    breaks = np.divide(joint, pm[:, None], out=np.zeros_like(joint), where=pm[:, None] > 0)
+    order = np.argsort(breaks, axis=0, kind="stable")
+    rises = np.cumsum(np.vstack([np.zeros(joint.shape[1]), pm[order]]), axis=0)
+    rank = np.argsort(2.0 * rises - pm.sum(), axis=None, kind="stable")
+    seg = np.diff(np.sort(breaks, axis=0), axis=0, prepend=0.0, append=np.inf).ravel()[rank]
+    start = np.concatenate([[0.0], np.cumsum(seg[:-1])])
+    sigma = np.bincount(rank % joint.shape[1], np.clip(1.0 - start, 0.0, seg), joint.shape[1])
+    return float(np.abs(joint - pm[:, None] * sigma).sum())
 
 
 def lnm_check(p: int, n2: int, n3: int, eve_kernel: np.ndarray) -> tuple[float, float]:
     """Both sides of the public-verification leakage comparison.
 
     ``eve_kernel[e, m']`` is a classical channel from the wiretap message
-    M' = (Y, M) to Eve's register E'.  Builds the full joint of
-    (M, E', S', C) with uniform M, Y, S' and C = g_S'(M, Y), and returns
-    (d(M; E' S' C), d(M'; E')), each an exact LP minimization.  The first
-    never exceeds the second: the verification variables give no extra
-    information about the message.
+    M' = (Y, M) to Eve's register E'.  Returns (d(M; E' S' C), d(M'; E')),
+    each exact, for uniform M, Y, S' and C = g_S'(M, Y).  For fixed (S', M),
+    Y -> Y + T(S') M is a bijection, so each (s', m, y) has its own
+    (m, s', c) cells of the joint.  The first never exceeds the second: the
+    verification variables give no extra information about the message.
     """
     kernel = np.asarray(eve_kernel, dtype=float)
-    m_count = p**n2
-    y_count = p**n3
-    s_count = p ** (n2 + n3 - 1)
-    if kernel.shape[1] != m_count * y_count:
-        raise ValueError("kernel must have one column per (Y, M) pair")
-    e_count = kernel.shape[0]
-    if m_count * y_count * s_count * e_count > 10**6:
+    m_count, y_count, s_count = p**n2, p**n3, p ** (n2 + n3 - 1)
+    # NaN and -inf fail ">= 0", and +inf fails its column's sum
+    if (kernel.ndim != 2 or kernel.shape[1] != m_count * y_count or not np.all(kernel >= 0.0)
+            or not np.all(np.abs(kernel.sum(axis=0) - 1.0) <= 1e-9)):
+        raise ValueError("kernel must hold a probability column per (Y, M) pair")
+    if kernel.size * s_count > 10**6:
         raise SizeCapError("instance too large for exact enumeration")
-
-    # d(M'; E'): joint over (m', e')
-    joint_me = np.zeros((m_count * y_count, e_count))
-    for mp in range(m_count * y_count):
-        joint_me[mp] = kernel[:, mp] / (m_count * y_count)
-    right = _min_sigma_distance(joint_me)
-
-    # d(M; E' S' C): joint over (m, (e', s', c))
-    seeds = SeedSPrime(all_vectors(p, n2 + n3 - 1), n2, n3, p)
-    c_weights = p ** np.arange(n3 - 1, -1, -1)
-    joint = np.zeros((m_count, e_count * s_count * y_count))
-    for m_idx, mv in enumerate(all_vectors(p, n2)):
-        for y_idx, yv in enumerate(all_vectors(p, n3)):
-            mp_idx = y_idx * m_count + m_idx
-            c_idx = g_sprime(seeds, mv, yv) @ c_weights  # one C per seed S'
-            for s_idx in range(s_count):
-                col_base = (s_idx * y_count + int(c_idx[s_idx])) * e_count
-                w = 1.0 / (m_count * y_count * s_count)
-                joint[m_idx, col_base:col_base + e_count] += w * kernel[:, mp_idx]
-    left = _min_sigma_distance(joint)
-    return left, right
+    seeds = SeedSPrime(all_vectors(p, n2 + n3 - 1)[:, None, None], n2, n3, p)
+    covers = g_sprime(seeds, all_vectors(p, n2)[:, None], all_vectors(p, n3))  # (s', m, y)
+    eve = (1.0 / (m_count * y_count * s_count) * kernel).T.reshape(y_count, m_count, -1)
+    joint = np.zeros((m_count, s_count, y_count, len(kernel)))  # (m, s', c, e')
+    joint[np.arange(m_count)[:, None], np.arange(s_count)[:, None, None],
+          covers @ p ** np.arange(n3 - 1, -1, -1)] = eve.swapaxes(0, 1)
+    return (_min_sigma_distance(joint.reshape(m_count, -1)),
+            _min_sigma_distance(kernel.T / (m_count * y_count)))

@@ -3,11 +3,12 @@
 The Umegaki relative entropy, the sandwiched Renyi divergence, the
 optimized sandwiched conditional entropy, the sandwiched cq mutual
 information, the characteristic value of a Pauli distribution, quantum
-Eve's dense (p^3)^n-dimensional states, and her per-message leakage through
-p^{n1} x p^{n1} syndrome-law matrices.  The package computes none of them
-on a command path; the tests use them as independent anchors for
-``qexact``'s solver, ``estimation``'s character table and ``wiretap``'s
-coset-block leakage.
+Eve's dense (p^3)^n-dimensional states, her per-message leakage through
+p^{n1} x p^{n1} syndrome-law matrices, and the verification-variable
+comparison as a HiGHS linear program over a joint built cell by cell.  The
+package computes none of them on a command path; the tests use them as
+independent anchors for ``qexact``'s solver, ``estimation``'s character
+table, ``wiretap``'s coset-block leakage and ``protocol.lnm_check``.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from pdckit import qexact
 from pdckit.dists import PauliDist, marginal
 from pdckit.gf import _mod, all_vectors, toeplitz_apply_batch
-from pdckit.hashing import SeedS, f_s
+from pdckit.hashing import SeedS, SeedSPrime, f_s, g_sprime
 from pdckit.qexact import (_EIG_CLIP, DensityMatrix, _as_matrix, _check_dims, _herm_power,
                            _minimize_xi, _support_check, partial_trace, purify, vn_entropy,
                            weyl)
@@ -190,3 +191,71 @@ def message_norms(code, k: int, eve, seeds):
         mvals = _mod(infos[:, :k] + toeplitz_apply_batch(seed_vec, infos[:, k:], k, n1 - k, p), p)
         midx = mvals @ weights
         yield [float(norm(np.flatnonzero(midx == m))) for m in range(p**k)]
+
+
+def min_sigma_distance_lp(joint: np.ndarray) -> float:
+    """min over distributions sigma of sum_{m,f} |P(m,f) - P(m) sigma(f)|.
+
+    ``joint`` has shape (M, F).  Solved as a dense HiGHS linear program with
+    2MF rows and F + MF columns, so the value is good to HiGHS's 1e-7
+    feasibility tolerance, not exact.
+    """
+    from scipy.optimize import linprog
+
+    m_count, f_count = joint.shape
+    pm = joint.sum(axis=1)
+    n_sigma = f_count
+    n_u = m_count * f_count
+    cost = np.concatenate([np.zeros(n_sigma), np.ones(n_u)])
+    # u_{mf} >= +-(P(m,f) - pm sigma_f)
+    rows = []
+    rhs = []
+    for m in range(m_count):
+        for f in range(f_count):
+            row = np.zeros(n_sigma + n_u)
+            row[f] = pm[m]
+            row[n_sigma + m * f_count + f] = -1.0
+            rows.append(row)
+            rhs.append(joint[m, f])
+            row2 = np.zeros(n_sigma + n_u)
+            row2[f] = -pm[m]
+            row2[n_sigma + m * f_count + f] = -1.0
+            rows.append(row2)
+            rhs.append(-joint[m, f])
+    a_eq = np.zeros((1, n_sigma + n_u))
+    a_eq[0, :n_sigma] = 1.0
+    res = linprog(cost, A_ub=np.stack(rows), b_ub=np.array(rhs), A_eq=a_eq,
+                  b_eq=[1.0], bounds=[(0, None)] * (n_sigma + n_u),
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"leakage LP failed: {res.message}")
+    return float(res.fun)
+
+
+def verification_joints(p: int, n2: int, n3: int, kernel: np.ndarray):
+    """The two joints ``lnm_check`` compares, built one (m, y, s') at a time.
+
+    Returns the (M, E' S' C) joint, columns ordered (s', c, e'), and the
+    (M', E') joint.  Every cell is w * kernel[e', m'] with w = 1/(m y s'),
+    added to a zero, so the bits match any builder that multiplies by the
+    same w.
+    """
+    m_count = p**n2
+    y_count = p**n3
+    s_count = p ** (n2 + n3 - 1)
+    e_count = kernel.shape[0]
+    joint_me = np.zeros((m_count * y_count, e_count))
+    for mp in range(m_count * y_count):
+        joint_me[mp] = kernel[:, mp] / (m_count * y_count)
+    seeds = SeedSPrime(all_vectors(p, n2 + n3 - 1), n2, n3, p)
+    c_weights = p ** np.arange(n3 - 1, -1, -1)
+    joint = np.zeros((m_count, e_count * s_count * y_count))
+    for m_idx, mv in enumerate(all_vectors(p, n2)):
+        for y_idx, yv in enumerate(all_vectors(p, n3)):
+            mp_idx = y_idx * m_count + m_idx
+            c_idx = g_sprime(seeds, mv, yv) @ c_weights  # one C per seed S'
+            for s_idx in range(s_count):
+                col_base = (s_idx * y_count + int(c_idx[s_idx])) * e_count
+                w = 1.0 / (m_count * y_count * s_count)
+                joint[m_idx, col_base:col_base + e_count] += w * kernel[:, mp_idx]
+    return joint, joint_me

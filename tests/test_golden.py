@@ -222,14 +222,17 @@ NO_SCIPY_ARGV = [
     "leakage --n 1 --n2 1 --n3 0 --code identity --eve quantum:0.25",
 ]
 
-# Imports every pdckit module, runs the commands in NO_SCIPY_ARGV and then
-# `finite`, and prints which scipy modules were loaded at each stage.
+# Imports every pdckit module, runs the commands in NO_SCIPY_ARGV and the
+# verification-variable comparison, then `finite`, and prints which scipy
+# modules were loaded at each stage.
 _FOOTPRINT_SCRIPT = """
 import contextlib, hashlib, importlib, io, json, pkgutil, sys
+import numpy
 import pdckit
 for info in pkgutil.iter_modules(pdckit.__path__):
     importlib.import_module("pdckit." + info.name)
 from pdckit.cli import main
+from pdckit.protocol import lnm_check
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -242,6 +245,7 @@ def run(argv):
 
 report = {"after_import": scipy_modules()}
 report["runs"] = {argv: run(argv) for argv in json.loads(sys.argv[1])}
+lnm_check(2, 1, 1, numpy.eye(4))
 report["after_runs"] = scipy_modules()
 report["finite"] = run("finite --p 2 --mix 0.05 --n-grid 1000")
 report["after_finite"] = scipy_modules()

@@ -2,8 +2,9 @@
 the batch-first code contract, the decision-table ML decoder, the F_p x F_p
 kernels and the bound inversions, the Renyi kernel behind the bounds (with
 masses far below 1e-15, which count) and the syndrome law behind quantum
-Eve's leakage bound, and the syndrome-law form of her exact leakage against
-her dense states.
+Eve's leakage bound, the syndrome-law form of her exact leakage against
+her dense states, and the verification-variable comparison's slope-order
+fill and joint against vertex enumeration, HiGHS and the cell-by-cell loop.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The reduction mod p is
@@ -18,16 +19,17 @@ against the per-cell loops they replaced, which fix the summation order,
 and the bound inversion against the plain bisection it replaced.
 """
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from pdckit import bounds
+from pdckit import bounds, protocol
 from pdckit.bounds import (InfeasibleTargets, SecurityTargets, eps_C_bound,
                            eps_E_bound, finite_length_report, m_hat_lengths)
 from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, marginal,
@@ -41,7 +43,7 @@ from pdckit.wiretap import (_QUANTUM_T_GRID, _TABLE_MAX_WORK, ClassicalChannelWc
                             _syndrome_law, exact_leakage, identity_code, random_linear_code,
                             repetition_code)
 
-from oracle_reference import quantum_eve_leakage
+from oracle_reference import min_sigma_distance_lp, quantum_eve_leakage, verification_joints
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -811,3 +813,80 @@ def test_syndrome_leakage_matches_dense_states(case):
     code, n2, n3, P = case
     got = exact_leakage(code, n2, n3, QuantumEveChannel(P, code.n))
     assert abs(got - quantum_eve_leakage(code, n2, n3, P, code.n)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the verification-variable comparison: slope-order fill and one-gather joint
+# ---------------------------------------------------------------------------
+
+def reference_min_sigma_distance(joint):
+    """The minimum over every point where all sigma_f but one sit at 0 or at
+    one of their breakpoints a_mf / p_m, and the free one takes the rest of
+    the mass: the objective is linear between breakpoints, so a vertex of
+    the simplex cut into those pieces attains it."""
+    m_count, f_count = joint.shape
+    pm = joint.sum(axis=1)
+    live = pm > 0
+    stops = [np.unique(np.append(joint[live, f] / pm[live], 0.0)) for f in range(f_count)]
+    best = math.inf
+    for free in range(f_count):
+        fixed = [f for f in range(f_count) if f != free]
+        for values in itertools.product(*(stops[f] for f in fixed)):
+            sigma = np.zeros(f_count)
+            sigma[fixed] = values
+            sigma[free] = 1.0 - sum(values)
+            if sigma[free] >= 0.0:
+                best = min(best, float(np.abs(joint - pm[:, None] * sigma).sum()))
+    return best
+
+
+@st.composite
+def tiny_joints(draw):
+    """A normalised M x F joint with M, F <= 3, small-integer or float
+    weights (so breakpoints tie and cells vanish) and possibly a zero row."""
+    m_count, f_count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    weights = st.integers(0, 3).map(float) | st.floats(0.0, 1.0)
+    joint = np.array(draw(st.lists(weights, min_size=m_count * f_count,
+                                   max_size=m_count * f_count))).reshape(m_count, f_count)
+    if m_count > 1 and draw(st.booleans()):
+        joint[draw(st.integers(0, m_count - 1))] = 0.0
+    assume(joint.sum() > 0.0)
+    return joint / joint.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_joints())
+def test_fill_equals_vertex_enumeration(joint):
+    assert abs(protocol._min_sigma_distance(joint) - reference_min_sigma_distance(joint)) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 16), st.sampled_from([0.1, 0.3, 1.0]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_fill_matches_the_highs_reference(m_count, f_count, alpha, holes, seed):
+    # HiGHS reports up to about 1.2e-7 below the minimum at alpha = 0.1
+    rng = np.random.default_rng(seed)
+    joint = rng.dirichlet(np.full(m_count * f_count, alpha)).reshape(m_count, f_count)
+    if holes:
+        joint[rng.random(joint.shape) < 0.3] = 0.0
+        assume(joint.sum() > 0.0)
+        joint /= joint.sum()
+    assert abs(protocol._min_sigma_distance(joint) - min_sigma_distance_lp(joint)) <= 1e-6
+
+
+@pytest.mark.parametrize("p,n2,n3", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (3, 2, 1)])
+def test_lnm_joints_match_the_loop_reference_bit_for_bit(monkeypatch, p, n2, n3):
+    rng = np.random.default_rng(p * 100 + n2 * 10 + n3)
+    kernel = rng.dirichlet(np.ones(5), size=p ** (n2 + n3)).T
+    seen = []
+
+    def record(joint):
+        seen.append(joint)
+        return 0.0
+
+    monkeypatch.setattr(protocol, "_min_sigma_distance", record)
+    protocol.lnm_check(p, n2, n3, kernel)
+    want = verification_joints(p, n2, n3, kernel)
+    assert len(seen) == 2
+    for got, ref in zip(seen, want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

@@ -232,6 +232,31 @@ def test_lnm_noisy_copy():
     assert left <= right + 1e-9
 
 
+@pytest.mark.parametrize("p,n2,n3,outputs", [(2, 2, 2, 64), (3, 1, 2, 27)])
+def test_lnm_past_one_symbol(p, n2, n3, outputs):
+    # at (2, 2, 2) with 64 outputs a dense LP over the joint needs a 1.3 GB matrix
+    rng = np.random.default_rng(4)
+    words = p ** (n2 + n3)
+    kernel = 0.6 * np.eye(outputs, words) + 0.4 * rng.dirichlet(np.ones(outputs), size=words).T
+    kernel /= kernel.sum(axis=0)
+    left, right = lnm_check(p, n2, n3, kernel)
+    assert left <= right + 1e-12
+
+
+@pytest.mark.parametrize("kernel", [
+    2 * np.eye(4),
+    -np.eye(4),
+    np.vstack([1.5 * np.eye(4), -0.5 * np.eye(4)]),
+    np.full(4, 0.25),
+    np.full((4, 4), np.nan),
+    np.where(np.eye(4) > 0, np.inf, 0.0),
+    (1 + 1e-8) * np.eye(4),
+], ids=["mass-2", "negative", "negative-summing-to-1", "1-D", "nan", "inf", "sum-off-by-1e-8"])
+def test_lnm_rejects_a_kernel_that_is_not_a_channel(kernel):
+    with pytest.raises(ValueError):
+        lnm_check(2, 1, 1, kernel)
+
+
 # ---------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------
