@@ -135,47 +135,48 @@ def eps_B_bound(n3: int, p: int) -> float:
 
 
 class _NFoldBound:
-    """One n-fold bound at block length n, as a function of its length m
-    (the sacrifice of eps_E, the coding length of eps_C).
+    """One n-fold bound of one law, as a function of the block length n and
+    its length m (the sacrifice of eps_E, the coding length of eps_C).
 
     The law's Renyi entropies h on the t grid and its positive masses are
-    built once and shared by every m.  A subclass gives the Renyi order of
-    t, the exponent e(m, t, h), the epsilon of min_t e (nondecreasing in
-    it), and ``floor``: a lower bound on e over the refinement bracket
-    [t_a, t_b] from h_a = h(t_a), less 1e-9 of the largest size the
-    exponent's terms reach (h <= 2 log2 p).  That margin covers the
-    rounding between the grid's entropies and the refinement's own, which
-    stayed below 1e-19 of that size on random laws up to n = 2e7.
+    built once and shared by every n and m.  A subclass gives the Renyi
+    order of t, the exponent e(n, m, t, h), the epsilon of min_t e
+    (nondecreasing in it), and ``floor``: a lower bound on e over the
+    refinement bracket [t_a, t_b] from h_a = h(t_a), less 1e-9 of the
+    largest size the exponent's terms reach (h <= 2 log2 p).  That margin
+    covers the rounding between the grid's entropies and the refinement's
+    own, which stayed below 1e-19 of that size on random laws up to
+    n = 2e7.
     """
 
-    def __init__(self, n: int, law: PauliDist):
-        self.n = n
+    def __init__(self, law: PauliDist):
+        self.p = law.p
         self.log_p = np.log2(law.p)
         self.masses = _masses(law.flat())
         self.h_grid = renyi_entropy(law.flat(), self.order(_T_GRID))
 
-    def _grid(self, m: int) -> np.ndarray:
-        return self.exponent(m, _T_GRID, self.h_grid)
+    def _grid(self, n: int, m: int) -> np.ndarray:
+        return self.exponent(n, m, _T_GRID, self.h_grid)
 
-    def _refined(self, m: int, grid: np.ndarray) -> float:
+    def _refined(self, n: int, m: int, grid: np.ndarray) -> float:
         return _refine_min(
-            lambda t: self.exponent(m, t, _renyi_of_masses(self.masses, self.order(t))),
+            lambda t: self.exponent(n, m, t, _renyi_of_masses(self.masses, self.order(t))),
             _T_GRID, grid)
 
-    def value(self, m: int) -> float:
-        """The bound at length m, capped at 1."""
-        return self.eps(self._refined(m, self._grid(m)))
+    def value(self, n: int, m: int) -> float:
+        """The bound at block length n and length m, capped at 1."""
+        return self.eps(self._refined(n, m, self._grid(n, m)))
 
-    def meets(self, m: int, target: float) -> bool:
-        """value(m) <= target, refining only when the grid leaves it open."""
-        grid = self._grid(m)
+    def meets(self, n: int, m: int, target: float) -> bool:
+        """value(n, m) <= target, refining only when the grid leaves it open."""
+        grid = self._grid(n, m)
         i = int(np.argmin(grid))
         if self.eps(float(grid[i])) <= target:
             return True
         a, b = _bracket(i, _T_GRID.size)
-        if self.eps(self.floor(m, _T_GRID[a], _T_GRID[b], self.h_grid[a])) > target:
+        if self.eps(self.floor(n, m, _T_GRID[a], _T_GRID[b], self.h_grid[a])) > target:
             return False
-        return self.eps(self._refined(m, grid)) <= target
+        return self.eps(self._refined(n, m, grid)) <= target
 
 
 class _SecrecyBound(_NFoldBound):
@@ -185,8 +186,8 @@ class _SecrecyBound(_NFoldBound):
     def order(t):
         return 1.0 / (1.0 + t)
 
-    def exponent(self, m, t, h):
-        return (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (self.n * h - m * self.log_p)
+    def exponent(self, n, m, t, h):
+        return (1.0 - t) / (1.0 + t) + (t / (1.0 + t)) * (n * h - m * self.log_p)
 
     @staticmethod
     def eps(best: float) -> float:
@@ -194,12 +195,12 @@ class _SecrecyBound(_NFoldBound):
             return 1.0
         return float(min(1.0, np.exp2(max(best, -1e6))))
 
-    def floor(self, m, t_a, t_b, h_a) -> float:
+    def floor(self, n, m, t_a, t_b, h_a) -> float:
         # on [t_a, t_b]: (1-t)/(1+t) >= its value at t_b, h >= h_a, and
         # t/(1+t) lies between its end values
-        c_a = self.n * h_a - m * self.log_p
+        c_a = n * h_a - m * self.log_p
         low = (1.0 - t_b) / (1.0 + t_b) + min(t_a / (1.0 + t_a) * c_a, t_b / (1.0 + t_b) * c_a)
-        return low - 1e-9 * (1.0 + (2 * self.n + m) * self.log_p)
+        return low - 1e-9 * (1.0 + (2 * n + m) * self.log_p)
 
 
 class _CompletenessBound(_NFoldBound):
@@ -209,8 +210,8 @@ class _CompletenessBound(_NFoldBound):
     def order(t):
         return 1.0 - t
 
-    def exponent(self, m, t, h):
-        return t * (m * self.log_p - self.n * (2.0 * self.log_p - h))
+    def exponent(self, n, m, t, h):
+        return t * (m * self.log_p - n * (2.0 * self.log_p - h))
 
     @staticmethod
     def eps(best: float) -> float:
@@ -218,10 +219,10 @@ class _CompletenessBound(_NFoldBound):
         # keeps exp2 from overflowing at large n
         return float(min(1.0, 4.0 * np.exp2(min(max(best, -1e6), 0.0))))
 
-    def floor(self, m, t_a, t_b, h_a) -> float:
+    def floor(self, n, m, t_a, t_b, h_a) -> float:
         # on [t_a, t_b]: h >= h_a and t lies between its end values
-        d_a = m * self.log_p - self.n * (2.0 * self.log_p - h_a)
-        return min(t_a * d_a, t_b * d_a) - 1e-9 * (1.0 + (m + 4 * self.n) * self.log_p)
+        d_a = m * self.log_p - n * (2.0 * self.log_p - h_a)
+        return min(t_a * d_a, t_b * d_a) - 1e-9 * (1.0 + (m + 4 * n) * self.log_p)
 
 
 def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
@@ -232,7 +233,7 @@ def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
     """
     if sacrifice_symbols < 0:
         raise ValueError("sacrifice_symbols must be >= 0")
-    return _SecrecyBound(n, P).value(sacrifice_symbols)
+    return _SecrecyBound(P).value(n, sacrifice_symbols)
 
 
 def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
@@ -242,7 +243,7 @@ def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
     """
     if n1 > 2 * n:
         raise ValueError(f"n1 = {n1} exceeds 2n = {2 * n}")
-    return _CompletenessBound(n, P_eff).value(n1)
+    return _CompletenessBound(P_eff).value(n, n1)
 
 
 def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
@@ -255,6 +256,14 @@ def m_hat_lengths(targets: SecurityTargets, n: int, P: PauliDist,
     """
     rep = finite_length_report(targets, n, P, P_tilde)
     return rep.m1, rep.m2, rep.m3
+
+
+def _check_report_args(P: PauliDist, P_tilde: PauliDist, ns) -> None:
+    if P.p != P_tilde.p:
+        raise ValueError(f"modulus mismatch: {P.p} vs {P_tilde.p}")
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"block length n must be >= 1, got {n}")
 
 
 def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
@@ -273,48 +282,68 @@ def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,
     bounds at m2 and m1, are bit for bit what eps_E_bound and eps_C_bound
     return there.
     """
-    if P.p != P_tilde.p:
-        raise ValueError(f"modulus mismatch: {P.p} vs {P_tilde.p}")
-    if n < 1:
-        raise ValueError(f"block length n must be >= 1, got {n}")
-    p = P.p
-    m3 = int(np.ceil(-np.log2(targets.eps_B) / np.log2(p) - 1e-12))
+    _check_report_args(P, P_tilde, [n])
+    return _report(targets, n, _SecrecyBound(P), _CompletenessBound(convolve(P_tilde, P)))
 
-    secrecy = _SecrecyBound(n, P)
-    if not secrecy.meets(2 * n, targets.eps_E):
+
+def finite_length_reports(targets: SecurityTargets, ns, P: PauliDist,
+                          P_tilde: PauliDist) -> list[FiniteLengthReport | None]:
+    """``finite_length_report`` at every block length in ns, bit for bit,
+    with None where it raises InfeasibleTargets.
+
+    Ptilde * P, the positive masses and both Renyi grids depend on the laws
+    alone, so they are built once for all block lengths, not once per n.
+    """
+    _check_report_args(P, P_tilde, ns)
+    secrecy = _SecrecyBound(P)
+    completeness = _CompletenessBound(convolve(P_tilde, P))
+    reports = []
+    for n in ns:
+        try:
+            reports.append(_report(targets, n, secrecy, completeness))
+        except InfeasibleTargets:
+            reports.append(None)
+    return reports
+
+
+def _report(targets: SecurityTargets, n: int, secrecy: _SecrecyBound,
+            completeness: _CompletenessBound) -> FiniteLengthReport:
+    """The two bisections of ``finite_length_report`` at block length n."""
+    p, log_p = secrecy.p, secrecy.log_p
+    m3 = int(np.ceil(-np.log2(targets.eps_B) / log_p - 1e-12))
+
+    if not secrecy.meets(n, 2 * n, targets.eps_E):
         raise InfeasibleTargets(
             f"eps_E = {targets.eps_E} unreachable even sacrificing all 2n symbols"
         )
     lo, hi = 0, 2 * n
     while lo < hi:
         mid = (lo + hi) // 2
-        if secrecy.meets(mid, targets.eps_E):
+        if secrecy.meets(n, mid, targets.eps_E):
             hi = mid
         else:
             lo = mid + 1
     m2 = lo
 
-    completeness = _CompletenessBound(n, convolve(P_tilde, P))
-    if not completeness.meets(0, targets.eps_C):
+    if not completeness.meets(n, 0, targets.eps_C):
         raise InfeasibleTargets(
             f"eps_C = {targets.eps_C} unreachable even at coding length 0"
         )
     lo, hi = 0, 2 * n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if completeness.meets(mid, targets.eps_C):
+        if completeness.meets(n, mid, targets.eps_C):
             lo = mid
         else:
             hi = mid - 1
     m1 = lo
 
-    log_p = np.log2(p)
     return FiniteLengthReport(
         n=n, m1=m1, m2=m2, m3=m3,
         R1=m1 * log_p / n, R2=m2 * log_p / n, R3=m3 * log_p / n,
         R=(m1 - m2 - m3) * log_p / n,
-        eps_C_achieved=completeness.value(m1),
-        eps_E_achieved=secrecy.value(m2),
+        eps_C_achieved=completeness.value(n, m1),
+        eps_E_achieved=secrecy.value(n, m2),
         eps_B_achieved=eps_B_bound(m3, p),
     )
 

@@ -125,18 +125,13 @@ def cmd_finite(args) -> int:
     n_grid = _parse_int_list(args.n_grid)
     if not n_grid:
         raise ValueError(f"block lengths must be a nonempty list, got {args.n_grid!r}")
-    rows = []
-    feasible_any = False
-    for n in n_grid:
-        try:
-            rep = bounds.finite_length_report(targets, n, P, P)
-            rows.append([n, rep.R1, rep.R2, rep.R3, rep.R, "ok"])
-            feasible_any = True
-        except InfeasibleTargets:
-            rows.append([n, float("nan"), float("nan"), float("nan"),
-                         float("nan"), "infeasible"])
+    reports = bounds.finite_length_reports(targets, n_grid, P, P)
+    nan = float("nan")
+    rows = [[n, rep.R1, rep.R2, rep.R3, rep.R, "ok"] if rep is not None
+            else [n, nan, nan, nan, nan, "infeasible"]
+            for n, rep in zip(n_grid, reports)]
     _table(["n", "R1", "R2", "R3", "R", "status"], rows, args)
-    return 0 if feasible_any else 3
+    return 0 if any(rep is not None for rep in reports) else 3
 
 
 def _build_code(spec: str, p: int, n: int, n1: int, noise, seed: int):

@@ -8,16 +8,24 @@ module numerically; it is an oracle, not a large-n simulator, so the total
 Hilbert dimension is capped at 256.
 
 All matrix functions go through Hermitian eigendecompositions with
-eigenvalue clipping at 1e-12; all entropic quantities are in bits.
+eigenvalue clipping at 1e-12; all entropic quantities are in bits.  The
+Petz quantities (``petz_divergence``, ``cond_entropy_down``,
+``petz_mutual_info_up_cq``) take one order or an array of orders, as
+``dists.renyi_entropy`` does: the states are diagonalised once for all
+orders, and each order's powers are taken with one scalar exponent, so an
+array entry is bit for bit the one-order value.
 
 The infimum over sigma_B inside the optimized sandwiched conditional entropy
 has no closed form.  It is computed by quasi-Newton descent on an
 unconstrained PSD factorization (sigma = X X^dag up to trace, with analytic
 Daleckii-Krein gradients), seeded at the reduced state; the seed is
-returned whenever the descent does not end at or below its value.  There
-is one solver path, over the full list of states.  scipy is imported where
-it runs (the descent step ``minimize`` and the ``_eigh`` fallback), so
-importing this module loads numpy alone.
+returned whenever the descent does not end at or below its value.  The
+objective F has a value-only evaluator, ``_xi_value``, which the gradient
+code ``_xi_value_and_grad`` runs first; the seed's and the end point's
+values, which need no gradient, come from it.  There is one solver
+path, over the full list of states.  scipy is imported where it runs (the
+descent step ``minimize`` and the ``_eigh`` fallback), so importing this
+module loads numpy alone.
 Correctness is validated against the closed classical forms available in
 the Weyl-Heisenberg setting.
 
@@ -275,17 +283,23 @@ def weyl_eigenbasis(k: int, l: int, p: int) -> np.ndarray:
 # Hermitian matrix functions and divergences
 # ---------------------------------------------------------------------------
 
-def _herm_power(mat: np.ndarray, power: float) -> np.ndarray:
-    """mat^power on the support, via eigendecomposition.
+def _eig_power(lam: np.ndarray, v: np.ndarray, power: float) -> np.ndarray:
+    """The Hermitian matrix with eigendecomposition (lam, v) to ``power`` on
+    the support.
 
     Eigenvalues at or below 1e-12 map to zero, so a negative power is the
-    pseudo-inverse power.
+    pseudo-inverse power.  ``power`` is one scalar: numpy's ``**`` takes
+    exponent 0.5 as a square root, which a broadcast power would not.
     """
-    lam, v = np.linalg.eigh(mat)
     out = np.zeros_like(lam)
     mask = lam > _EIG_CLIP
     out[mask] = lam[mask] ** power
     return (v * out) @ v.conj().T
+
+
+def _herm_power(mat: np.ndarray, power: float) -> np.ndarray:
+    """mat^power on the support, via eigendecomposition (see ``_eig_power``)."""
+    return _eig_power(*np.linalg.eigh(mat), power)
 
 
 def vn_entropy(rho) -> float:
@@ -314,32 +328,55 @@ def _support_check(rho: np.ndarray, sigma: np.ndarray) -> None:
         raise ValueError("support of rho is not contained in support of sigma")
 
 
-def petz_divergence(rho, sigma, alpha: float) -> float:
+def _orders(alpha) -> np.ndarray:
+    """The orders as a float array, each positive and not 1 (|alpha - 1| >= 1e-12)."""
+    orders = np.asarray(alpha, dtype=float)
+    for a in orders.flat:
+        if not a > 0:
+            raise ValueError(f"order must be positive, got {a}")
+        if abs(a - 1.0) < 1e-12:
+            raise ValueError("alpha = 1 not supported; use Shannon quantities")
+    return orders
+
+
+def _per_order(fn, orders: np.ndarray):
+    """fn at each order, as a float for a 0-d ``orders`` and else an array of
+    its shape.  Each call gets one scalar order, so every entry is bit for
+    bit the one-order value."""
+    out = np.array([fn(a) for a in orders.flat]).reshape(orders.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def petz_divergence(rho, sigma, alpha):
     """Petz Renyi divergence D_alpha(rho || sigma) = (1/t) log2 Tr rho^alpha sigma^{-t}.
 
     alpha = 1 + t; sigma may be any PSD operator (not necessarily unit
-    trace).  alpha = 1 (|t| < 1e-12) raises ValueError.
+    trace).  ``alpha`` is one order (a float result) or an array of orders
+    (an array result): rho and sigma are diagonalised once for all of them.
+    An order <= 0 or alpha = 1 (|t| < 1e-12) raises ValueError.
     """
-    t = alpha - 1.0
-    if alpha <= 0:
-        raise ValueError(f"order must be positive, got {alpha}")
-    if abs(t) < 1e-12:
-        raise ValueError("alpha = 1 not supported; use Shannon quantities")
+    orders = _orders(alpha)
     r = _as_matrix(rho)
     s = _as_matrix(sigma)
-    if t > 0:
+    if np.any(orders > 1.0):
         _support_check(r, s)
-    ra = _herm_power(r, alpha)
-    st = _herm_power(s, -t)
-    val = np.trace(ra @ st).real
-    if val <= 0:
-        return np.inf
-    return float(np.log2(val) / t)
+    eig_r = np.linalg.eigh(r)
+    eig_s = np.linalg.eigh(s)
+
+    def one(a):
+        # the power is -(a - 1), which can differ from 1 - a in the last bit
+        t = a - 1.0
+        val = np.trace(_eig_power(*eig_r, a) @ _eig_power(*eig_s, -t)).real
+        if val <= 0:
+            return np.inf
+        return float(np.log2(val) / t)
+
+    return _per_order(one, orders)
 
 
-def cond_entropy_down(rho_ab: DensityMatrix, alpha: float) -> float:
+def cond_entropy_down(rho_ab: DensityMatrix, alpha):
     """Petz conditional entropy H_alpha^down(A|B) = -D_alpha(rho_AB || I_A x rho_B),
-    alpha != 1."""
+    alpha != 1, at one order or an array of orders (as ``petz_divergence``)."""
     if len(rho_ab.dims) != 2:
         raise ValueError("conditional entropy needs a bipartite state")
     da = rho_ab.dims[0]
@@ -381,36 +418,54 @@ def _dk_phi(lam: np.ndarray, s: float) -> np.ndarray:
     return phi
 
 
-def _xi_value_and_grad(omega: np.ndarray, states: np.ndarray,
-                       weights: np.ndarray, alpha: float,
-                       trace_first=None):
-    """F = sum_x w_x Tr((I x omega)^{-s} W_x ...)^alpha and its omega-gradient.
+def _xi_terms(omega: np.ndarray, states: np.ndarray, weights: np.ndarray,
+              alpha: float, trace_first):
+    """F of ``_xi_value`` with the spectra its gradient reuses: the order's
+    s, omega's clipped eigenpairs, (I x omega)^{-s} and the eigenpairs of
+    the sandwiched states."""
+    # np.clip(x, lo, None) is np.maximum(x, lo), and np.kron(np.eye(da), oms)
+    # is the multiply below: the same ufuncs, without their wrappers
+    sp = (alpha - 1.0) / (2.0 * alpha)
+    lam, v = _eigh(omega)
+    lam = np.maximum(lam, 1e-18)
+    oms = (v * lam ** (-sp)) @ v.conj().T
+    if trace_first is not None:
+        da, d_b = trace_first, oms.shape[0]
+        oms = np.multiply(np.eye(da)[:, None, :, None],
+                          oms[None, :, None, :]).reshape(da * d_b, da * d_b)
+    mu, q = _eigh(oms @ states @ oms)
+    mu = np.maximum(mu, 0.0)
+    F = float(np.sum(weights * np.sum(mu**alpha, axis=1)))
+    return F, sp, lam, v, oms, mu, q
+
+
+def _xi_value(omega: np.ndarray, states: np.ndarray, weights: np.ndarray,
+              alpha: float, trace_first=None) -> float:
+    """F = sum_x w_x Tr((I x omega)^{-s} W_x (I x omega)^{-s})^alpha, s = t / (2 alpha).
 
     With trace_first = dim_A, states live on A x B and omega on B alone (the
     conditional-entropy case); otherwise states and omega share one system.
     ``states`` is a stacked (m, D, D) array; the per-state eigenproblems are
-    batched.
+    batched.  This is the value half of ``_xi_value_and_grad``, which calls
+    the same code first, so the two give F bit for bit alike; callers that
+    read only F use this one and skip the gradient.
     """
-    sp = (alpha - 1.0) / (2.0 * alpha)
-    lam, v = _eigh(omega)
-    lam = np.clip(lam, 1e-18, None)
-    oms_small = (v * lam ** (-sp)) @ v.conj().T
-    da = trace_first
-    if da is not None:
-        oms = np.kron(np.eye(da), oms_small)
-    else:
-        oms = oms_small
+    return _xi_terms(omega, states, weights, alpha, trace_first)[0]
+
+
+def _xi_value_and_grad(omega: np.ndarray, states: np.ndarray,
+                       weights: np.ndarray, alpha: float,
+                       trace_first=None):
+    """``_xi_value``'s F and its omega-gradient (Daleckii-Krein)."""
+    F, sp, lam, v, oms, mu, q = _xi_terms(omega, states, weights, alpha, trace_first)
     phi = _dk_phi(lam, sp)
-    M = oms @ states @ oms
-    mu, q = _eigh(M)
-    mu = np.clip(mu, 0.0, None)
-    F = float(np.sum(weights * np.sum(mu**alpha, axis=1)))
     m_am1 = (q * mu[:, None, :] ** (alpha - 1.0)) @ np.conj(np.swapaxes(q, 1, 2))
     g1 = states @ oms @ m_am1 + m_am1 @ oms @ states
-    K = np.tensordot(weights, g1, axes=(0, 0))
-    if da is not None:
+    # np.tensordot(weights, g1, axes=(0, 0)) is this dot, without its wrapper
+    K = np.dot(weights.reshape(1, -1), g1.reshape(len(g1), -1)).reshape(oms.shape)
+    if trace_first is not None:
         d_b = omega.shape[0]
-        K = np.trace(K.reshape(da, d_b, da, d_b), axis1=0, axis2=2)
+        K = np.trace(K.reshape(trace_first, d_b, trace_first, d_b), axis1=0, axis2=2)
     b = v.conj().T @ K @ v
     grad = alpha * ((v @ (phi * b) @ v.conj().T))
     grad = 0.5 * (grad + grad.conj().T)
@@ -485,13 +540,13 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None):
 
     res = minimize(objective, pack(x0), jac=True, method="L-BFGS-B",
                    options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-11})
-    f0, _ = _xi_value_and_grad(sigma0, states, weights, alpha, trace_first)
+    f0 = _xi_value(sigma0, states, weights, alpha, trace_first)
     best_f, best_sigma, path = f0, sigma0, "seed"
     if np.isfinite(res.fun):
         x = unpack(res.x)
         omega = x @ x.conj().T
         sigma = omega / np.trace(omega).real
-        f, _ = _xi_value_and_grad(sigma, states, weights, alpha, trace_first)
+        f = _xi_value(sigma, states, weights, alpha, trace_first)
         # false for a NaN value, which keeps the seed
         if f <= f0:
             best_f, best_sigma, path = f, sigma, "lbfgs"
@@ -502,22 +557,27 @@ def _minimize_xi(states, weights, alpha, sigma0=None, trace_first=None):
     return best_f, best_sigma
 
 
-def petz_mutual_info_up_cq(weights, states, alpha: float) -> float:
+def petz_mutual_info_up_cq(weights, states, alpha):
     """I_alpha^up(X;B) = D_alpha(rho_XB || rho_X x rho_B) for a cq state.
 
     The block structure of sum_x w_x |x><x| x S_x collapses the divergence to
     (1/(alpha-1)) log2 sum_x w_x Tr[S_x^alpha rho_B^{1-alpha}]; no
-    optimization is involved.
+    optimization is involved.  ``alpha`` is one order (a float result) or an
+    array of orders (an array result): rho_B and the states are
+    diagonalised once for all of them.
     """
-    t = alpha - 1.0
-    if abs(t) < 1e-12:
-        raise ValueError("alpha = 1 not supported; use Shannon quantities")
+    orders = _orders(alpha)
     weights = np.asarray(weights, dtype=float)
     mats = np.stack([_as_matrix(s) for s in states])
-    rho_b = np.tensordot(weights, mats, axes=(0, 0))
-    rb_pow = _herm_power(rho_b, 1.0 - alpha)
+    eig_b = np.linalg.eigh(np.tensordot(weights, mats, axes=(0, 0)))
     lam, vecs = np.linalg.eigh(mats)
     lam = np.clip(lam, 0.0, None)
-    s_pow = (vecs * lam[:, None, :] ** alpha) @ np.conj(np.swapaxes(vecs, 1, 2))
-    total = float(np.einsum("x,xij,ji->", weights, s_pow, rb_pow).real)
-    return float(np.log2(total) / t)
+    vecs_h = np.conj(np.swapaxes(vecs, 1, 2))
+
+    def one(a):
+        rb_pow = _eig_power(*eig_b, 1.0 - a)
+        s_pow = (vecs * lam[:, None, :] ** a) @ vecs_h
+        total = float(np.einsum("x,xij,ji->", weights, s_pow, rb_pow).real)
+        return float(np.log2(total) / (a - 1.0))
+
+    return _per_order(one, orders)

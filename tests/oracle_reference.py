@@ -4,19 +4,23 @@ The Umegaki relative entropy, the sandwiched Renyi divergence, the
 optimized sandwiched conditional entropy, the sandwiched cq mutual
 information, the characteristic value of a Pauli distribution, quantum
 Eve's dense (p^3)^n-dimensional states, her per-message leakage through
-p^{n1} x p^{n1} syndrome-law matrices, and the verification-variable
-comparison as a HiGHS linear program over a joint built cell by cell.  The
-package computes none of them on a command path; the tests use them as
-independent anchors for ``qexact``'s solver, ``estimation``'s character
-table, ``wiretap``'s coset-block leakage and ``protocol.lnm_check``.
+p^{n1} x p^{n1} syndrome-law matrices, the verification-variable
+comparison as a HiGHS linear program over a joint built cell by cell, and
+the identity suite with one Petz call per order and a full solver
+evaluation for the reference value.  The package computes none of them on
+a command path; the tests use them as independent anchors for
+``qexact``'s solver, ``estimation``'s character table, ``wiretap``'s
+coset-block leakage, ``protocol.lnm_check`` and
+``identities.check_identities``.
 """
 
 import numpy as np
 
 from pdckit import qexact
-from pdckit.dists import PauliDist, marginal
+from pdckit.dists import PauliDist, convolve, marginal, renyi_entropy, shannon
 from pdckit.gf import _mod, all_vectors, toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, g_sprime
+from pdckit.identities import IdentityResiduals, _weyl_orbit_states, omega_state
 from pdckit.qexact import (_EIG_CLIP, DensityMatrix, _as_matrix, _check_dims, _herm_power,
                            _minimize_xi, _support_check, partial_trace, purify, vn_entropy,
                            weyl)
@@ -259,3 +263,69 @@ def verification_joints(p: int, n2: int, n3: int, kernel: np.ndarray):
                 w = 1.0 / (m_count * y_count * s_count)
                 joint[m_idx, col_base:col_base + e_count] += w * kernel[:, mp_idx]
     return joint, joint_me
+
+
+def reference_check_identities(P: PauliDist, P_tilde: PauliDist,
+                               ts: np.ndarray | None = None) -> IdentityResiduals:
+    """``check_identities`` with one Petz call per order, each diagonalising
+    its states afresh, and the omega_E reference value from a full
+    ``_xi_value_and_grad`` evaluation.  Takes no t-grid checks."""
+    p = P.p
+    ts = np.arange(1, 10) / 10.0 if ts is None else np.asarray(ts, dtype=float)
+    log_p = np.log2(p)
+    q_eff = convolve(P_tilde, P)
+
+    omega = omega_state(P, P_tilde)
+    om_ab = qexact.partial_trace(omega, [0, 1])
+    om_ae = qexact.partial_trace(omega, [0, 2])
+    om_b = qexact.partial_trace(omega, [1])
+    om_e = qexact.partial_trace(omega, [2])
+
+    r_ab = abs(
+        qexact.vn_entropy(om_ab) - qexact.vn_entropy(om_b)
+        - (shannon(q_eff.flat()) - log_p)
+    )
+    r_ae = abs(
+        qexact.vn_entropy(om_ae) - qexact.vn_entropy(om_e)
+        - (log_p - shannon(P.flat()))
+    )
+
+    wb_states = _weyl_orbit_states(om_ab.matrix, p, p)
+    we_states = np.stack(_weyl_orbit_states(om_ae.matrix, p, p * p))
+    weights = np.full(p * p, 1.0 / (p * p))
+
+    r_petz_down = 0.0
+    r_petz_mi = 0.0
+    slack_min = np.inf
+    r_sand_mi = 0.0
+    sigma_e = om_e.matrix
+    for t in ts:
+        h_down = qexact.cond_entropy_down(om_ab, 1.0 - t)
+        closed = renyi_entropy(q_eff.flat(), 1.0 - t) - log_p
+        r_petz_down = max(r_petz_down, abs(h_down - closed))
+
+        mi_petz = qexact.petz_mutual_info_up_cq(weights, wb_states, 1.0 - t)
+        r_petz_mi = max(r_petz_mi, abs(mi_petz - (log_p - h_down)))
+
+        f_up, sigma_e = qexact._minimize_xi(
+            [om_ae.matrix], [1.0], 1.0 + t, sigma0=sigma_e, trace_first=p)
+        # omega_E attains the unoptimized value exactly; never report below it
+        f_ref, _ = qexact._xi_value_and_grad(
+            om_e.matrix, om_ae.matrix[None, :, :], np.ones(1), 1.0 + t,
+            trace_first=p)
+        f_up = min(f_up, f_ref)
+        h_up = float(-np.log2(f_up) / t)
+        bound = log_p - renyi_entropy(P.flat(), 1.0 / (1.0 + t))
+        slack_min = min(slack_min, h_up - bound)
+
+        f_mi, _ = qexact._minimize_xi(
+            we_states, weights, 1.0 + t,
+            sigma0=np.kron(np.eye(p) / p, sigma_e))
+        mi_sand = float(np.log2(f_mi) / t)
+        r_sand_mi = max(r_sand_mi, abs(mi_sand - (log_p - h_up)))
+
+    return IdentityResiduals(
+        shannon_ab=float(r_ab), shannon_ae=float(r_ae),
+        petz_down_ab=float(r_petz_down),
+        sandwich_ae_min_slack=float(slack_min),
+        lemma_petz_mi=float(r_petz_mi), lemma_sandwich_mi=float(r_sand_mi))

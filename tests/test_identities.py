@@ -1,9 +1,14 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdckit import qexact as qx
 from pdckit.dists import PauliDist, convolve, depolarizing
 from pdckit.identities import (check_identities, omega_state,
                                random_pauli_dist)
+
+from oracle_reference import reference_check_identities
 
 
 def test_omega_state_marginals():
@@ -76,3 +81,37 @@ def test_random_pauli_dist_strictly_positive():
     for p in (2, 3, 5):
         d = random_pauli_dist(p, rng)
         assert d.flat().min() > 1e-4
+
+
+@pytest.mark.parametrize("ts", [[], [-0.3], [0.0], [1.0], [0.2, 1.5], [float("nan")],
+                                [0.5, float("inf")], [[0.1, 0.2]]])
+def test_identity_suite_rejects_bad_t_grids(ts):
+    # an empty grid used to pass with slack inf, and t = -0.3 ended in
+    # LAPACK's "array must not contain infs or NaNs"
+    P = depolarizing(0.05, 2)
+    with pytest.raises(ValueError, match=r"^t grid must be a non-empty list of t in \(0, 1\)") \
+            as err:
+        check_identities(P, P, ts=ts)
+    assert "\n" not in str(err.value)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.01, 0.99), max_size=3))
+def test_identity_suite_matches_the_per_order_reference_bit_for_bit(p, seed, extra):
+    # the Petz quantities take the whole grid at once and the reference
+    # values are value-only evaluations; neither may move a bit.  Every
+    # grid holds t = 0.5, where numpy's ** takes a square root
+    rng = np.random.default_rng(seed)
+    P = random_pauli_dist(p, rng)
+    Pt = random_pauli_dist(p, rng)
+    ts = np.array([0.5, *extra])
+    assert check_identities(P, Pt, ts=ts) == reference_check_identities(P, Pt, ts=ts)
+
+
+def test_identity_suite_default_grid_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for p in (2, 3):
+        P = random_pauli_dist(p, rng)
+        Pt = random_pauli_dist(p, rng)
+        assert check_identities(P, Pt) == reference_check_identities(P, Pt)

@@ -31,7 +31,8 @@ from scipy.optimize import minimize_scalar
 
 from pdckit import bounds, protocol
 from pdckit.bounds import (InfeasibleTargets, SecurityTargets, eps_C_bound,
-                           eps_E_bound, finite_length_report, m_hat_lengths)
+                           eps_E_bound, finite_length_report, finite_length_reports,
+                           m_hat_lengths)
 from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, marginal,
                           renyi_entropy)
 from pdckit.estimation import char_table_from_marginals, reconstruct, settings as est_settings
@@ -546,6 +547,22 @@ def test_finite_length_report_matches_the_plain_bisection_bit_for_bit(case):
         return
     rep = finite_length_report(targets, n, P, P_tilde)
     assert (rep.m1, rep.m2, rep.m3, rep.eps_C_achieved, rep.eps_E_achieved) == want
+
+
+@SETTINGS
+@given(report_cases(), st.lists(st.integers(1, 10**3) | st.integers(1, 10**7), max_size=3))
+def test_finite_length_reports_are_the_one_length_reports_bit_for_bit(case, more):
+    # the law-only pieces are built once for all lengths; every report, and
+    # every infeasible length, is the one-length call's
+    n, P, P_tilde, targets = case
+    ns = [n, *more]
+    want = []
+    for m in ns:
+        try:
+            want.append(finite_length_report(targets, m, P, P_tilde))
+        except InfeasibleTargets:
+            want.append(None)
+    assert finite_length_reports(targets, ns, P, P_tilde) == want
 
 
 def test_finite_length_report_refines_only_the_steps_in_doubt(monkeypatch):

@@ -234,6 +234,63 @@ def test_solver_gradient_matches_finite_differences():
         assert abs(fd - an) < 1e-6 * max(1.0, abs(an))
 
 
+def test_value_only_evaluation_is_the_gradient_calls_value_bit_for_bit():
+    rng = np.random.default_rng(10)
+    for trace_first, d in ((None, 4), (2, 3)):
+        dim = d if trace_first is None else trace_first * d
+        states = np.stack([random_density(dim, rng).matrix for _ in range(3)])
+        weights = np.array([0.5, 0.3, 0.2])
+        for alpha in (1.1, 1.5, 2.0):
+            omega = random_density(d, rng).matrix
+            f, _ = qx._xi_value_and_grad(omega, states, weights, alpha, trace_first)
+            assert qx._xi_value(omega, states, weights, alpha, trace_first) == f
+
+
+def test_petz_quantities_over_an_order_array_match_per_order_formulas():
+    # one eigendecomposition per call must give each order's value bit for
+    # bit as diagonalising afresh per order does; each order is one scalar
+    # power, so alpha = 0.5 keeps numpy's square root
+    rng = np.random.default_rng(12)
+    orders = np.array([0.9, 0.5, 0.1, 1.5, 2.0])
+    rho = random_density(6, rng, dims=[2, 3])
+    sig = random_density(6, rng).matrix
+    states = np.stack([random_density(3, rng).matrix for _ in range(4)])
+    weights = np.array([0.1, 0.2, 0.3, 0.4])
+    rho_b = np.tensordot(weights, states, axes=(0, 0))
+
+    def petz(a):
+        t = a - 1.0
+        return float(np.log2(np.trace(qx._herm_power(rho.matrix, a)
+                                      @ qx._herm_power(sig, -t)).real) / t)
+
+    def cq(a):
+        lam, vecs = np.linalg.eigh(states)
+        lam = np.clip(lam, 0.0, None)
+        s_pow = (vecs * lam[:, None, :] ** a) @ np.conj(np.swapaxes(vecs, 1, 2))
+        total = float(np.einsum("x,xij,ji->", weights, s_pow,
+                                qx._herm_power(rho_b, 1.0 - a)).real)
+        return float(np.log2(total) / (a - 1.0))
+
+    sigma_ab = np.kron(np.eye(2), qx.partial_trace(rho, [1]).matrix)
+    for many, one in ((qx.petz_divergence(rho, sig, orders), petz),
+                      (qx.petz_mutual_info_up_cq(weights, states, orders), cq)):
+        assert many.shape == orders.shape
+        assert many.tolist() == [one(a) for a in orders]
+    assert qx.cond_entropy_down(rho, orders).tolist() == \
+        [-qx.petz_divergence(rho, sigma_ab, a) for a in orders]
+    assert isinstance(qx.petz_divergence(rho, sig, 0.5), float)
+
+
+def test_petz_quantities_reject_bad_orders():
+    rng = np.random.default_rng(13)
+    rho = random_density(3, rng)
+    for bad in ([0.5, 0.0], [1.0], [np.nan]):
+        with pytest.raises(ValueError):
+            qx.petz_divergence(rho, rho, np.array(bad))
+        with pytest.raises(ValueError):
+            qx.petz_mutual_info_up_cq([1.0], [rho], np.array(bad))
+
+
 def test_eigh_falls_back_when_numpy_fails(monkeypatch):
     rng = np.random.default_rng(11)
     single = random_density(5, rng).matrix
