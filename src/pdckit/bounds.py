@@ -225,12 +225,18 @@ class _CompletenessBound(_NFoldBound):
         return min(t_a * d_a, t_b * d_a) - 1e-9 * (1.0 + (m + 4 * n) * self.log_p)
 
 
+def _check_block_length(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"block length n must be >= 1, got {n}")
+
+
 def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
     """Secrecy bound on the leakage trace distance, capped at 1.
 
     ``sacrifice_symbols`` is n1 - n2 - n3, the length of the uniform
-    randomization register L2 in F_p symbols.
+    randomization register L2 in F_p symbols.  ValueError when n < 1.
     """
+    _check_block_length(n)
     if sacrifice_symbols < 0:
         raise ValueError("sacrifice_symbols must be >= 0")
     return _SecrecyBound(P).value(n, sacrifice_symbols)
@@ -239,8 +245,9 @@ def eps_E_bound(n: int, sacrifice_symbols: int, P: PauliDist) -> float:
 def eps_C_bound(n: int, n1: int, P_eff: PauliDist) -> float:
     """Random-coding completeness bound (non-constructive), capped at 1.
 
-    P_eff is the effective Bob-side noise Ptilde * P.
+    P_eff is the effective Bob-side noise Ptilde * P.  ValueError when n < 1.
     """
+    _check_block_length(n)
     if n1 > 2 * n:
         raise ValueError(f"n1 = {n1} exceeds 2n = {2 * n}")
     return _CompletenessBound(P_eff).value(n, n1)
@@ -262,8 +269,7 @@ def _check_report_args(P: PauliDist, P_tilde: PauliDist, ns) -> None:
     if P.p != P_tilde.p:
         raise ValueError(f"modulus mismatch: {P.p} vs {P_tilde.p}")
     for n in ns:
-        if n < 1:
-            raise ValueError(f"block length n must be >= 1, got {n}")
+        _check_block_length(n)
 
 
 def finite_length_report(targets: SecurityTargets, n: int, P: PauliDist,

@@ -24,8 +24,7 @@ import numpy as np
 from . import bounds, estimation, identities, protocol, wiretap
 from .bounds import InfeasibleTargets, SecurityTargets
 from .dists import convolve, depolarizing
-from .gf import FieldVec
-from .qexact import SizeCapError
+from .gf import FieldVec, SizeCapError
 
 
 def _fmt(x) -> str:

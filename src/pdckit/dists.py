@@ -10,7 +10,9 @@ Conventions fixed once for the whole package:
   * 0 * log 0 := 0 and 0^alpha := 0: entropies drop exact zeros and keep
     every positive mass, however small (``_masses``);
   * distributions are normalized at construction when within 1e-9 of total
-    mass 1, and rejected otherwise.
+    mass 1, and rejected otherwise (a NaN mass included);
+  * a PauliDist holds at most 10^6 cells (p <= 997): a larger p raises
+    SizeCapError before any (p, p) array is built.
 """
 
 from __future__ import annotations
@@ -18,9 +20,18 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gf import _check_prime
+from .gf import _ENUM_CAP, SizeCapError, _check_prime
 
 _NORMALIZE_TOL = 1e-9
+
+
+def _check_pair_modulus(p: int) -> int:
+    """p as a prime whose p^2 cells are within ``_ENUM_CAP``, checked before
+    any (p, p) array exists: SizeCapError above it."""
+    p = _check_prime(p)
+    if p * p > _ENUM_CAP:
+        raise SizeCapError(f"a Pauli law over F_{p}^2 has {p * p} cells, above {_ENUM_CAP}")
+    return p
 
 
 def _validated_probs(probs, n: int, what: str) -> np.ndarray:
@@ -31,7 +42,7 @@ def _validated_probs(probs, n: int, what: str) -> np.ndarray:
         raise ValueError(f"{what} has negative entries")
     arr = np.clip(arr, 0.0, None)
     total = arr.sum()
-    if abs(total - 1.0) > _NORMALIZE_TOL:
+    if not abs(total - 1.0) <= _NORMALIZE_TOL:  # NaN fails it too
         raise ValueError(f"{what} mass {total} is not within {_NORMALIZE_TOL} of 1")
     return arr / total
 
@@ -46,7 +57,7 @@ class PauliDist:
     __slots__ = ("p", "probs")
 
     def __init__(self, probs, p: int):
-        self.p = _check_prime(p)
+        self.p = _check_pair_modulus(p)
         flat = _validated_probs(probs, self.p**2, "PauliDist")
         self.probs = flat.reshape(self.p, self.p)
 
@@ -67,12 +78,14 @@ class PauliDist:
 
     @classmethod
     def point_mass(cls, x: int, z: int, p: int) -> "PauliDist":
+        p = _check_pair_modulus(p)
         arr = np.zeros((p, p))
         arr[x % p, z % p] = 1.0
         return cls(arr, p)
 
     @classmethod
     def uniform(cls, p: int) -> "PauliDist":
+        p = _check_pair_modulus(p)
         return cls(np.full(p * p, 1.0 / (p * p)), p)
 
     def __eq__(self, other) -> bool:
@@ -110,7 +123,7 @@ def depolarizing(mix: float, p: int) -> PauliDist:
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must be in [0, 1], got {mix}")
-    p = _check_prime(p)
+    p = _check_pair_modulus(p)
     arr = np.full((p, p), mix / p**2)
     arr[0, 0] += 1.0 - mix
     return PauliDist(arr, p)

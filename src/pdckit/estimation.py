@@ -196,15 +196,12 @@ def setting_distribution_exact(tau_ab: qexact.DensityMatrix,
         raise ValueError("setting statistics need a two-qudit state")
     p = tau_ab.dims[0]
     basis = qexact.weyl_eigenbasis(setting.k, setting.l, p)
-    probs = np.zeros(p)
+    # va[:, s, j] = |v_{j+s}> on A, paired with conj(|v_j>) on B
+    va = basis[:, np.add.outer(np.arange(p), np.arange(p)) % p]
     tensor = tau_ab.matrix.reshape(p, p, p, p)
-    for s in range(p):
-        for j in range(p):
-            va = basis[:, (j + s) % p]
-            vb = basis[:, j].conj()
-            amp = np.einsum("a,b,abcd,c,d->", va.conj(), vb.conj(), tensor, va, vb)
-            probs[s] += amp.real
-    probs = np.clip(probs, 0.0, None)
+    amps = np.einsum("asj,bj,abcd,csj,dj->s", va.conj(), basis, tensor, va, basis.conj(),
+                     optimize=True)
+    probs = np.clip(amps.real, 0.0, None)
     return MarginalDist(probs / probs.sum(), p)
 
 

@@ -52,6 +52,14 @@ def _check_prime(p: int) -> int:
     return p
 
 
+# the most cells a dense law or an enumeration may hold
+_ENUM_CAP = 10**6
+
+
+class SizeCapError(ValueError):
+    """An instance exceeds a size cap; raised before its arrays are built."""
+
+
 class FieldVec:
     """A nonempty vector over F_p with a uniform modulus.
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qexact
-from .dists import PauliDist, convolve, renyi_entropy, shannon, shift
+from .dists import PauliDist, _check_pair_modulus, convolve, renyi_entropy, shannon, shift
 
 
 @dataclass
@@ -59,24 +59,22 @@ class IdentityResiduals:
         )
 
 
+def _flip_x(P: PauliDist) -> PauliDist:
+    """P_{-X,Z}: the law of (-x, z) for (x, z) ~ P."""
+    return PauliDist(P.probs[-np.arange(P.p) % P.p], P.p)
+
+
 def omega_state(P: PauliDist, P_tilde: PauliDist) -> qexact.DensityMatrix:
     """The noiseless-reduction tripartite state on A x B x E."""
     if P.p != P_tilde.p:
         raise ValueError("modulus mismatch")
-    p = P.p
-    flipped = PauliDist(np.stack([P_tilde.probs[(-x) % p] for x in range(p)]), p)
-    psi = qexact.purify(P).density()
-    return qexact.pauli_channel(psi, flipped, 1)
+    return qexact.pauli_channel(qexact.purify(P), _flip_x(P_tilde), 1)
 
 
 def _weyl_orbit_states(base: np.ndarray, p: int, extra_dim: int) -> list[np.ndarray]:
     """W(x,z)_A rho W(x,z)_A^dag for all p^2 Weyl labels, in label order."""
-    out = []
-    for x in range(p):
-        for z in range(p):
-            u = np.kron(qexact.weyl(x, z, p), np.eye(extra_dim))
-            out.append(u @ base @ u.conj().T)
-    return out
+    us = (np.kron(w, np.eye(extra_dim)) for w in qexact._weyl_ops(p))
+    return [u @ base @ u.conj().T for u in us]
 
 
 def _t_grid(ts) -> np.ndarray:
@@ -159,6 +157,7 @@ def random_pauli_dist(p: int, rng: np.random.Generator) -> PauliDist:
 
     A Dirichlet draw plus 1e-3 per entry, renormalised.
     """
+    p = _check_pair_modulus(p)
     raw = rng.dirichlet(np.ones(p * p)) + 1e-3
     return PauliDist(raw / raw.sum(), p)
 
@@ -170,26 +169,19 @@ def bell_diagonality_residual(P: PauliDist, P_tilde: PauliDist) -> float:
     compares against the index-shifted convolution rho[F_{x,z}[Ptilde * P]].
     """
     p = P.p
-    phi = qexact.bell_state(p).density()
-    after_p = qexact.pauli_channel(phi, P, 0)
+    after_p = qexact.pauli_channel(qexact.bell_diagonal(PauliDist.point_mass(0, 0, p)), P, 0)
     q_eff = convolve(P_tilde, P)
     worst = 0.0
-    for x in range(p):
-        for z in range(p):
-            u = np.kron(qexact.weyl(x, z, p), np.eye(p))
-            encoded = qexact.DensityMatrix(u @ after_p.matrix @ u.conj().T, [p, p])
-            received = qexact.pauli_channel(encoded, P_tilde, 0)
-            predicted = qexact.bell_diagonal(shift(q_eff, x, z))
-            worst = max(worst, float(np.max(np.abs(received.matrix - predicted.matrix))))
+    for label, state in enumerate(_weyl_orbit_states(after_p.matrix, p, p)):
+        received = qexact.pauli_channel(qexact.DensityMatrix(state, [p, p]), P_tilde, 0)
+        predicted = qexact.bell_diagonal(shift(q_eff, *divmod(label, p)))
+        worst = max(worst, float(np.max(np.abs(received.matrix - predicted.matrix))))
     return worst
 
 
 def side_swap_residual(P: PauliDist, P_tilde: PauliDist) -> float:
     """|| Lambda[Pt]_A Lambda[P]_A (Phi) - Lambda[Pt_{-X,Z}]_B Lambda[P]_A (Phi) ||_max."""
-    p = P.p
-    phi = qexact.bell_state(p).density()
-    after_p = qexact.pauli_channel(phi, P, 0)
+    after_p = qexact.pauli_channel(qexact.bell_diagonal(PauliDist.point_mass(0, 0, P.p)), P, 0)
     lhs = qexact.pauli_channel(after_p, P_tilde, 0)
-    flipped = PauliDist(np.stack([P_tilde.probs[(-x) % p] for x in range(p)]), p)
-    rhs = qexact.pauli_channel(after_p, flipped, 1)
+    rhs = qexact.pauli_channel(after_p, _flip_x(P_tilde), 1)
     return float(np.max(np.abs(lhs.matrix - rhs.matrix)))

@@ -29,8 +29,7 @@ import numpy as np
 
 from .bounds import eps_E_bound
 from .dists import PauliDist, convolve
-from .qexact import SizeCapError
-from .gf import FieldVec, _mod, all_vectors
+from .gf import FieldVec, SizeCapError, _mod, all_vectors
 from .hashing import SeedS, SeedSPrime, f_s_split, g_sprime, psi_s
 from .wiretap import ClassicalChannelWc, LinearCodeSpec
 

@@ -1,11 +1,16 @@
 """Exact small-dimension quantum oracle.
 
-Dense complex density matrices, Weyl operators, Bell states, the Petz
-Renyi divergence, conditional entropies, the Petz cq mutual information,
-twirling, and the sandwiched infimum solver.
+Dense complex density matrices, Weyl operators, the generalized Bell basis
+as one matrix, the Petz Renyi divergence, conditional entropies, the Petz
+cq mutual information, twirling, and the sandwiched infimum solver.
 Every quantum identity used by the rate formulas is checked against this
 module numerically; it is an oracle, not a large-n simulator, so the total
 Hilbert dimension is capped at 256.
+
+``_weyl_ops`` is the one enumeration of Weyl labels, in label order
+x p + z, and ``bell_basis`` the one Bell basis, whose column x p + z is
+(W(x, z) x I)|Phi>.  The Bell-diagonal state, the purification and the
+twirl are products with it, each built after its dimension check.
 
 All matrix functions go through Hermitian eigendecompositions with
 eigenvalue clipping at 1e-12; all entropic quantities are in bits.  The
@@ -42,23 +47,17 @@ import logging
 import numpy as np
 
 from .dists import PauliDist
-from .gf import _check_prime
+from .gf import SizeCapError, _check_prime
 
 DIM_CAP = 256
 _EIG_CLIP = 1e-12
 _HERM_TOL = 1e-10
 
-LN2 = np.log(2.0)
-
 _log = logging.getLogger("pdckit")
 
 
-class SizeCapError(ValueError):
-    """An instance exceeds the oracle dimension or enumeration cap."""
-
-
 # ---------------------------------------------------------------------------
-# state containers
+# state container
 # ---------------------------------------------------------------------------
 
 def _check_dims(dims) -> list[int]:
@@ -96,27 +95,8 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
 
-class PureState:
-    """Unit-norm amplitude vector with explicit subsystem dims."""
-
-    __slots__ = ("dims", "vector")
-
-    def __init__(self, vector, dims):
-        self.dims = _check_dims(dims)
-        vec = np.asarray(vector, dtype=complex).reshape(-1)
-        n = int(np.prod(self.dims))
-        if vec.size != n:
-            raise ValueError(f"vector length {vec.size} != {n}")
-        if abs(np.linalg.norm(vec) - 1.0) > _HERM_TOL:
-            raise ValueError("vector is not normalized within 1e-10")
-        self.vector = vec
-
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims)
-
-
 # ---------------------------------------------------------------------------
-# Weyl operators and Bell states
+# Weyl operators and the Bell basis
 # ---------------------------------------------------------------------------
 
 def weyl(x: int, z: int, p: int) -> np.ndarray:
@@ -130,53 +110,38 @@ def weyl(x: int, z: int, p: int) -> np.ndarray:
     return xmat @ zmat
 
 
-def bell_state(p: int) -> PureState:
-    """Maximally entangled |Phi> = p^{-1/2} sum_i |i>|i> on A x B."""
-    p = _check_prime(p)
-    vec = np.eye(p).reshape(-1) / np.sqrt(p)
-    return PureState(vec, [p, p])
+def _weyl_ops(p: int) -> list[np.ndarray]:
+    """W(x, z) for all p^2 labels, in label order x p + z (x outer, z inner)."""
+    return [weyl(x, z, p) for x in range(p) for z in range(p)]
 
 
-def bell_basis_state(x: int, z: int, p: int) -> PureState:
-    """(W(x,z) x I)|Phi>, the (x, z) element of the generalized Bell basis."""
-    w = weyl(x, z, p)
-    vec = np.kron(w, np.eye(p)) @ bell_state(p).vector
-    return PureState(vec, [p, p])
+def bell_basis(p: int) -> np.ndarray:
+    """The generalized Bell basis as a (p^2, p^2) matrix: column x p + z is
+    (W(x, z) x I)|Phi>, with |Phi> = p^{-1/2} sum_i |i>|i> on A x B.
+    SizeCapError when p^2 exceeds the oracle cap, before anything is built."""
+    _check_dims([p, p])
+    phi = (np.eye(p).reshape(-1) / np.sqrt(p)).astype(complex)
+    return np.stack([np.kron(w, np.eye(p)) @ phi for w in _weyl_ops(p)], axis=1)
 
 
 def bell_diagonal(P: PauliDist) -> DensityMatrix:
     """rho[P] = sum P(x,z) (W(x,z) x I)|Phi><Phi|(W(x,z) x I)^dag."""
-    p = P.p
-    n = p * p
-    rho = np.zeros((n, n), dtype=complex)
-    for x in range(p):
-        for z in range(p):
-            w = P.probs[x, z]
-            if w == 0.0:
-                continue
-            v = bell_basis_state(x, z, p).vector
-            rho += w * np.outer(v, v.conj())
-    return DensityMatrix(rho, [p, p])
+    basis = bell_basis(P.p)
+    return DensityMatrix((basis * P.flat()) @ basis.conj().T, [P.p, P.p])
 
 
-def purify(P: PauliDist) -> PureState:
-    """|Psi> = sum sqrt(P(x,z)) (W(x,z) x I)|Phi>_AB |x,z>_E on A x B x E.
+def purify(P: PauliDist) -> DensityMatrix:
+    """|Psi><Psi| for |Psi> = sum sqrt(P(x,z)) (W(x,z) x I)|Phi>_AB |x,z>_E
+    on A x B x E.
 
     E is a p^2-dimensional register holding the Weyl label; tracing it out
-    recovers bell_diagonal(P).
+    recovers bell_diagonal(P).  SizeCapError when p^4 exceeds the oracle
+    cap, before anything is built.
     """
     p = P.p
-    vec = np.zeros(p * p * p * p, dtype=complex)
-    for x in range(p):
-        for z in range(p):
-            amp = np.sqrt(P.probs[x, z])
-            if amp == 0.0:
-                continue
-            ab = bell_basis_state(x, z, p).vector
-            e = np.zeros(p * p)
-            e[x * p + z] = 1.0
-            vec += amp * np.kron(ab, e)
-    return PureState(vec, [p, p, p * p])
+    dims = _check_dims([p, p, p * p])
+    psi = (bell_basis(p) * np.sqrt(P.flat())).reshape(-1)
+    return DensityMatrix(np.outer(psi, psi.conj()), dims)
 
 
 def _op_on(op: np.ndarray, dims: list[int], idx: int) -> np.ndarray:
@@ -192,18 +157,14 @@ def _op_on(op: np.ndarray, dims: list[int], idx: int) -> np.ndarray:
 def pauli_channel(rho: DensityMatrix, P: PauliDist, subsystem: int) -> DensityMatrix:
     """Apply Lambda[P](.) = sum P(x,z) W(x,z) . W(x,z)^dag on one subsystem."""
     if rho.dims[subsystem] != P.p:
-        raise ValueError(
-            f"subsystem {subsystem} has dim {rho.dims[subsystem]}, channel needs {P.p}"
-        )
-    p = P.p
+        raise ValueError(f"subsystem {subsystem} has dim {rho.dims[subsystem]}, "
+                         f"channel needs {P.p}")
     out = np.zeros_like(rho.matrix)
-    for x in range(p):
-        for z in range(p):
-            w = P.probs[x, z]
-            if w == 0.0:
-                continue
-            full = _op_on(weyl(x, z, p), rho.dims, subsystem)
-            out += w * (full @ rho.matrix @ full.conj().T)
+    for w, op in zip(P.flat(), _weyl_ops(P.p)):
+        if w == 0.0:
+            continue
+        full = _op_on(op, rho.dims, subsystem)
+        out += w * (full @ rho.matrix @ full.conj().T)
     return DensityMatrix(out, rho.dims)
 
 
@@ -214,8 +175,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if not keep or any(k < 0 or k >= nsub for k in keep):
         raise ValueError(f"invalid keep set {keep} for {nsub} subsystems")
     dims = rho.dims
-    tensor = rho.matrix.reshape(dims + dims)
-    traced = tensor
+    traced = rho.matrix.reshape(dims + dims)
     # contract highest traced index pairs first so positions stay valid
     for idx in sorted(set(range(nsub)) - set(keep), reverse=True):
         n = traced.ndim // 2
@@ -238,9 +198,7 @@ def twirl(rho: DensityMatrix) -> DensityMatrix:
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError("twirl needs a two-subsystem state with equal dims")
-    p = rho.dims[0]
-    basis = np.stack([bell_basis_state(x, z, p).vector
-                      for x in range(p) for z in range(p)], axis=1)
+    basis = bell_basis(rho.dims[0])
     w = np.diag(basis.conj().T @ rho.matrix @ basis).real
     return DensityMatrix((basis * w) @ basis.conj().T, rho.dims)
 
@@ -258,20 +216,11 @@ def weyl_eigenbasis(k: int, l: int, p: int) -> np.ndarray:
     k, l = int(k) % p, int(l) % p
     if k == 0 and l == 0:
         raise ValueError("(k, l) = (0, 0) has no measurement basis")
-    w = weyl(k, l, p)
-    _, vecs = np.linalg.eig(w)
-    v0 = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    # step operator: any (x0, z0) with x0*l - z0*k = 1 shifts the label by one
-    step = None
-    for x0 in range(p):
-        for z0 in range(p):
-            if (x0 * l - z0 * k) % p == 1:
-                step = weyl(x0, z0, p)
-                break
-        if step is not None:
-            break
+    _, vecs = np.linalg.eig(weyl(k, l, p))
+    # step operator W(x0, z0) with x0 l - z0 k = 1 shifts the label by one
+    step = weyl(0, -pow(k, -1, p), p) if k else weyl(pow(l, -1, p), 0, p)
     basis = np.zeros((p, p), dtype=complex)
-    v = v0
+    v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     for j in range(p):
         basis[:, j] = v
         v = step @ v
@@ -313,8 +262,6 @@ def vn_entropy(rho) -> float:
 def _as_matrix(x) -> np.ndarray:
     if isinstance(x, DensityMatrix):
         return x.matrix
-    if isinstance(x, PureState):
-        return x.density().matrix
     return np.asarray(x, dtype=complex)
 
 

@@ -50,9 +50,8 @@ import numpy as np
 
 from . import qexact
 from .dists import PauliDist, renyi_entropy, sibson_mutual_info
-from .gf import _check_int64_dot, _mod, all_vectors, toeplitz_apply_batch
-
-_ENUM_CAP = 10**6
+from .gf import (_ENUM_CAP, SizeCapError, _check_int64_dot, _mod, all_vectors,
+                 toeplitz_apply_batch)
 
 # theorem1_bound's t grids
 _QUANTUM_T_GRID = np.linspace(0.05, 1.0, 20)
@@ -63,7 +62,7 @@ _CLASSICAL_T_GRID.flags.writeable = False
 
 def _check_enum(total: int, what: str) -> None:
     if total > _ENUM_CAP:
-        raise qexact.SizeCapError(f"enumeration of {total} {what} exceeds cap {_ENUM_CAP}")
+        raise SizeCapError(f"enumeration of {total} {what} exceeds cap {_ENUM_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def random_linear_code(p: int, n: int, n1: int, noise: PauliDist,
                        rng: np.random.Generator) -> LinearCodeSpec:
     """Random full-rank generator with exhaustive ML decoding (2n <= 8, p <= 3)."""
     if 2 * n > 8 or p > 3:
-        raise qexact.SizeCapError("random linear baseline limited to 2n <= 8, p <= 3")
+        raise SizeCapError("random linear baseline limited to 2n <= 8, p <= 3")
     for _ in range(200):
         G = rng.integers(0, p, size=(2 * n, n1))
         if _gf_rank(G, p) == n1:
@@ -367,14 +366,15 @@ class ClassicalChannelWc:
 
 
 class ClassicalEveChannel:
-    """Eve observes each codeword through a classical channel: ``kernel`` maps
-    a (words, 2n) int64 codeword stack to the (words, outputs) laws of Eve's
-    observation, one row per word."""
+    """Eve observes each codeword of a code with n pairs over F_p through a
+    classical channel: ``kernel`` maps a (words, 2n) int64 codeword stack to
+    the (words, outputs) laws of Eve's observation, one row per word."""
 
     is_quantum = False
 
-    def __init__(self, kernel: Callable[[np.ndarray], np.ndarray], outputs: int):
-        self._kernel, self.outputs = kernel, outputs
+    def __init__(self, kernel: Callable[[np.ndarray], np.ndarray], outputs: int,
+                 p: int, n: int):
+        self._kernel, self.outputs, self.p, self.n = kernel, outputs, p, n
 
     def states(self, words: np.ndarray) -> np.ndarray:
         """The kernel's rows; SizeCapError when words x outputs exceeds
@@ -382,7 +382,7 @@ class ClassicalEveChannel:
         gets a probability row over the outputs."""
         words = np.asarray(words, dtype=np.int64)
         if len(words) * self.outputs > _ENUM_CAP:
-            raise qexact.SizeCapError(
+            raise SizeCapError(
                 f"Eve's law of {len(words)} words x {self.outputs} outputs "
                 f"exceeds cap {_ENUM_CAP}")
         rows = np.asarray(self._kernel(words), dtype=float)
@@ -401,24 +401,21 @@ def eve_noiseless(p: int, n: int) -> ClassicalEveChannel:
         rows[np.arange(len(words)), words @ weights] = 1.0
         return rows
 
-    return ClassicalEveChannel(kernel, p ** (2 * n))
+    return ClassicalEveChannel(kernel, p ** (2 * n), p, n)
 
 
 def eve_constant(p: int, n: int) -> ClassicalEveChannel:
     """Eve's observation carries no signal."""
-    return ClassicalEveChannel(lambda words: np.ones((len(words), 1)), 1)
+    return ClassicalEveChannel(lambda words: np.ones((len(words), 1)), 1, p, n)
 
 
 def eve_additive(noise: PauliDist, n: int) -> ClassicalEveChannel:
     """Eve sees the word through the additive pair-noise channel: her law is
-    the Kronecker product over pairs c_i of noise(v - c_i) on labels v = x p + z;
-    ValueError on words of another length than 2n."""
+    the Kronecker product over pairs c_i of noise(v - c_i) on labels v = x p + z."""
     p = noise.p
     v = np.arange(p * p)
 
     def kernel(words):
-        if words.shape[1] != 2 * n:
-            raise ValueError(f"additive Eve reads words of {2 * n} symbols, got {words.shape[1]}")
         rows = np.ones((len(words), 1))
         for i in range(n):
             pair = noise.probs[(v // p - words[:, 2 * i, None]) % p,
@@ -426,12 +423,12 @@ def eve_additive(noise: PauliDist, n: int) -> ClassicalEveChannel:
             rows = (rows[:, :, None] * pair[:, None, :]).reshape(len(words), -1)
         return rows
 
-    return ClassicalEveChannel(kernel, p ** (2 * n))
+    return ClassicalEveChannel(kernel, p ** (2 * n), p, n)
 
 
 def eve_first_symbol(p: int, n: int) -> ClassicalEveChannel:
     """Eve learns only the first symbol of the word (deterministic)."""
-    return ClassicalEveChannel(lambda words: np.eye(p)[words[:, 0]], p)
+    return ClassicalEveChannel(lambda words: np.eye(p)[words[:, 0]], p, p, n)
 
 
 class QuantumEveChannel:
@@ -447,7 +444,14 @@ class QuantumEveChannel:
     is_quantum = True
 
     def __init__(self, P: PauliDist, n: int):
-        self.P, self.n = P, n
+        self.P, self.p, self.n = P, P.p, n
+
+
+def _check_eve(eve, code: LinearCodeSpec) -> None:
+    """ValueError unless Eve was built for the code's field and n pairs."""
+    if (eve.p, eve.n) != (code.p, code.n):
+        raise ValueError(f"Eve was built for p={eve.p}, n={eve.n}; "
+                         f"the code has p={code.p}, n={code.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +499,8 @@ def _seed_norms(code: LinearCodeSpec, k: int, eve, seeds):
     v1, v2 = infos[:, :k], infos[:, k:]
     if eve.is_quantum:
         qexact._check_dims([p] * k)  # each coset block is p^k-dimensional
-        _check_enum(p ** (n1 + k), "coset-block entries")
-        root = np.sqrt(_quantum_syndrome_law(eve, code))
+        _check_enum(p ** (n1 + k), "coset-block entries")  # p^{n1} syndromes too
+        root = np.sqrt(_syndrome_law(eve.P, code))
     else:
         states = eve.states(code.encode(infos))
         avg = states.mean(axis=0)
@@ -521,9 +525,10 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
     Enumerates every seed S (or the supplied subset), every message m', and
     the uniform randomization inside each hash preimage (``_seed_norms``).
     Uses the paper's unhalved 1-norm, so values range up to 2.  ValueError
-    on an empty seed set, and when additive or quantum Eve was built for
-    another n than the code.
+    on an empty seed set, and when Eve was built for another p or n than
+    the code.
     """
+    _check_eve(eve, code)
     p, n1, k = code.p, code.n1, n2 + n3
     if not (n1 >= k > 0):
         raise ValueError("need n1 >= n2 + n3 > 0")
@@ -564,15 +569,6 @@ def _syndrome_law(P: PauliDist, code: LinearCodeSpec) -> np.ndarray:
                 site += w * np.roll(law, tuple(shift.tolist()), axis=axes)
         law = site
     return law.reshape(-1)
-
-
-def _quantum_syndrome_law(eve: QuantumEveChannel, code: LinearCodeSpec) -> np.ndarray:
-    """Eve's ``_syndrome_law``; SizeCapError when its p^{n1} cells exceed
-    ``_ENUM_CAP``, ValueError unless she holds the code's n pairs over F_p."""
-    _check_enum(code.p**code.n1, "messages")
-    if (eve.n, eve.P.p) != (code.n, code.p):
-        raise ValueError(f"quantum Eve n={eve.n}, p={eve.P.p} != code n={code.n}, p={code.p}")
-    return _syndrome_law(eve.P, code)
 
 
 def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
@@ -617,13 +613,16 @@ def theorem1_bound(l2_size: int, eve, code: LinearCodeSpec,
     Together, H~up_alpha(M|AE) = n1 log p - H_beta(Q_C), and step 2 gives
     I(t) = H_beta(Q_C).  On the t grid alpha = 1+t lies in (1, 2] and beta
     in [2/3, 1).  The tests check the closed form against the solver's
-    |C|-state infimum at every t, at p = 2 and p = 3.
+    |C|-state infimum at every t, at p = 2 and p = 3.  ValueError when Eve
+    was built for another p or n than the code.
     """
+    _check_eve(eve, code)
     if l2_size < 1:
         raise ValueError("L2 size must be >= 1")
     if eve.is_quantum:
         ts = _QUANTUM_T_GRID
-        info = renyi_entropy(_quantum_syndrome_law(eve, code), (1.0 + ts) / (1.0 + 2.0 * ts))
+        _check_enum(code.p**code.n1, "messages")
+        info = renyi_entropy(_syndrome_law(eve.P, code), (1.0 + ts) / (1.0 + 2.0 * ts))
     else:
         ts = _CLASSICAL_T_GRID
         words = code.all_codewords()

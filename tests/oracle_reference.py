@@ -7,9 +7,12 @@ Eve's dense (p^3)^n-dimensional states, her per-message leakage through
 p^{n1} x p^{n1} syndrome-law matrices, the verification-variable
 comparison as a HiGHS linear program over a joint built cell by cell, and
 the identity suite with one Petz call per order and a full solver
-evaluation for the reference value.  The package computes none of them on
-a command path; the tests use them as independent anchors for
-``qexact``'s solver, ``estimation``'s character table, ``wiretap``'s
+evaluation for the reference value, and the oracle's Bell machinery built
+label by label (Bell states, the Bell-diagonal state, the purification, the
+covariant eigenbasis by search and the setting statistics cell by cell).
+The package computes none of them on a command path; the tests use them as
+independent anchors for ``qexact``'s solver and Bell basis,
+``estimation``'s character table and setting statistics, ``wiretap``'s
 coset-block leakage, ``protocol.lnm_check`` and
 ``identities.check_identities``.
 """
@@ -24,7 +27,7 @@ from pdckit.identities import IdentityResiduals, _weyl_orbit_states, omega_state
 from pdckit.qexact import (_EIG_CLIP, DensityMatrix, _as_matrix, _check_dims, _herm_power,
                            _minimize_xi, _support_check, partial_trace, purify, vn_entropy,
                            weyl)
-from pdckit.wiretap import _pair_labels, _quantum_syndrome_law
+from pdckit.wiretap import _pair_labels, _syndrome_law
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -119,7 +122,7 @@ def quantum_eve_states(P: PauliDist, n: int, words: np.ndarray) -> np.ndarray:
     """
     p = P.p
     _check_dims([p**3] * n)  # SizeCapError above the cap
-    tau = partial_trace(purify(P).density(), [0, 2]).matrix
+    tau = partial_trace(purify(P), [0, 2]).matrix
     rotations = [np.kron(weyl(x, z, p), np.eye(p**2)) for x, z in all_vectors(p, 2)]
     sites = np.stack([u @ tau @ u.conj().T for u in rotations])
     labels = _pair_labels(words, p)
@@ -174,7 +177,7 @@ def message_norms(code, k: int, eve, seeds):
     infos = all_vectors(p, n1)
     if eve.is_quantum:
         qexact._check_dims([p] * n1)  # SizeCapError above the cap
-        root = np.sqrt(_quantum_syndrome_law(eve, code))
+        root = np.sqrt(_syndrome_law(eve.P, code))
         scale = root[:, None] * root[None, :]
         # chars[m, D] = omega^{m.D}; diff[s, s'] is the index of s - s'
         chars = np.exp(2j * np.pi / p * _mod(infos @ infos.T, p))
@@ -329,3 +332,70 @@ def reference_check_identities(P: PauliDist, P_tilde: PauliDist,
         petz_down_ab=float(r_petz_down),
         sandwich_ae_min_slack=float(slack_min),
         lemma_petz_mi=float(r_petz_mi), lemma_sandwich_mi=float(r_sand_mi))
+
+
+# ---------------------------------------------------------------------------
+# the Bell machinery label by label
+# ---------------------------------------------------------------------------
+
+def reference_bell_basis_state(x: int, z: int, p: int) -> np.ndarray:
+    """(W(x,z) x I)|Phi>, with |Phi> = p^{-1/2} sum_i |i>|i>, for one label."""
+    phi = (np.eye(p).reshape(-1) / np.sqrt(p)).astype(complex)
+    return np.kron(weyl(x, z, p), np.eye(p)) @ phi
+
+
+def reference_bell_diagonal(P: PauliDist) -> np.ndarray:
+    """sum P(x,z) |b_xz><b_xz|, accumulated label by label."""
+    p = P.p
+    rho = np.zeros((p * p, p * p), dtype=complex)
+    for x in range(p):
+        for z in range(p):
+            if P.probs[x, z] != 0.0:
+                v = reference_bell_basis_state(x, z, p)
+                rho += P.probs[x, z] * np.outer(v, v.conj())
+    return rho
+
+
+def reference_purify(P: PauliDist) -> np.ndarray:
+    """|Psi><Psi|, |Psi> = sum sqrt(P(x,z)) |b_xz>|x,z>_E accumulated label by label."""
+    p = P.p
+    vec = np.zeros(p**4, dtype=complex)
+    for x in range(p):
+        for z in range(p):
+            amp = np.sqrt(P.probs[x, z])
+            if amp != 0.0:
+                e = np.zeros(p * p)
+                e[x * p + z] = 1.0
+                vec += amp * np.kron(reference_bell_basis_state(x, z, p), e)
+    return DensityMatrix(np.outer(vec, vec.conj()), [p, p, p * p]).matrix
+
+
+def reference_weyl_eigenbasis(k: int, l: int, p: int) -> np.ndarray:
+    """The covariant eigenbasis of W(k, l), its step operator found by search."""
+    w = weyl(k, l, p)
+    _, vecs = np.linalg.eig(w)
+    step = next(weyl(x0, z0, p) for x0 in range(p) for z0 in range(p)
+                if (x0 * l - z0 * k) % p == 1)
+    basis = np.zeros((p, p), dtype=complex)
+    v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    for j in range(p):
+        basis[:, j] = v
+        v = step @ v
+        v = v / np.linalg.norm(v)
+    return basis
+
+
+def reference_setting_distribution(tau_ab: DensityMatrix, l: int, k: int) -> np.ndarray:
+    """The difference-measurement law on tau_AB, one amplitude per (s, j)."""
+    p = tau_ab.dims[0]
+    basis = reference_weyl_eigenbasis(k, l, p)
+    probs = np.zeros(p)
+    tensor = tau_ab.matrix.reshape(p, p, p, p)
+    for s in range(p):
+        for j in range(p):
+            va = basis[:, (j + s) % p]
+            vb = basis[:, j].conj()
+            amp = np.einsum("a,b,abcd,c,d->", va.conj(), vb.conj(), tensor, va, vb)
+            probs[s] += amp.real
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()

@@ -60,6 +60,16 @@ def test_eps_b():
     assert abs(eps_B_bound(2, 3) - 1 / 9) < 1e-15
 
 
+def test_bounds_refuse_block_lengths_below_one():
+    # eps_E_bound(0, 1, P) returned 0.707 and n = -1 returned 0.49
+    P = depolarizing(0.1, 2)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="block length n must be >= 1"):
+            eps_E_bound(n, 1, P)
+        with pytest.raises(ValueError, match="block length n must be >= 1"):
+            eps_C_bound(n, 0, P)
+
+
 def test_eps_e_monotone_in_sacrifice():
     P = depolarizing(0.05, 2)
     vals = [eps_E_bound(100, m, P) for m in range(0, 201, 20)]

@@ -317,6 +317,12 @@ CONFIG_CHANGES = {"readme": {}, "neg_n2": {"n2": -1, "n3": 2}, "big_n2": {"n2": 
     # 1e13 points ended in a MemoryError traceback; 1e8 took 800 MB and hours
     (("rates", "--mix-grid", "0:1:1e-13"), 4, "size cap exceeded:"),
     (("rates", "--mix-grid", "0:0.1:1e-9"), 4, "size cap exceeded:"),
+    # a Pauli law over F_1009^2 holds more than 10^6 cells; near p = 10^6
+    # these ended in a memory-error traceback with exit 1
+    (("rates", "--p", "1009", "--mix-grid", "0:0:1"), 4, "size cap exceeded:"),
+    (("finite", "--p", "1009", "--mix", "0.05", "--n-grid", "1000"), 4, "size cap exceeded:"),
+    (("estimate", "--p", "1009", "--mix", "0.05"), 4, "size cap exceeded:"),
+    (("verify-identities", "--p", "1009"), 4, "size cap exceeded:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"

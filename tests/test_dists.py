@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pdckit.dists import (PauliDist, convolve, depolarizing, marginal,
+from pdckit.dists import (MarginalDist, PauliDist, convolve, depolarizing, marginal,
                           renyi_entropy, shannon, shift, sibson_mutual_info)
+from pdckit.gf import SizeCapError
 
 from oracle_reference import char_value
 
@@ -37,6 +38,31 @@ def test_validation():
     # tiny drift is normalized away
     d = PauliDist([0.25 + 2e-10, 0.25, 0.25, 0.25], 2)
     assert abs(d.flat().sum() - 1.0) < 1e-15
+
+
+def test_nan_mass_is_refused():
+    # abs(total - 1) > tol is False for NaN: an all-NaN law was accepted, and
+    # asymptotic_rates on it returned the noiseless rates (2, -0, 2)
+    with pytest.raises(ValueError, match="mass nan is not within"):
+        PauliDist([np.nan, 0.5, 0.25, 0.25], 2)
+    with pytest.raises(ValueError, match="mass nan is not within"):
+        MarginalDist([np.nan, 1.0], 2)
+
+
+def test_pauli_law_cell_cap(monkeypatch):
+    # p = 1009 has 1,018,081 cells, above the 10^6 cap; a p near 10^6 ended
+    # in a memory-error traceback from np.full((p, p))
+    assert depolarizing(0.1, 997).probs.shape == (997, 997)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law was allocated above the cap")
+
+    monkeypatch.setattr(np, "full", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    for build in (lambda: depolarizing(0.1, 1009), lambda: PauliDist.uniform(1009),
+                  lambda: PauliDist.point_mass(0, 0, 1009), lambda: PauliDist([1.0], 1009)):
+        with pytest.raises(SizeCapError, match="1018081 cells, above 1000000"):
+            build()
 
 
 def test_json_round_trip():

@@ -9,7 +9,7 @@ from pdckit.estimation import (MeasurementSetting, char_table_from_marginals,
                                simplex_project, simulate_setting,
                                twirled_statistics_check)
 
-from oracle_reference import char_value
+from oracle_reference import char_value, reference_setting_distribution
 
 
 def random_dist(p, rng):
@@ -221,3 +221,14 @@ def test_twirled_statistics_product_state_p3():
     for s in settings(p):
         direct, twirled = twirled_statistics_check(rho, s)
         assert np.max(np.abs(direct.probs - twirled.probs)) < 1e-10
+
+
+def test_setting_distribution_matches_the_cell_loop():
+    rng = np.random.default_rng(33)
+    for p in (2, 3, 5, 7):
+        a = rng.normal(size=(p * p, p * p)) + 1j * rng.normal(size=(p * p, p * p))
+        m = a @ a.conj().T
+        rho = qx.DensityMatrix(m / np.trace(m).real, [p, p])
+        for s in settings(p):
+            got = setting_distribution_exact(rho, s).probs
+            assert np.max(np.abs(got - reference_setting_distribution(rho, s.l, s.k))) < 1e-12

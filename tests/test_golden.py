@@ -218,6 +218,23 @@ def test_cli_stdout_pinned_one_blas_thread(argv):
     assert _digest(run.stdout) == CLI_DIGESTS_ONE_THREAD[argv]
 
 
+def test_verify_identities_refuses_p101_before_allocating():
+    # each per-label Bell state was a 1.55 GiB Kronecker product made before
+    # the dimension check: under a 1.5 GB address-space limit that ended in a
+    # memory-error traceback with exit 1, the failed-identity code
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    run = subprocess.run([sys.executable, "-m", "pdckit.cli", "verify-identities",
+                          "--p", "101", "--count", "1"], env=_one_blas_thread_env(),
+                         preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 4
+    assert run.stdout == ""
+    assert run.stderr.startswith("size cap exceeded:") and run.stderr.count("\n") == 1
+
+
 # Commands that run without scipy's optimizers or dense linear algebra.
 NO_SCIPY_ARGV = [
     "rates --p 2 --mix-grid 0:0.25:0.0025",

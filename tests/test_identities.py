@@ -18,7 +18,7 @@ def test_omega_state_marginals():
     Pt = depolarizing(0.2, p)
     omega = omega_state(P, Pt)
     om_ae = qx.partial_trace(omega, [0, 2])
-    tau_ae = qx.partial_trace(qx.purify(P).density(), [0, 2])
+    tau_ae = qx.partial_trace(qx.purify(P), [0, 2])
     assert np.max(np.abs(om_ae.matrix - tau_ae.matrix)) < 1e-12
     om_ab = qx.partial_trace(omega, [0, 1])
     assert np.max(np.abs(om_ab.matrix
@@ -61,7 +61,7 @@ def test_sandwich_solver_cold_start_agrees_with_seeded():
     rng = np.random.default_rng(1)
     for p in (2, 3):
         P = random_pauli_dist(p, rng)
-        tau_ae = qx.partial_trace(qx.purify(P).density(), [0, 2])
+        tau_ae = qx.partial_trace(qx.purify(P), [0, 2])
         states = np.stack([
             np.kron(qx.weyl(x, z, p), np.eye(p * p)) @ tau_ae.matrix
             @ np.kron(qx.weyl(x, z, p), np.eye(p * p)).conj().T

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from pdckit import qexact as qx
 from pdckit.dists import PauliDist, convolve, depolarizing, renyi_entropy
 from pdckit.identities import bell_diagonality_residual, side_swap_residual
 
-from oracle_reference import (cond_entropy_up_sandwiched, relative_entropy,
+from oracle_reference import (cond_entropy_up_sandwiched, reference_bell_basis_state,
+                              reference_bell_diagonal, reference_purify,
+                              reference_weyl_eigenbasis, relative_entropy,
                               sandwiched_divergence, sandwiched_mutual_info_down_cq)
 
 
@@ -18,6 +22,11 @@ def random_density(dim, rng, dims=None):
 
 def random_dist(p, rng):
     return PauliDist(rng.dirichlet(np.ones(p * p)), p)
+
+
+def phi_state(p):
+    """|Phi><Phi|, the maximally entangled state on A x B."""
+    return qx.bell_diagonal(PauliDist.point_mass(0, 0, p))
 
 
 # ---------------------------------------------------------------
@@ -45,9 +54,9 @@ def test_weyl_commutation_relation():
 
 
 def test_bell_diagonal_spectra():
-    phi = qx.bell_state(2).density()
+    phi = np.eye(2).reshape(-1) / np.sqrt(2)
     assert np.allclose(qx.bell_diagonal(PauliDist.point_mass(0, 0, 2)).matrix,
-                       phi.matrix)
+                       np.outer(phi, phi))
     mixed = qx.bell_diagonal(PauliDist.uniform(3))
     assert np.allclose(mixed.matrix, np.eye(9) / 9)
     spec = np.sort(qx.bell_diagonal(PauliDist([0.7, 0.1, 0.1, 0.1], 2)).eigenvalues())
@@ -57,17 +66,70 @@ def test_bell_diagonal_spectra():
 def test_purify():
     p = 2
     delta = PauliDist.point_mass(0, 0, p)
-    psi = qx.purify(delta)
-    expect = np.kron(qx.bell_state(p).vector, np.eye(p * p)[0])
-    assert np.allclose(psi.vector, expect)
+    expect = np.kron(np.eye(p).reshape(-1) / np.sqrt(p), np.eye(p * p)[0])
+    assert np.allclose(qx.purify(delta).matrix, np.outer(expect, expect))
     rng = np.random.default_rng(0)
     for pp in (2, 3):
         P = random_dist(pp, rng)
-        rho = qx.purify(P).density()
+        rho = qx.purify(P)
         ab = qx.partial_trace(rho, [0, 1])
         assert np.max(np.abs(ab.matrix - qx.bell_diagonal(P).matrix)) < 1e-10
         e_spec = np.sort(qx.partial_trace(rho, [2]).eigenvalues())
         assert np.allclose(e_spec, np.sort(P.flat()), atol=1e-10)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_bell_basis_columns_are_the_per_label_states_bit_for_bit(p):
+    basis = qx.bell_basis(p)
+    assert basis.shape == (p * p, p * p)
+    for label in range(p * p):
+        assert np.array_equal(basis[:, label],
+                              reference_bell_basis_state(*divmod(label, p), p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_bell_diagonal_matches_the_label_loop(p):
+    rng = np.random.default_rng(20 + p)
+    raw = rng.random(p * p)
+    raw[rng.random(p * p) < 0.3] = 0.0
+    raw[0] += 0.1
+    P = PauliDist(raw / raw.sum(), p)
+    assert np.max(np.abs(qx.bell_diagonal(P).matrix - reference_bell_diagonal(P))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 0.9]))
+def test_purify_is_the_label_loop_bit_for_bit(p, seed, zero_share):
+    # zero masses included: the loop skipped them, the product multiplies by 0
+    rng = np.random.default_rng(seed)
+    raw = rng.random(p * p) ** 3
+    raw[rng.random(p * p) < zero_share] = 0.0
+    raw[rng.integers(p * p)] += 0.1
+    P = PauliDist(raw / raw.sum(), p)
+    assert np.array_equal(qx.purify(P).matrix, reference_purify(P))
+
+
+def test_oracle_caps_come_before_the_products(monkeypatch):
+    # each per-label Bell state was a p^2 x p^2 Kronecker product made before
+    # any dimension check: 1.55 GiB at p = 101
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was built above the cap")
+
+    monkeypatch.setattr(np, "outer", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    with pytest.raises(qx.SizeCapError, match="total dimension 625 exceeds"):
+        qx.purify(PauliDist.uniform(5))
+    with pytest.raises(qx.SizeCapError, match="total dimension 289 exceeds"):
+        qx.bell_diagonal(PauliDist.uniform(17))
+
+
+def test_weyl_eigenbasis_step_in_closed_form_is_the_search():
+    for p in (2, 3, 5, 7):
+        for k in range(p):
+            for l in range(p):
+                if k or l:
+                    assert np.array_equal(qx.weyl_eigenbasis(k, l, p),
+                                          reference_weyl_eigenbasis(k, l, p))
 
 
 def test_pauli_channel():
@@ -78,7 +140,7 @@ def test_pauli_channel():
         qx.pauli_channel(rho, PauliDist.point_mass(0, 0, p), 0).matrix
         - rho.matrix)) < 1e-12
     P = random_dist(p, rng)
-    phi = qx.bell_state(p).density()
+    phi = phi_state(p)
     assert np.max(np.abs(qx.pauli_channel(phi, P, 0).matrix
                          - qx.bell_diagonal(P).matrix)) < 1e-12
     # composition equals the channel of the convolved distribution
@@ -94,7 +156,7 @@ def test_partial_trace():
     b = random_density(3, rng)
     prod = qx.DensityMatrix(np.kron(a.matrix, b.matrix), [2, 3])
     assert np.max(np.abs(qx.partial_trace(prod, [0]).matrix - a.matrix)) < 1e-12
-    phi = qx.bell_state(3).density()
+    phi = phi_state(3)
     assert np.allclose(qx.partial_trace(phi, [1]).matrix, np.eye(3) / 3)
     tri = random_density(12, rng, dims=[2, 3, 2])
     red = qx.partial_trace(tri, [1])
@@ -182,7 +244,7 @@ def test_cond_entropy_product_state():
 
 
 def test_cond_entropy_maximally_entangled():
-    phi = qx.bell_state(2).density()
+    phi = phi_state(2)
     # H(A|B) = -D(rho_AB || I_A x rho_B); the Petz form refuses alpha = 1
     rho_b = qx.partial_trace(phi, [1]).matrix
     assert abs(-relative_entropy(phi, np.kron(np.eye(2), rho_b)) - (-1.0)) < 1e-10
@@ -193,7 +255,7 @@ def test_cond_entropy_maximally_entangled():
 
 def test_h_up_at_least_bound_on_grid():
     P = PauliDist([0.7, 0.1, 0.1, 0.1], 2)
-    omega = qx.purify(P).density()
+    omega = qx.purify(P)
     om_ae = qx.partial_trace(omega, [0, 2])
     for t in np.arange(1, 10) / 10.0:
         h_up = cond_entropy_up_sandwiched(om_ae, 1 + t)
@@ -419,8 +481,7 @@ def test_twirl_outputs_bell_diagonal():
         tw = qx.twirl(rho)
         assert abs(np.trace(tw.matrix).real - 1.0) < 1e-12
         # off-diagonal entries in the Bell basis vanish
-        basis = np.stack([qx.bell_basis_state(x, z, p).vector
-                          for x in range(p) for z in range(p)], axis=1)
+        basis = qx.bell_basis(p)
         in_bell = basis.conj().T @ tw.matrix @ basis
         off = in_bell - np.diag(np.diag(in_bell))
         assert np.max(np.abs(off)) < 1e-10

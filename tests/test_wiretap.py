@@ -532,7 +532,7 @@ def test_quantum_eve_state_is_a_weyl_conjugate():
     words = code.all_codewords()
     states = quantum_eve_states(P, 2, words)
     assert states.shape == (len(words), 64, 64)
-    tau = qx.partial_trace(qx.purify(P).density(), [0, 2]).matrix
+    tau = qx.partial_trace(qx.purify(P), [0, 2]).matrix
     base = quantum_eve_states(P, 2, np.zeros((1, 4), dtype=np.int64))[0]
     assert np.allclose(base, np.kron(tau, tau), atol=1e-14)
     for word, state in zip(words, states):
@@ -550,7 +550,7 @@ def test_quantum_eve_at_p3():
     words = code.all_codewords()
     states = quantum_eve_states(P, 1, words)
     assert states.shape == (9, 27, 27)
-    tau = qx.partial_trace(qx.purify(P).density(), [0, 2]).matrix
+    tau = qx.partial_trace(qx.purify(P), [0, 2]).matrix
     for word, state in zip(words, states):
         u = np.kron(qx.weyl(word[0], word[1], 3), np.eye(9))
         assert np.allclose(state, u @ tau @ u.conj().T, atol=1e-14)
@@ -619,9 +619,10 @@ def test_additive_eve_for_fewer_pairs_is_refused():
     code, noise = identity_code(2, 2), depolarizing(0.3, 2)
     assert abs(exact_leakage(code, 1, 1, eve_additive(noise, 2)) - 0.81375) < 1e-12
     eve = eve_additive(noise, 1)
-    with pytest.raises(ValueError, match="additive Eve reads words of 2 symbols, got 4"):
+    message = "Eve was built for p=2, n=1; the code has p=2, n=2"
+    with pytest.raises(ValueError, match=message):
         exact_leakage(code, 1, 1, eve)
-    with pytest.raises(ValueError, match="additive Eve reads words of 2 symbols, got 4"):
+    with pytest.raises(ValueError, match=message):
         theorem1_bound(2, eve, code)
 
 
@@ -632,9 +633,10 @@ def test_quantum_eve_for_fewer_pairs_is_refused():
     code = identity_code(2, 2)
     for eve in (QuantumEveChannel(depolarizing(0.3, 2), 1),
                 QuantumEveChannel(depolarizing(0.3, 3), 2)):
-        with pytest.raises(ValueError, match="quantum Eve n="):
+        message = f"Eve was built for p={eve.p}, n={eve.n}; the code has p=2, n=2"
+        with pytest.raises(ValueError, match=message):
             exact_leakage(code, 1, 1, eve)
-        with pytest.raises(ValueError, match="quantum Eve n="):
+        with pytest.raises(ValueError, match=message):
             theorem1_bound(2, eve, code)
 
 
@@ -642,17 +644,32 @@ def test_eve_for_more_pairs_is_refused():
     # an Eve built for n = 2 on an n = 1 code indexed past the word
     # (a bare IndexError); now a ValueError names the mismatch
     code, noise = identity_code(2, 1), depolarizing(0.3, 2)
-    for eve, message in ((eve_additive(noise, 2), "reads words of 4 symbols, got 2"),
-                         (QuantumEveChannel(noise, 2), "quantum Eve n=2, p=2 != code n=1")):
+    message = "Eve was built for p=2, n=2; the code has p=2, n=1"
+    for eve in (eve_additive(noise, 2), QuantumEveChannel(noise, 2)):
         with pytest.raises(ValueError, match=message):
             exact_leakage(code, 1, 0, eve)
         with pytest.raises(ValueError, match=message):
             theorem1_bound(2, eve, code)
 
 
+def test_classical_eve_over_another_field_is_refused():
+    # nothing compared a classical Eve's p with the code's: additive Eve over
+    # F_2 on a p = 3 code gave a leakage of 0.622 and a bound of 1.80 at
+    # L2 = 1, and noiseless Eve ended in an IndexError
+    code, noise = identity_code(3, 1), depolarizing(0.1, 2)
+    message = "Eve was built for p=2, n=1; the code has p=3, n=1"
+    for eve in (eve_additive(noise, 1), eve_noiseless(2, 1), eve_constant(2, 1),
+                eve_first_symbol(2, 1)):
+        assert (eve.p, eve.n) == (2, 1)
+        with pytest.raises(ValueError, match=message):
+            exact_leakage(code, 1, 0, eve)
+        with pytest.raises(ValueError, match=message):
+            theorem1_bound(1, eve, code)
+
+
 def test_classical_eve_channel_checks_its_rows():
     words = identity_code(2, 1).all_codewords()
-    assert wiretap.ClassicalEveChannel(lambda w: np.full((len(w), 2), 0.5), 2).states(
+    assert wiretap.ClassicalEveChannel(lambda w: np.full((len(w), 2), 0.5), 2, 2, 1).states(
         words).shape == (4, 2)
     bad_kernels = {
         "rows sum to 0.9": lambda w: np.full((len(w), 2), 0.45),
@@ -663,7 +680,7 @@ def test_classical_eve_channel_checks_its_rows():
     }
     for name, kernel in bad_kernels.items():
         with pytest.raises(ValueError, match="invalid distribution"):
-            wiretap.ClassicalEveChannel(kernel, 2).states(words)
+            wiretap.ClassicalEveChannel(kernel, 2, 2, 1).states(words)
 
 
 def test_classical_eve_law_cap():
@@ -674,13 +691,13 @@ def test_classical_eve_law_cap():
     def uniform(w):
         return np.full((len(w), cap // 4), 4.0 / cap)
 
-    assert wiretap.ClassicalEveChannel(uniform, cap // 4).states(words).shape == (4, cap // 4)
+    assert wiretap.ClassicalEveChannel(uniform, cap // 4, 2, 1).states(words).shape == (4, cap // 4)
 
     def never(w):
         raise AssertionError("kernel ran above the cap")
 
     with pytest.raises(SizeCapError):
-        wiretap.ClassicalEveChannel(never, cap // 4 + 1).states(words)
+        wiretap.ClassicalEveChannel(never, cap // 4 + 1, 2, 1).states(words)
     # noiseless Eve on a 4-word code at n = 14: 4 x 2^28 dense rows
     code = repetition_code(2, 2, 14, dep2())
     for eve in (eve_noiseless(2, 14), eve_additive(dep2(), 14)):
