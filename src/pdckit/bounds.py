@@ -17,7 +17,9 @@ prefactor has three inconsistent printed variants; the largest one,
 2^{(1-t)/(1+t)} <= 2, is used so the bound stays an upper bound.
 
 Minimization over t uses a 200-point logarithmic grid on (0.001, 1] plus
-bounded scalar refinement around the grid optimum.
+bounded scalar refinement around the grid optimum: Brent's bounded method,
+ported from scipy step for step (``_bounded_min``), so the module imports
+no scipy.
 
 The inversions to sacrificed lengths work directly on these n-fold bounds
 by integer bisection, so the n-scaling of the per-copy Renyi entropies is
@@ -55,19 +57,133 @@ def _bracket(i: int, size: int) -> tuple[int, int]:
     return max(i - 1, 0), min(i + 1, size - 1)
 
 
+# ``_bounded_min`` is ported from scipy/optimize/_optimize.py (scipy 1.17),
+# distributed under this license:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+def _bounded_min(fn, x1: float, x2: float):
+    """(x, f(x), evaluations) of the minimum of ``fn`` on [x1, x2] by Brent's
+    bounded method, x1 <= x2 finite.
+
+    A step-for-step port of scipy's ``_minimize_scalar_bounded`` (license
+    above), which ``minimize_scalar(method="bounded", options={"xatol":
+    1e-12})`` runs: the same numpy scalar operations in the same order, so
+    x, f(x) and the evaluation count match scipy's bit for bit.  Only what
+    that call uses remains: xatol = 1e-12, scipy's default of 500
+    evaluations, and no args, printing or status.
+    """
+    xatol, maxfun = 1e-12, 500
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = fn(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # check for a parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        if golden:  # a golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = fn(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx, num
+
+
 def _refine_min(fn, grid: np.ndarray, vals: np.ndarray) -> float:
     """Grid minimum of a smooth scalar function plus bounded refinement."""
-    from scipy.optimize import minimize_scalar
-
     i = int(np.argmin(vals))
     a, b = _bracket(i, grid.size)
     lo, hi = grid[a], grid[b]
     best = float(vals[i])
     if hi > lo:
-        res = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if np.isfinite(res.fun):
-            best = min(best, float(res.fun))
+        fun = _bounded_min(fn, lo, hi)[1]
+        if np.isfinite(fun):
+            best = min(best, float(fun))
     return best
 
 

@@ -13,7 +13,13 @@ strided-window einsum guarded against int64 overflow, and for long blocks
 a zero-padded real FFT, taken only where its float error is provably below
 1/2 so that rounding recovers the exact sum.  A seed's spectrum (its FFT)
 depends only on the seed, so a hash seed applied to several inputs
-computes it once (``_seed_spectrum``) and passes it to ``_toeplitz``.
+computes it once (``_seed_spectrum``) and passes it to ``_toeplitz``.  A
+batch's spectrum has one row per seed, so its rows are the spectra of those
+rows' seeds, and a row subset of a batch is hashed with those rows
+(``hashing._seed_rows``).  A product builds its zero-padded float input
+once and transforms back into that buffer; neither choice changes an
+arithmetic step of the FFT convolution, and the error bound below makes its
+rounded integers exact.
 
 Index convention for Toeplitz matrices: with a seed vector V of length
 d1+d2-1 (1-based entries V_1..V_{d1+d2-1}), the d1 x d2 matrix is
@@ -64,18 +70,23 @@ class FieldVec:
     """A nonempty vector over F_p with a uniform modulus.
 
     Stores an int64 numpy array of residues in ``.values``, the form the
-    batched hashing and protocol layers consume.  Symbols outside [0, p)
-    raise ValueError rather than being reduced: at the API edge they are
-    more likely a typo than an intended residue.
+    batched hashing and protocol layers consume.  Symbols must be integers
+    (Python or numpy); floats and strings raise ValueError rather than being
+    truncated or parsed, and so do symbols outside [0, p) rather than being
+    reduced: at the API edge they are more likely a typo than an intended
+    residue.
     """
 
     __slots__ = ("p", "values")
 
     def __init__(self, values, p: int):
         self.p = _check_prime(p)
-        arr = np.asarray(values, dtype=np.int64)
+        arr = np.asarray(values)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("FieldVec requires a nonempty 1-d sequence")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"FieldVec symbols must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)
         bad = arr[(arr < 0) | (arr >= self.p)]
         if bad.size:
             raise ValueError(f"symbol {bad[0]} is outside [0, {self.p})")
@@ -152,16 +163,35 @@ def _seed_spectrum(seeds: np.ndarray, d1: int, d2: int, p: int) -> np.ndarray | 
     """
     _check_int64_dot(p, d2)
     if d1 * d2 >= _FFT_MIN_PRODUCT and (p - 1) ** 4 * (d1 + d2 - 1) * d2 <= 2**60:
-        return np.fft.rfft(seeds, 1 << (d1 + d2 - 2).bit_length())
+        return np.fft.rfft(_padded(seeds, 1 << (d1 + d2 - 2).bit_length()))
     return None
+
+
+def _padded(a: np.ndarray, n: int) -> np.ndarray:
+    """``a`` as float64, zero-padded along its last axis to length n, in one array."""
+    buf = np.zeros(a.shape[:-1] + (n,))
+    buf[..., :a.shape[-1]] = a
+    return buf
 
 
 def _toeplitz(seeds: np.ndarray, spectrum: np.ndarray | None, xs: np.ndarray,
               d1: int, d2: int, p: int) -> np.ndarray:
-    """``toeplitz_apply_batch`` on checked int64 arrays, given ``_seed_spectrum(seeds)``."""
+    """``toeplitz_apply_batch`` on checked int64 arrays, given ``_seed_spectrum(seeds)``.
+
+    The FFT path transforms x from one padded buffer and, when the seeds do
+    not broadcast x to more rows, multiplies in place and transforms back
+    into that same buffer, so a product holds the buffer and one spectrum.
+    """
     if spectrum is not None:
         n = 1 << (d1 + d2 - 2).bit_length()
-        full = np.fft.irfft(spectrum * np.fft.rfft(xs, n), n)[..., d2 - 1:d1 + d2 - 1]
+        buf = _padded(xs, n)
+        prod = np.fft.rfft(buf)
+        if np.broadcast_shapes(prod.shape, spectrum.shape) == prod.shape:
+            prod *= spectrum
+        else:
+            prod, buf = prod * spectrum, None
+        full = np.fft.irfft(prod, n, out=buf)[..., d2 - 1:d1 + d2 - 1]
+        del prod
         return _mod(np.rint(full, out=full).astype(np.int64), p)
     step = seeds.strides[-1]
     window = as_strided(seeds, seeds.shape[:-1] + (d1, d2),

@@ -20,11 +20,14 @@ A seed object is read-only: its ``vec`` is reduced mod p once and cannot
 be written, so it owns its Toeplitz spectrum, computed by the gf kernel on
 first use and reused by every later hash under that seed (psi_S at encode
 and f_S at decode share one; the two g_S' calls of a run share another).
+The spectrum of a batch is one row per seed, so ``_seed_rows`` gives the
+seeds of a row subset with those rows of the spectrum, and hashing a few
+rows of a batch transforms no seed again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -93,6 +96,17 @@ class SeedSPrime:
     def _apply(self, M: np.ndarray) -> np.ndarray:
         """T(S') M mod p, the n3 x n2 product."""
         return _toeplitz(self.vec, self._spectrum, M, self.n3, self.n2, self.p)
+
+
+def _seed_rows(seed: SeedS | SeedSPrime, rows: np.ndarray | slice) -> SeedS | SeedSPrime:
+    """The seeds in ``rows`` (indices into the first axis, or ``slice(None)``
+    for all of them) of a batch, with those rows of its spectrum."""
+    if isinstance(rows, slice):
+        return seed
+    spectrum = seed._spectrum
+    sub = replace(seed, vec=seed.vec[rows])
+    sub.__dict__["_spectrum"] = None if spectrum is None else spectrum[rows]
+    return sub
 
 
 def f_s(seed: SeedS, L) -> np.ndarray:

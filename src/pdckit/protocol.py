@@ -16,6 +16,20 @@ adversary, message), and each stream gets exactly one (trials, .) draw, so
 transcripts are reproducible byte for byte and the masked/unmasked pair can
 be coupled.  Secrecy under interception is never sampled; intercept mode
 aborts at reception and reports the analytic secrecy bound instead.
+
+At low noise almost nothing changes in transit, so the engine pays only for
+what did.  Each shortcut is an exact integer identity, and none assumes the
+decoder is right on clean words, so every drawn value, decision and verdict
+is the one the full computation gives:
+
+* the channel draws one uniform per pair, and only the pairs hit (a nonzero
+  label) go through the inverse CDF and the mod-p add;
+* the default tamper rule replaces every word, so the channel is not
+  sampled; the noise stream is its own, and no other draw moves;
+* f_S(psi_S(M, Y, L2)) = (Y || M): a row whose ECC decision equals its
+  information word decodes to (Y, M), and f_S runs on the other rows only;
+* C = g_S'(M, Y): a row whose (Y_hat, M_hat) is (Y, M) is accepted, and
+  g_S' runs only on the rows where they differ.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ import numpy as np
 from .bounds import eps_E_bound
 from .dists import PauliDist, convolve
 from .gf import FieldVec, SizeCapError, _mod, all_vectors
-from .hashing import SeedS, SeedSPrime, f_s_split, g_sprime, psi_s
+from .hashing import SeedS, SeedSPrime, _seed_rows, f_s_split, g_sprime, psi_s
 from .wiretap import ClassicalChannelWc, LinearCodeSpec
 
 _STREAMS = ("s", "s_prime", "y", "l2", "noise", "mask", "adversary", "message")
@@ -59,7 +73,8 @@ class AdversaryMode:
     """Exactly one of: none, intercept, or tamper with a substitution rule.
 
     ``tamper_fn(x_hat, rng)`` returns the substituted reception; the default
-    tamper rule replaces it with a uniformly random word.
+    tamper rule replaces it with a uniformly random word.  A rule given with
+    any other kind raises ValueError rather than being dropped.
     """
 
     kind: str = "none"
@@ -68,6 +83,8 @@ class AdversaryMode:
     def __post_init__(self):
         if self.kind not in ("none", "intercept", "tamper"):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
+        if self.tamper_fn is not None and self.kind != "tamper":
+            raise ValueError(f"a substitution rule needs kind 'tamper', got {self.kind!r}")
 
     @staticmethod
     def none() -> "AdversaryMode":
@@ -153,12 +170,25 @@ def _engine(config: ProtocolConfig, msgs: np.ndarray, streams,
     """One batched protocol pass; every returned array has one row per trial.
 
     Draws the seed S, covers, L2 and (masked) the public pad, encodes, and
-    in intercept mode stops there.  Otherwise the words cross the channel,
-    are tampered with if asked (the default rule is one bulk uniform draw, a
-    custom rule is called per row), and are decoded and hashed back.  S' and
-    C = g_S'(M, Y) come last, with the verdict: S' has its own stream, so
-    the draw order changes no value, and its seed and spectrum are not held
-    through decoding.
+    in intercept mode stops there.  Otherwise the words cross the channel
+    (whose sampler pays only for the pairs it hits), are tampered with if
+    asked, and are decoded and hashed back.  The default tamper rule is one
+    bulk uniform draw from the adversary stream that replaces every word, so
+    the channel is not sampled: the noise stream is its own, and skipping
+    it moves no other value.  A custom rule is called per row on the
+    channel's output.  S' and C = g_S'(M, Y) come last, with the verdict:
+    S' has its own stream, so the draw order changes no value, and its seed
+    and spectrum are not held through decoding.
+
+    Bob's side works only on the rows the channel or the decoder changed,
+    by two exact identities that do not assume the decoder is right on
+    clean words:
+
+    * f_S(psi_S(M, Y, L2)) = (Y || M), so a row whose decision equals its
+      information word has (Y_hat, M_hat) = (Y, M), and f_S runs on the
+      other rows (``block_error``) with those rows of S's spectrum;
+    * C = g_S'(M, Y), so a row with (Y_hat, M_hat) = (Y, M) is accepted,
+      and g_S' runs only on the rows where they differ.
     """
     p, n1, n2, n3 = config.p, config.n1, config.n2, config.n3
     k = n2 + n3
@@ -168,28 +198,46 @@ def _engine(config: ProtocolConfig, msgs: np.ndarray, streams,
     infos = psi_s(seed_s, msgs, ys, streams["l2"].integers(0, p, (trials, n1 - k)))
     x = config.code.encode(infos)
     x_bar = streams["mask"].integers(0, p, (trials, 2 * config.n)) if masked else None
-    run = {"s": seed_s.vec, "x": x, "infos": infos, "x_bar": x_bar, "x_hat": None,
-           "m_hat": None, "y_hat": None, "accept": None}
+    run = {"s": seed_s.vec, "x": x, "x_bar": x_bar, "x_hat": None, "m_hat": None,
+           "y_hat": None, "accept": None, "block_error": None}
     if adversary.kind != "intercept":
-        channel = ClassicalChannelWc(config.effective_noise())
-        if masked:
-            x_hat = _mod(channel.sample_batch(_mod(x + x_bar, p), streams["noise"]) - x_bar, p)
+        if adversary.kind == "tamper" and adversary.tamper_fn is None:
+            x_hat = streams["adversary"].integers(0, p, x.shape)
         else:
-            x_hat = channel.sample_batch(x, streams["noise"])
-        if adversary.kind == "tamper":
-            rng = streams["adversary"]
-            if adversary.tamper_fn is None:
-                x_hat = rng.integers(0, p, x_hat.shape)
+            channel = ClassicalChannelWc(config.effective_noise())
+            if masked:
+                x_hat = _mod(channel.sample_batch(_mod(x + x_bar, p), streams["noise"]) - x_bar, p)
             else:
+                x_hat = channel.sample_batch(x, streams["noise"])
+            if adversary.kind == "tamper":
+                rng = streams["adversary"]
                 x_hat = np.stack([adversary.tamper_fn(r, rng) for r in x_hat])
         decoded = config.code.decode_batch(x_hat)
-        y_hat, m_hat = f_s_split(seed_s, decoded)
-        run.update(x_hat=x_hat, decoded=decoded, y_hat=y_hat, m_hat=m_hat)
+        block_error = np.any(decoded != infos, axis=-1)
+        y_hat, m_hat = ys.copy(), msgs.copy()
+        rows = _row_index(block_error)
+        if rows is not None:
+            y_hat[rows], m_hat[rows] = f_s_split(_seed_rows(seed_s, rows), decoded[rows])
+        run.update(x_hat=x_hat, y_hat=y_hat, m_hat=m_hat, block_error=block_error)
+    del seed_s, infos
     seed_sp = SeedSPrime(streams["s_prime"].integers(0, p, (trials, k - 1)), n2, n3, p)
-    run.update(s_prime=seed_sp.vec, c=g_sprime(seed_sp, msgs, ys))
+    c = g_sprime(seed_sp, msgs, ys)
+    run.update(s_prime=seed_sp.vec, c=c)
     if run["m_hat"] is not None:
-        run["accept"] = verify(seed_sp, run["m_hat"], run["y_hat"], run["c"])
+        accept = np.ones(trials, dtype=bool)
+        rows = _row_index(np.any(y_hat != ys, axis=-1) | np.any(m_hat != msgs, axis=-1))
+        if rows is not None:
+            accept[rows] = verify(_seed_rows(seed_sp, rows), m_hat[rows], y_hat[rows], c[rows])
+        run["accept"] = accept
     return run
+
+
+def _row_index(mask: np.ndarray) -> np.ndarray | slice | None:
+    """The rows where ``mask`` holds: None for no row, ``slice(None)`` for
+    every row (indexing by it copies nothing), else their indices."""
+    if not mask.any():
+        return None
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def _transcript(config: ProtocolConfig, M: FieldVec, adversary: AdversaryMode | None,
@@ -265,7 +313,7 @@ def monte_carlo(config: ProtocolConfig, trials: int,
     streams = config.streams()
     msgs = streams["message"].integers(0, p, (trials, n2))
     run = _engine(config, msgs, streams, adversary)
-    block_err = int(np.sum(np.any(run["decoded"] != run["infos"], axis=1)))
+    block_err = int(run["block_error"].sum())
     accept = run["accept"]
     wrong = np.any(run["m_hat"] != msgs, axis=1)
 

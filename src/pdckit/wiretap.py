@@ -345,14 +345,19 @@ class ClassicalChannelWc:
     noise: PauliDist
 
     def sample_batch(self, codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Noisy copies of (..., 2n) codewords, one pair label drawn per pair.
+        """Noisy copies of (..., 2n) codewords reduced mod p, one pair label
+        drawn per pair.
 
-        The labels are drawn as one (words, n) block over the words in
-        row-major order, whatever the leading axes.  Each is the inverse CDF
-        of the pair law at one ``rng.random`` draw, the way
+        The labels are drawn as one (words, n) block of ``rng.random`` over
+        the words in row-major order, whatever the leading axes.  Each is the
+        inverse CDF of the pair law at its draw u, the way
         ``rng.choice(p * p, p=law)`` draws, without its per-call validation
-        of a law PauliDist has already checked.  A label v becomes the pair
-        (v // p, v % p) by a lookup in the p^2 x 2 table of all pairs.
+        of a law PauliDist has already checked.  Label 0 is the pair (0, 0)
+        and the first CDF entry, so a pair is hit, its label nonzero, exactly
+        when u >= cdf[0].  Only the hit pairs pay for the inverse CDF and
+        the mod-p add of their label v as the pair (v // p, v % p); every
+        other symbol is the codeword's own residue.  A law with no mass at
+        (0, 0) hits every pair.
         """
         cw = np.asarray(codewords, dtype=np.int64)
         p = self.noise.p
@@ -360,9 +365,14 @@ class ClassicalChannelWc:
             raise ValueError("codewords must hold whole symplectic pairs")
         cdf = np.cumsum(self.noise.flat())
         cdf /= cdf[-1]
-        labels = cdf.searchsorted(rng.random((math.prod(cw.shape[:-1]), cw.shape[-1] // 2)),
-                                  side="right")
-        return _mod(cw + np.take(all_vectors(p, 2), labels, axis=0).reshape(cw.shape), p)
+        u = rng.random((math.prod(cw.shape[:-1]), cw.shape[-1] // 2)).ravel()
+        hits = np.flatnonzero(u >= cdf[0])
+        # one row per pair, in the row-major order of the draws; label v adds
+        # (v // p, v), which is (v // p, v % p) once the sum is reduced
+        pairs = _mod(cw, p).reshape(-1, 2)
+        labels = cdf.searchsorted(u[hits], side="right")
+        pairs[hits] = (pairs[hits] + labels[:, None] // (p, 1)) % p
+        return pairs.reshape(cw.shape)
 
 
 class ClassicalEveChannel:

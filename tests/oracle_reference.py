@@ -9,13 +9,16 @@ comparison as a HiGHS linear program over a joint built cell by cell, and
 the identity suite with one Petz call per order and a full solver
 evaluation for the reference value, and the oracle's Bell machinery built
 label by label (Bell states, the Bell-diagonal state, the purification, the
-covariant eigenbasis by search and the setting statistics cell by cell).
-The package computes none of them on a command path; the tests use them as
-independent anchors for ``qexact``'s solver and Bell basis,
+covariant eigenbasis by search and the setting statistics cell by cell),
+and the pair-noise channel sampled densely, every pair through the inverse
+CDF.  The package computes none of them on a command path; the tests use
+them as independent anchors for ``qexact``'s solver and Bell basis,
 ``estimation``'s character table and setting statistics, ``wiretap``'s
-coset-block leakage, ``protocol.lnm_check`` and
-``identities.check_identities``.
+coset-block leakage and hit-only channel sampler, ``protocol.lnm_check``
+and ``identities.check_identities``.
 """
+
+import math
 
 import numpy as np
 
@@ -399,3 +402,19 @@ def reference_setting_distribution(tau_ab: DensityMatrix, l: int, k: int) -> np.
             probs[s] += amp.real
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
+
+
+def dense_sample_batch(noise: PauliDist, codewords, rng: np.random.Generator) -> np.ndarray:
+    """The additive pair-noise channel with a label drawn for every pair.
+
+    The same (words, n) block of ``rng.random`` draws as the package's
+    sampler, each mapped through the inverse CDF of the pair law, looked up
+    in the p^2 x 2 table of all pairs and added to its pair mod p.
+    """
+    cw = np.asarray(codewords, dtype=np.int64)
+    p = noise.p
+    cdf = np.cumsum(noise.flat())
+    cdf /= cdf[-1]
+    labels = cdf.searchsorted(rng.random((math.prod(cw.shape[:-1]), cw.shape[-1] // 2)),
+                              side="right")
+    return _mod(cw + np.take(all_vectors(p, 2), labels, axis=0).reshape(cw.shape), p)

@@ -45,6 +45,16 @@ def test_fieldvec_basic():
             FieldVec(values, p)
 
 
+def test_fieldvec_refuses_non_integer_symbols():
+    # floats were truncated ([1.7, 0.2] became [1, 0]) and strings parsed
+    for values in ([1.7, 0.2], [1.0], ["1"], [True, False], np.array([0.5])):
+        with pytest.raises(ValueError, match="integers"):
+            FieldVec(values, 2)
+    for values in ([2, 0], np.array([2, 0], dtype=np.uint8), np.array([2, 0], dtype=np.int32)):
+        v = FieldVec(values, 3)
+        assert v.tolist() == [2, 0] and v.values.dtype == np.int64
+
+
 # ---------------------------------------------------------------
 # F_p enumeration
 # ---------------------------------------------------------------

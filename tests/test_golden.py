@@ -235,16 +235,27 @@ def test_verify_identities_refuses_p101_before_allocating():
     assert run.stderr.startswith("size cap exceeded:") and run.stderr.count("\n") == 1
 
 
-# Commands that run without scipy's optimizers or dense linear algebra.
+# Commands that load no scipy module: every command but verify-identities,
+# whose solver needs scipy's optimizers and dense linear algebra.
 NO_SCIPY_ARGV = [
     "rates --p 2 --mix-grid 0:0.25:0.0025",
     "estimate --p 2 --mix 0.05 --shots 10000 --seed 1",
     "leakage --n 1 --n2 1 --n3 0 --code identity --eve quantum:0.25",
+    "finite --p 2 --mix 0.05 --n-grid 1000,10000,100000,1000000 "
+    "--eps-c 0.2 --eps-e 1e-9 --eps-b 1e-9",
+    "finite --p 31 --mix 0.05 --n-grid 1000,10000,100000,1000000",
 ]
 
-# Imports every pdckit module, runs the commands in NO_SCIPY_ARGV and the
-# verification-variable comparison, then `finite`, and prints which scipy
-# modules were loaded at each stage.
+# the README simulate invocation and the sha256 of its stdout
+README_SIMULATE_CONFIG = {"p": 2, "n": 8, "n1": 4, "n2": 1, "n3": 2,
+                          "mix_bob_to_alice": 0.05, "mix_alice_to_bob": 0.05,
+                          "code": "repetition:4", "seed": 7}
+README_SIMULATE = ("simulate --config {config} --trials 10000 --adversary tamper",
+                   "89bcc4aa9b91a289f2c29f636a40b6f10259e6a44850d075056635d40513f4ff")
+
+# Imports every pdckit module, runs the given commands and the
+# verification-variable comparison, and prints which scipy modules were
+# loaded before and after.
 _FOOTPRINT_SCRIPT = """
 import contextlib, hashlib, importlib, io, json, pkgutil, sys
 import numpy
@@ -267,20 +278,20 @@ report = {"after_import": scipy_modules()}
 report["runs"] = {argv: run(argv) for argv in json.loads(sys.argv[1])}
 lnm_check(2, 1, 1, numpy.eye(4))
 report["after_runs"] = scipy_modules()
-report["finite"] = run("finite --p 2 --mix 0.05 --n-grid 1000")
-report["after_finite"] = scipy_modules()
 print(json.dumps(report))
 """
 
 
-def test_cold_start_defers_scipy():
-    run = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(NO_SCIPY_ARGV)],
+def test_cold_start_defers_scipy(tmp_path):
+    config = tmp_path / "simulate.json"
+    config.write_text(json.dumps(README_SIMULATE_CONFIG))
+    want = {argv: [0, CLI_DIGESTS[argv]] for argv in NO_SCIPY_ARGV}
+    want[README_SIMULATE[0].format(config=config)] = [0, README_SIMULATE[1]]
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(list(want))],
                          env=_one_blas_thread_env(), capture_output=True, text=True,
                          check=True, timeout=120)
     report = json.loads(run.stdout)
     assert report["after_import"] == []
-    assert report["runs"] == {argv: [0, CLI_DIGESTS[argv]] for argv in NO_SCIPY_ARGV}
-    assert {"scipy.optimize", "scipy.linalg"}.isdisjoint(report["after_runs"])
-    # deferred, not removed: the bound refinement loads the optimizers
-    assert report["finite"][0] == 0
-    assert "scipy.optimize" in report["after_finite"]
+    assert report["runs"] == want
+    # the bound refinement runs scipy's bounded Brent steps without scipy
+    assert report["after_runs"] == []

@@ -3,8 +3,11 @@ the batch-first code contract, the decision-table ML decoder, the F_p x F_p
 kernels and the bound inversions, the Renyi kernel behind the bounds (with
 masses far below 1e-15, which count) and the syndrome law behind quantum
 Eve's leakage bound, the syndrome-law form of her exact leakage against
-her dense states, and the verification-variable comparison's slope-order
-fill and joint against vertex enumeration, HiGHS and the cell-by-cell loop.
+her dense states, the verification-variable comparison's slope-order
+fill and joint against vertex enumeration, HiGHS and the cell-by-cell loop,
+the hit-only channel sampler against the dense one, the protocol engine's
+row-subset hashing against every row rehashed, and the bounded refinement
+against scipy's ``minimize_scalar``.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The reduction mod p is
@@ -22,6 +25,7 @@ and the bound inversion against the plain bisection it replaced.
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,11 +44,12 @@ from pdckit import gf
 from pdckit.gf import all_vectors, toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
 from pdckit.wiretap import (_QUANTUM_T_GRID, _TABLE_MAX_WORK, ClassicalChannelWc,
-                            QuantumEveChannel, _generator_code, _ml_scorer, _pair_labels,
-                            _syndrome_law, exact_leakage, identity_code, random_linear_code,
-                            repetition_code)
+                            LinearCodeSpec, QuantumEveChannel, _generator_code, _ml_scorer,
+                            _pair_labels, _syndrome_law, exact_leakage, identity_code,
+                            random_linear_code, repetition_code)
 
-from oracle_reference import min_sigma_distance_lp, quantum_eve_leakage, verification_joints
+from oracle_reference import (dense_sample_batch, min_sigma_distance_lp, quantum_eve_leakage,
+                              verification_joints)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -907,3 +912,178 @@ def test_lnm_joints_match_the_loop_reference_bit_for_bit(monkeypatch, p, n2, n3)
     assert len(seen) == 2
     for got, ref in zip(seen, want):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the hit-only channel sampler and the engine's row subsets
+# ---------------------------------------------------------------------------
+
+@st.composite
+def sampler_laws(draw, p):
+    """Random laws, laws without mass at (0, 0), point masses at and off
+    (0, 0), and a near-identity law."""
+    kind = draw(st.sampled_from(["law", "no origin", "origin", "near identity"]))
+    if kind == "law":
+        return draw(pauli_dists(p))
+    if kind == "origin":
+        return PauliDist.point_mass(0, 0, p)
+    if kind == "near identity":
+        return convolve(depolarizing(1e-3, p), depolarizing(1e-3, p))
+    raw = draw(pauli_dists(p)).flat().copy()
+    raw[0] = 0.0
+    if raw.sum() == 0.0:
+        raw[draw(st.integers(1, p * p - 1))] = 1.0
+    return PauliDist(raw / raw.sum(), p)
+
+
+@st.composite
+def sampler_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    batch = tuple(draw(st.lists(st.integers(0, 4), max_size=2)))  # 1-, 2- and 3-d
+    lo, hi = draw(st.sampled_from([(0, p), (-3 * p, 0), (p, 4 * p), (-10**6, 10**6)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = rng.integers(lo, hi, batch + (2 * draw(st.integers(1, 6)),))
+    return draw(sampler_laws(p)), words, draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(sampler_cases())
+def test_hit_only_sampler_matches_the_dense_sampler(case):
+    P, words, seed = case
+    rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ClassicalChannelWc(P).sample_batch(words, rng)
+    want = dense_sample_batch(P, words, dense_rng)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # both consumed the same draws
+    assert rng.random() == dense_rng.random()
+
+
+def _corrupting_identity_code(p, n):
+    """An identity-code plug-in whose decoder changes the first symbol of
+    every word with an even symbol sum, clean ones included."""
+    code = identity_code(p, n)
+
+    def decode_batch(words):
+        out = code.decode_batch(words)
+        out[..., 0] = (out[..., 0] + (out.sum(axis=-1) % 2 == 0)) % p
+        return out
+
+    return LinearCodeSpec(p=p, n=n, n1=2 * n, encode=code.encode, decode_batch=decode_batch)
+
+
+def _shift_some(p):
+    def rule(x_hat, rng):
+        return (x_hat + (rng.random(x_hat.shape) < 0.3)) % p
+    return rule
+
+
+@st.composite
+def engine_cases(draw):
+    p = draw(st.sampled_from([2, 3]))
+    P = depolarizing(draw(st.sampled_from([1e-3, 0.05, 0.3])), p)
+    eff = convolve(P, P)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["identity", "repetition", "random linear", "corrupting"]))
+    if kind == "identity":
+        code = identity_code(p, draw(st.integers(2, 3)))
+    elif kind == "repetition":
+        code = repetition_code(p, draw(st.integers(3, 4)), draw(st.sampled_from([2, 4])), eff)
+    elif kind == "random linear":
+        code = random_linear_code(p, 2, draw(st.integers(3, 4)), eff, rng)
+    else:
+        code = _corrupting_identity_code(p, draw(st.integers(2, 3)))
+    n2 = draw(st.integers(1, code.n1 - 2))
+    n3 = draw(st.integers(1, code.n1 - 1 - n2))
+    config = protocol.ProtocolConfig(p=p, n=code.n, n1=code.n1, n2=n2, n3=n3, P=P,
+                                     P_tilde=P, code=code,
+                                     master_seed=draw(st.integers(0, 2**31)))
+    adversary = draw(st.sampled_from([protocol.AdversaryMode.none(),
+                                      protocol.AdversaryMode.intercept(),
+                                      protocol.AdversaryMode.tamper(),
+                                      protocol.AdversaryMode.tamper(_shift_some(p))]))
+    msgs = rng.integers(0, p, (draw(st.integers(1, 40)), n2))
+    return config, msgs, adversary, draw(st.booleans())
+
+
+def _fft_engine_case(adversary, masked):
+    """The mc_hash shape, whose hashes take the FFT path with row subsets
+    of the seeds' spectra."""
+    P = depolarizing(1e-3, 2)
+    config = protocol.ProtocolConfig(p=2, n=256, n1=512, n2=128, n3=64, P=P, P_tilde=P,
+                                     code=identity_code(2, 256), master_seed=5)
+    return config, np.random.default_rng(5).integers(0, 2, (60, 128)), adversary, masked
+
+
+@SETTINGS
+@given(engine_cases())
+@example(_fft_engine_case(protocol.AdversaryMode.none(), False))
+@example(_fft_engine_case(protocol.AdversaryMode.tamper(_shift_some(2)), True))
+def test_engine_row_subsets_equal_every_row_rehashed(case):
+    # f_S and g_S' run only on the rows the channel or decoder changed; on
+    # every row they must give what hashing all of them gives
+    config, msgs, adversary, masked = case
+    run = protocol._engine(config, msgs, config.streams(), adversary, masked)
+    if adversary.kind == "intercept":
+        assert all(run[key] is None for key in ("x_hat", "m_hat", "y_hat", "accept",
+                                                "block_error"))
+        return
+    p, n1, n2, n3 = config.p, config.n1, config.n2, config.n3
+    decoded = config.code.decode_batch(run["x_hat"])
+    y_hat, m_hat = f_s_split(SeedS(run["s"], n1, n2, n3, p), decoded)
+    assert np.array_equal(run["y_hat"], y_hat) and np.array_equal(run["m_hat"], m_hat)
+    accept = protocol.verify(SeedSPrime(run["s_prime"], n2, n3, p), m_hat, y_hat, run["c"])
+    assert run["accept"].dtype == bool and np.array_equal(run["accept"], accept)
+    # every baseline encoder is injective: a decision differs from its
+    # information word exactly when its codeword differs from the sent one
+    assert np.array_equal(run["block_error"],
+                          np.any(config.code.encode(decoded) != run["x"], axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# the bounded refinement, step for step against scipy
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+_BOUNDED_MIN = bounds._bounded_min
+
+
+def _assert_scipy_steps(fn, x1, x2):
+    x, fun, nfev = _BOUNDED_MIN(fn, x1, x2)
+    res = minimize_scalar(fn, bounds=(x1, x2), method="bounded", options={"xatol": 1e-12})
+    assert _same_bits(x, res.x) and _same_bits(fun, res.fun) and nfev == res.nfev, \
+        ((x, fun, nfev), (res.x, res.fun, res.nfev))
+    return x, fun, nfev
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+           lambda p: pauli_dists(p) | tiny_mass_dists(p)),
+       st.integers(1, 10**3) | st.integers(1, 10**7), st.floats(0.0, 1.0), st.booleans())
+def test_bounded_refinement_is_scipy_bit_for_bit(P, n, frac, secrecy):
+    # every refinement the package runs for one bound, with scipy beside it
+    calls = []
+
+    def both(fn, x1, x2):
+        calls.append(_assert_scipy_steps(fn, x1, x2))
+        return calls[-1]
+
+    m = round(frac * 2 * n)
+    with mock.patch.object(bounds, "_bounded_min", both):
+        (eps_E_bound if secrecy else eps_C_bound)(n, m, P)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fn", [lambda t: 1.0, lambda t: t, lambda t: -t,
+                                lambda t: (t - 0.3) ** 2, lambda t: np.nan,
+                                lambda t: np.nan if t > 0.5 else (t - 0.4) ** 2,
+                                lambda t: np.sin(40.0 * t)],
+                         ids=["flat", "min-at-left", "min-at-right", "interior", "nan",
+                              "nan-right", "wavy"])
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (0.001, 0.0010355), (0.2, 0.2 + 1e-11),
+                                     (0.5, 0.5)])
+def test_bounded_refinement_edge_brackets_are_scipy_bit_for_bit(fn, bracket):
+    _assert_scipy_steps(fn, *bracket)

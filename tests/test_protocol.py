@@ -281,6 +281,18 @@ def test_message_validation():
         run_protocol3(cfg, FieldVec([1, 0], 2))  # n2 = 1
 
 
+def test_substitution_rule_needs_the_tamper_kind():
+    # a rule given with another kind used to be dropped: "none" ran no adversary
+    def rule(x_hat, rng):
+        return np.zeros_like(x_hat)
+
+    for kind in ("none", "intercept"):
+        with pytest.raises(ValueError, match="tamper"):
+            AdversaryMode(kind, rule)
+    assert AdversaryMode("tamper", rule).tamper_fn is rule
+    assert AdversaryMode.tamper(rule) == AdversaryMode("tamper", rule)
+
+
 def test_verify_rowwise_batch():
     p, n2, n3 = 3, 2, 2
     rng = np.random.default_rng(4)
