@@ -7,19 +7,21 @@ with leading batch axes.  The batched layers reduce mod p through
 ``_mod``, which equals ``a % p`` for every int64 array but computes
 a - (a // p) p on large arrays: numpy divides by a scalar through a
 precomputed multiplier, while its ``%`` runs a hardware division per entry.
-``toeplitz_apply_batch`` is the one Toeplitz product in the package, over
-any batch of seeds, with two algorithms that return the same integers: a
+``Toeplitz`` is the one Toeplitz product in the package: an immutable
+batch of seeds, reduced mod p into a read-only array, applied to any batch
+of inputs by one of two algorithms that return the same integers: a
 strided-window einsum guarded against int64 overflow, and for long blocks
 a zero-padded real FFT, taken only where its float error is provably below
 1/2 so that rounding recovers the exact sum.  A seed's spectrum (its FFT)
-depends only on the seed, so a hash seed applied to several inputs
-computes it once (``_seed_spectrum``) and passes it to ``_toeplitz``.  A
-batch's spectrum has one row per seed, so its rows are the spectra of those
-rows' seeds, and a row subset of a batch is hashed with those rows
-(``hashing._seed_rows``).  A product builds its zero-padded float input
-once and transforms back into that buffer; neither choice changes an
-arithmetic step of the FFT convolution, and the error bound below makes its
-rounded integers exact.
+depends only on the seed, so a seed computes it once, on first use, and
+every later product under it reuses it.  A batch's spectrum has one row
+per seed, so ``Toeplitz.rows`` gives a row subset of a batch with those
+rows of the spectrum and transforms no seed again.  The hash seeds of
+``hashing`` are Toeplitz seeds, and ``toeplitz_apply_batch`` is a one-off
+product.  A product builds its zero-padded float input once and
+transforms back into that buffer; neither choice changes an arithmetic
+step of the FFT convolution, and the error bound below makes its rounded
+integers exact.
 
 Index convention for Toeplitz matrices: with a seed vector V of length
 d1+d2-1 (1-based entries V_1..V_{d1+d2-1}), the d1 x d2 matrix is
@@ -155,18 +157,6 @@ def all_vectors(p: int, length: int) -> np.ndarray:
 _FFT_MIN_PRODUCT = 4096
 
 
-def _seed_spectrum(seeds: np.ndarray, d1: int, d2: int, p: int) -> np.ndarray | None:
-    """The seeds' real FFT where d1 x d2 products mod p take the FFT path, else None.
-
-    Raises ValueError when (p-1)^2 d2 can overflow int64, so no product is
-    attempted that neither algorithm can return exactly.
-    """
-    _check_int64_dot(p, d2)
-    if d1 * d2 >= _FFT_MIN_PRODUCT and (p - 1) ** 4 * (d1 + d2 - 1) * d2 <= 2**60:
-        return np.fft.rfft(_padded(seeds, 1 << (d1 + d2 - 2).bit_length()))
-    return None
-
-
 def _padded(a: np.ndarray, n: int) -> np.ndarray:
     """``a`` as float64, zero-padded along its last axis to length n, in one array."""
     buf = np.zeros(a.shape[:-1] + (n,))
@@ -174,41 +164,30 @@ def _padded(a: np.ndarray, n: int) -> np.ndarray:
     return buf
 
 
-def _toeplitz(seeds: np.ndarray, spectrum: np.ndarray | None, xs: np.ndarray,
-              d1: int, d2: int, p: int) -> np.ndarray:
-    """``toeplitz_apply_batch`` on checked int64 arrays, given ``_seed_spectrum(seeds)``.
-
-    The FFT path transforms x from one padded buffer and, when the seeds do
-    not broadcast x to more rows, multiplies in place and transforms back
-    into that same buffer, so a product holds the buffer and one spectrum.
-    """
-    if spectrum is not None:
-        n = 1 << (d1 + d2 - 2).bit_length()
-        buf = _padded(xs, n)
-        prod = np.fft.rfft(buf)
-        if np.broadcast_shapes(prod.shape, spectrum.shape) == prod.shape:
-            prod *= spectrum
-        else:
-            prod, buf = prod * spectrum, None
-        full = np.fft.irfft(prod, n, out=buf)[..., d2 - 1:d1 + d2 - 1]
-        del prod
-        return _mod(np.rint(full, out=full).astype(np.int64), p)
-    step = seeds.strides[-1]
-    window = as_strided(seeds, seeds.shape[:-1] + (d1, d2),
-                        seeds.strides[:-1] + (step, step), writeable=False)
-    return _mod(np.einsum("...ik,...k->...i", window, xs[..., ::-1]), p)
+def _check_len(name: str, arr: np.ndarray, length: int) -> None:
+    if arr.shape[-1:] != (length,):
+        raise ValueError(f"{name} shape {arr.shape} needs a last axis of length {length}")
 
 
-def toeplitz_apply_batch(seeds, xs, d1: int, d2: int, p: int) -> np.ndarray:
-    """Row-wise y = T(seed) x mod p; leading batch axes of seeds and xs broadcast.
+_UNSET = object()
 
-    ``seeds`` has shape (..., d1+d2-1) and ``xs`` (..., d2); the result has
-    shape (..., d1).  With 0-based indices y[i] = sum_k V[i+k] x[d2-1-k].
-    Entries must be residues in [0, p), which both algorithms assume.
+
+class Toeplitz:
+    """A batch of d1 x d2 Toeplitz matrices over F_p: y = T(seed) x mod p, row-wise.
+
+    ``seeds`` has shape (..., d1+d2-1) and ``xs`` (..., d2); leading batch
+    axes broadcast and the product has shape (..., d1).  With 0-based
+    indices y[i] = sum_k V[i+k] x[d2-1-k].  Seeds must be integers (floats,
+    strings and bools raise ValueError rather than being truncated, parsed
+    or counted); they are reduced mod p into a read-only int64 ``vec``.
+    Inputs must be residues in [0, p), which both algorithms assume.  A
+    seed is immutable: assigning any attribute raises AttributeError.
 
     Direct: each seed is viewed through a read-only (d1, d2) strided window
     and contracted with x reversed by an int64 einsum; no matrix is ever
-    materialized.  It raises ValueError when (p-1)^2 d2 can overflow int64.
+    materialized.  The constructor raises ValueError when (p-1)^2 d2 can
+    overflow int64, so no product is attempted that neither algorithm can
+    return exactly.
 
     FFT: y is entries d2-1 .. d1+d2-2 of the linear convolution V * x,
     which a circular convolution of length N >= d1+d2-1 holds unwrapped.
@@ -227,13 +206,87 @@ def toeplitz_apply_batch(seeds, xs, d1: int, d2: int, p: int) -> np.ndarray:
       bit for bit.
 
     Above the exactness rule (large p) only the direct path is exact.  The
-    seeds' transform is the only part of the FFT path that does not depend
-    on x; the hash seeds compute it once and reuse it through ``_toeplitz``.
+    seeds' transform, ``spectrum``, is the only part of the FFT path that
+    does not depend on x, so a seed computes it on first use and every later
+    product reuses it.  It has one row per seed, so ``rows`` hands a row
+    subset of a batch those rows of it and transforms no seed again.
     """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    if seeds.shape[-1:] != (d1 + d2 - 1,):
-        raise ValueError(f"seed shape {seeds.shape} needs a last axis of d1+d2-1 = {d1 + d2 - 1}")
-    if xs.shape[-1:] != (d2,):
-        raise ValueError(f"input shape {xs.shape} needs a last axis of d2 = {d2}")
-    return _toeplitz(seeds, _seed_spectrum(seeds, d1, d2, p), xs, d1, d2, p)
+
+    __slots__ = ("vec", "d1", "d2", "p", "_spectrum")
+
+    def __init__(self, seeds, d1: int, d2: int, p: int):
+        arr = np.asarray(seeds)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"seeds must be integers, got dtype {arr.dtype}")
+        _check_len("seed", arr, d1 + d2 - 1)
+        _check_int64_dot(p, d2)
+        vec = _mod(np.asarray(arr, dtype=np.int64), p)
+        vec.flags.writeable = False
+        fft = d1 * d2 >= _FFT_MIN_PRODUCT and (p - 1) ** 4 * (d1 + d2 - 1) * d2 <= 2**60
+        self._set(vec=vec, d1=d1, d2=d2, p=p, _spectrum=_UNSET if fft else None)
+
+    def _set(self, **attrs) -> None:
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def spectrum(self) -> np.ndarray | None:
+        """The seeds' real FFT where products take the FFT path, else None."""
+        if self._spectrum is _UNSET:
+            n = 1 << (self.d1 + self.d2 - 2).bit_length()
+            self._set(_spectrum=np.fft.rfft(_padded(self.vec, n)))
+        return self._spectrum
+
+    def rows(self, idx: np.ndarray | slice) -> Toeplitz:
+        """The seeds in ``idx`` (indices into the first axis) with those rows
+        of the spectrum; ``slice(None)`` is the seed itself."""
+        if isinstance(idx, slice) and idx == slice(None):
+            return self
+        spectrum, sub = self.spectrum, object.__new__(type(self))
+        sub._set(**{name: getattr(self, name) for cls in type(self).__mro__
+                    for name in getattr(cls, "__slots__", ())})
+        vec = self.vec[idx]
+        vec.flags.writeable = False
+        sub._set(vec=vec, _spectrum=None if spectrum is None else spectrum[idx])
+        return sub
+
+    def __call__(self, xs) -> np.ndarray:
+        """T(seed) xs mod p, row-wise.
+
+        The FFT path transforms x from one padded buffer and, when the seeds
+        do not broadcast x to more rows, multiplies in place and transforms
+        back into that same buffer, so a product holds the buffer and one
+        spectrum.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
+        _check_len("input", xs, self.d2)
+        d1, d2, p, spectrum = self.d1, self.d2, self.p, self.spectrum
+        if spectrum is not None:
+            n = 1 << (d1 + d2 - 2).bit_length()
+            buf = _padded(xs, n)
+            prod = np.fft.rfft(buf)
+            if np.broadcast_shapes(prod.shape, spectrum.shape) == prod.shape:
+                prod *= spectrum
+            else:
+                prod, buf = prod * spectrum, None
+            full = np.fft.irfft(prod, n, out=buf)[..., d2 - 1:d1 + d2 - 1]
+            del prod
+            return _mod(np.rint(full, out=full).astype(np.int64), p)
+        step = self.vec.strides[-1]
+        window = as_strided(self.vec, self.vec.shape[:-1] + (d1, d2),
+                            self.vec.strides[:-1] + (step, step), writeable=False)
+        return _mod(np.einsum("...ik,...k->...i", window, xs[..., ::-1]), p)
+
+
+def toeplitz_apply_batch(seeds, xs, d1: int, d2: int, p: int) -> np.ndarray:
+    """Row-wise y = T(seed) x mod p, ``Toeplitz(seeds, d1, d2, p)(xs)``.
+
+    The seeds are reduced mod p; a seed applied to several inputs should be
+    built once as a ``Toeplitz``, so that its spectrum is computed once.
+    """
+    return Toeplitz(seeds, d1, d2, p)(xs)

@@ -16,97 +16,47 @@ axes broadcast, so one call hashes a whole Monte Carlo batch and a single
 vector is just the unbatched case.  Seeds are drawn by the protocol layer
 from its seeded RNG streams; hashing itself is deterministic.
 
-A seed object is read-only: its ``vec`` is reduced mod p once and cannot
-be written, so it owns its Toeplitz spectrum, computed by the gf kernel on
-first use and reused by every later hash under that seed (psi_S at encode
-and f_S at decode share one; the two g_S' calls of a run share another).
-The spectrum of a batch is one row per seed, so ``_seed_rows`` gives the
-seeds of a row subset with those rows of the spectrum, and hashing a few
-rows of a batch transforms no seed again.
+A seed is a ``gf.Toeplitz`` batch with the hash's split and a prime
+modulus: immutable, with its ``vec`` reduced mod p once and read-only, so
+it owns its Toeplitz spectrum, computed on first use and reused by every
+later hash under that seed (psi_S at encode and f_S at decode share one;
+the two g_S' calls of a run share another).  ``seed.rows(idx)`` is the
+seed of a row subset of a batch, with those rows of the spectrum, so
+hashing a few rows of a batch transforms no seed again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
-
 import numpy as np
 
-from .gf import _check_prime, _mod, _seed_spectrum, _toeplitz
+from .gf import Toeplitz, _check_len, _check_prime, _mod
 
 
-def _check_len(name: str, arr: np.ndarray, length: int) -> None:
-    if arr.shape[-1:] != (length,):
-        raise ValueError(f"{name} shape {arr.shape} needs a last axis of length {length}")
+class SeedS(Toeplitz):
+    """Seeds for f_S: an int array (..., n1 - 1) plus the (n1, n2, n3) split.
+
+    T(S) is the (n2+n3) x (n1-n2-n3) Toeplitz batch of ``gf.Toeplitz``.
+    """
+
+    __slots__ = ("n1", "n2", "n3")
+
+    def __init__(self, vec, n1: int, n2: int, n3: int, p: int):
+        if not (n1 > n2 + n3 > 0):
+            raise ValueError(f"need n1 > n2 + n3 > 0, got {(n1, n2, n3)}")
+        super().__init__(vec, n2 + n3, n1 - n2 - n3, _check_prime(p))
+        self._set(n1=n1, n2=n2, n3=n3)
 
 
-def _seed_array(vec, length: int, p: int) -> np.ndarray:
-    arr = _mod(np.asarray(vec, dtype=np.int64), p)
-    _check_len("seed", arr, length)
-    arr.flags.writeable = False
-    return arr
+class SeedSPrime(Toeplitz):
+    """Seeds for g_S': an int array (..., n2 + n3 - 1); T(S') is n3 x n2."""
 
+    __slots__ = ("n2", "n3")
 
-@dataclass(frozen=True)
-class SeedS:
-    """Seeds for f_S: an int array (..., n1 - 1) plus the (n1, n2, n3) split."""
-
-    vec: np.ndarray
-    n1: int
-    n2: int
-    n3: int
-    p: int
-
-    def __post_init__(self):
-        if not (self.n1 > self.n2 + self.n3 > 0):
-            raise ValueError(f"need n1 > n2 + n3 > 0, got {(self.n1, self.n2, self.n3)}")
-        object.__setattr__(self, "p", _check_prime(self.p))
-        object.__setattr__(self, "vec", _seed_array(self.vec, self.n1 - 1, self.p))
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray | None:
-        k = self.n2 + self.n3
-        return _seed_spectrum(self.vec, k, self.n1 - k, self.p)
-
-    def _apply(self, L2: np.ndarray) -> np.ndarray:
-        """T(S) L2 mod p, the (n2+n3) x (n1-n2-n3) product."""
-        k = self.n2 + self.n3
-        return _toeplitz(self.vec, self._spectrum, L2, k, self.n1 - k, self.p)
-
-
-@dataclass(frozen=True)
-class SeedSPrime:
-    """Seeds for g_S': an int array (..., n2 + n3 - 1)."""
-
-    vec: np.ndarray
-    n2: int
-    n3: int
-    p: int
-
-    def __post_init__(self):
-        if self.n2 < 1 or self.n3 < 1:
-            raise ValueError(f"need n2, n3 >= 1, got {(self.n2, self.n3)}")
-        object.__setattr__(self, "p", _check_prime(self.p))
-        object.__setattr__(self, "vec", _seed_array(self.vec, self.n2 + self.n3 - 1, self.p))
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray | None:
-        return _seed_spectrum(self.vec, self.n3, self.n2, self.p)
-
-    def _apply(self, M: np.ndarray) -> np.ndarray:
-        """T(S') M mod p, the n3 x n2 product."""
-        return _toeplitz(self.vec, self._spectrum, M, self.n3, self.n2, self.p)
-
-
-def _seed_rows(seed: SeedS | SeedSPrime, rows: np.ndarray | slice) -> SeedS | SeedSPrime:
-    """The seeds in ``rows`` (indices into the first axis, or ``slice(None)``
-    for all of them) of a batch, with those rows of its spectrum."""
-    if isinstance(rows, slice):
-        return seed
-    spectrum = seed._spectrum
-    sub = replace(seed, vec=seed.vec[rows])
-    sub.__dict__["_spectrum"] = None if spectrum is None else spectrum[rows]
-    return sub
+    def __init__(self, vec, n2: int, n3: int, p: int):
+        if n2 < 1 or n3 < 1:
+            raise ValueError(f"need n2, n3 >= 1, got {(n2, n3)}")
+        super().__init__(vec, n3, n2, _check_prime(p))
+        self._set(n2=n2, n3=n3)
 
 
 def f_s(seed: SeedS, L) -> np.ndarray:
@@ -116,8 +66,7 @@ def f_s(seed: SeedS, L) -> np.ndarray:
     """
     L = np.asarray(L, dtype=np.int64)
     _check_len("input", L, seed.n1)
-    k = seed.n2 + seed.n3
-    return _mod(L[..., :k] + seed._apply(L[..., k:]), seed.p)
+    return _mod(L[..., :seed.d1] + seed(L[..., seed.d1:]), seed.p)
 
 
 def f_s_split(seed: SeedS, L) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +79,7 @@ def g_sprime(seed: SeedSPrime, M, Y) -> np.ndarray:
     """Error-verification hash C = Y + T(S') M, row-wise."""
     Y = np.asarray(Y, dtype=np.int64)
     _check_len("Y", Y, seed.n3)
-    M = np.asarray(M, dtype=np.int64)
-    _check_len("M", M, seed.n2)
-    return _mod(Y + seed._apply(M), seed.p)
+    return _mod(Y + seed(M), seed.p)
 
 
 def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
@@ -145,6 +92,6 @@ def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
     M, Y, L2 = (np.asarray(v, dtype=np.int64) for v in (M, Y, L2))
     _check_len("M", M, seed.n2)
     _check_len("Y", Y, seed.n3)
-    _check_len("L2", L2, seed.n1 - seed.n2 - seed.n3)
-    head = np.concatenate([Y, M], axis=-1) - seed._apply(L2)
-    return _mod(np.concatenate([head, L2], axis=-1), seed.p)
+    word = np.concatenate([Y, M, L2], axis=-1)
+    word[..., :seed.d1] -= seed(L2)
+    return _mod(word, seed.p)

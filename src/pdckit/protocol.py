@@ -44,7 +44,7 @@ import numpy as np
 from .bounds import eps_E_bound
 from .dists import PauliDist, convolve
 from .gf import FieldVec, SizeCapError, _mod, all_vectors
-from .hashing import SeedS, SeedSPrime, _seed_rows, f_s_split, g_sprime, psi_s
+from .hashing import SeedS, SeedSPrime, f_s_split, g_sprime, psi_s
 from .wiretap import ClassicalChannelWc, LinearCodeSpec
 
 _STREAMS = ("s", "s_prime", "y", "l2", "noise", "mask", "adversary", "message")
@@ -217,7 +217,7 @@ def _engine(config: ProtocolConfig, msgs: np.ndarray, streams,
         y_hat, m_hat = ys.copy(), msgs.copy()
         rows = _row_index(block_error)
         if rows is not None:
-            y_hat[rows], m_hat[rows] = f_s_split(_seed_rows(seed_s, rows), decoded[rows])
+            y_hat[rows], m_hat[rows] = f_s_split(seed_s.rows(rows), decoded[rows])
         run.update(x_hat=x_hat, y_hat=y_hat, m_hat=m_hat, block_error=block_error)
     del seed_s, infos
     seed_sp = SeedSPrime(streams["s_prime"].integers(0, p, (trials, k - 1)), n2, n3, p)
@@ -227,7 +227,7 @@ def _engine(config: ProtocolConfig, msgs: np.ndarray, streams,
         accept = np.ones(trials, dtype=bool)
         rows = _row_index(np.any(y_hat != ys, axis=-1) | np.any(m_hat != msgs, axis=-1))
         if rows is not None:
-            accept[rows] = verify(_seed_rows(seed_sp, rows), m_hat[rows], y_hat[rows], c[rows])
+            accept[rows] = verify(seed_sp.rows(rows), m_hat[rows], y_hat[rows], c[rows])
         run["accept"] = accept
     return run
 

@@ -50,8 +50,7 @@ import numpy as np
 
 from . import qexact
 from .dists import PauliDist, renyi_entropy, sibson_mutual_info
-from .gf import (_ENUM_CAP, SizeCapError, _check_int64_dot, _mod, all_vectors,
-                 toeplitz_apply_batch)
+from .gf import _ENUM_CAP, SizeCapError, Toeplitz, _check_int64_dot, _mod, all_vectors
 
 # theorem1_bound's t grids
 _QUANTUM_T_GRID = np.linspace(0.05, 1.0, 20)
@@ -198,7 +197,9 @@ def _batch_ml_decoder(p: int, table: np.ndarray, messages: np.ndarray,
 
 
 def identity_code(p: int, n: int) -> LinearCodeSpec:
-    """The trivial rate-1 code with n1 = 2n."""
+    """The trivial rate-1 code with n1 = 2n; ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     ident = lambda v: _mod(np.asarray(v, dtype=np.int64), p)
     return LinearCodeSpec(p=p, n=n, n1=2 * n, encode=ident, decode_batch=ident)
 
@@ -230,8 +231,11 @@ def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec
     the p^g inner codewords are at most ``_TABLE_MAX_WORK`` (even r <= 12 or
     odd r <= 5 at p = 2; even r <= 6 or r <= 3 at p = 3), the inner decoder
     holds every block's decision and a block costs one lookup.
-    Raises ValueError when the noise law is over another field than F_p.
+    Raises ValueError for n1 < 1 or r < 1, and when the noise law is over
+    another field than F_p.
     """
+    if n1 < 1 or r < 1:
+        raise ValueError(f"need n1, r >= 1, got n1={n1}, r={r}")
     if (r * n1) % 2 != 0:
         raise ValueError("r * n1 must be even (codewords hold symplectic pairs)")
     g = 1 if r % 2 == 0 else 2
@@ -251,7 +255,12 @@ def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec
 
 def random_linear_code(p: int, n: int, n1: int, noise: PauliDist,
                        rng: np.random.Generator) -> LinearCodeSpec:
-    """Random full-rank generator with exhaustive ML decoding (2n <= 8, p <= 3)."""
+    """Random full-rank generator with exhaustive ML decoding (2n <= 8, p <= 3).
+
+    A full-rank 2n x n1 generator needs 1 <= n1 <= 2n; ValueError otherwise.
+    """
+    if not 1 <= n1 <= 2 * n:
+        raise ValueError(f"need 1 <= n1 <= 2n, got n1={n1}, n={n}")
     if 2 * n > 8 or p > 3:
         raise SizeCapError("random linear baseline limited to 2n <= 8, p <= 3")
     for _ in range(200):
@@ -473,8 +482,9 @@ def _seed_norms(code: LinearCodeSpec, k: int, eve, seeds):
     m', whose mean is the seed's leakage d_S.
 
     The hash is f_S(x) = x1 + T x2 (M' = L1 + T(S) L2, n1 = k allowed), with
-    a vector v = (v1, v2) of F_p^{n1} split after k = n2 + n3 symbols.  One
-    Toeplitz call per seed gives T's columns.  Each row v of the p^{n1}
+    a vector v = (v1, v2) of F_p^{n1} split after k = n2 + n3 symbols.  T is
+    read off the seed, with no product: T[i, j] = V[i + n1-k-1 - j] (0-based),
+    the seed's sliding windows of length n1 - k, each reversed.  Each row v of the p^{n1}
     enumeration, a word for classical Eve and a syndrome for quantum Eve,
     gets a label, and one stable sort of the base-p labels groups the rows
     into equal-size groups, each in index order.
@@ -515,8 +525,8 @@ def _seed_norms(code: LinearCodeSpec, k: int, eve, seeds):
         states = eve.states(code.encode(infos))
         avg = states.mean(axis=0)
     for seed_vec in seeds:
-        cols = toeplitz_apply_batch(seed_vec, np.eye(n1 - k, dtype=np.int64), k, n1 - k, p)
-        labels = _mod(v2 - v1 @ cols.T if eve.is_quantum else v1 + v2 @ cols, p)
+        t = np.lib.stride_tricks.sliding_window_view(seed_vec, n1 - k)[:, ::-1]  # T(seed)
+        labels = _mod(v2 - v1 @ t if eve.is_quantum else v1 + v2 @ t.T, p)
         order = np.argsort(labels @ p ** np.arange(labels.shape[1] - 1, -1, -1), kind="stable")
         if eve.is_quantum:
             r = root[order.reshape(-1, p**k)]
@@ -532,11 +542,12 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
                   seeds: np.ndarray | None = None) -> float:
     """Exact average leakage d_bar(M'; E S) by full enumeration.
 
-    Enumerates every seed S (or the supplied subset), every message m', and
-    the uniform randomization inside each hash preimage (``_seed_norms``).
-    Uses the paper's unhalved 1-norm, so values range up to 2.  ValueError
-    on an empty seed set, and when Eve was built for another p or n than
-    the code.
+    Enumerates every seed S (or the supplied subset, read as f_S seeds:
+    integers, reduced mod p), every message m', and the uniform
+    randomization inside each hash preimage (``_seed_norms``).  Uses the
+    paper's unhalved 1-norm, so values range up to 2.  ValueError on an
+    empty seed set, on supplied seeds that are not integers or not of
+    length n1 - 1, and when Eve was built for another p or n than the code.
     """
     _check_eve(eve, code)
     p, n1, k = code.p, code.n1, n2 + n3
@@ -545,8 +556,7 @@ def exact_leakage(code: LinearCodeSpec, n2: int, n3: int, eve,
     if seeds is not None and len(seeds) == 0:
         raise ValueError("the seed set is empty: exact_leakage averages over at least one seed S")
     _check_enum((p ** (n1 - 1) if seeds is None else len(seeds)) * p**n1, "states")
-    if seeds is None:
-        seeds = all_vectors(p, n1 - 1)
+    seeds = all_vectors(p, n1 - 1) if seeds is None else Toeplitz(seeds, k, n1 - k, p).vec
     total = 0.0
     for norms in _seed_norms(code, k, eve, seeds):
         d_s = 0.0

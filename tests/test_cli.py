@@ -323,6 +323,9 @@ CONFIG_CHANGES = {"readme": {}, "neg_n2": {"n2": -1, "n3": 2}, "big_n2": {"n2": 
     (("finite", "--p", "1009", "--mix", "0.05", "--n-grid", "1000"), 4, "size cap exceeded:"),
     (("estimate", "--p", "1009", "--mix", "0.05"), 4, "size cap exceeded:"),
     (("verify-identities", "--p", "1009"), 4, "size cap exceeded:"),
+    # no code has n < 1; these exited 3 for want of a sacrificed symbol
+    (("leakage", "--n", "0"), 2, "invalid arguments:"),
+    (("leakage", "--n", "-1"), 2, "invalid arguments:"),
 ])
 def test_bad_input_exit(capsys, tmp_path, argv, exit_code, prefix):
     config = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from pdckit.gf import Toeplitz, toeplitz_apply_batch
 from pdckit.hashing import SeedS, SeedSPrime, f_s, f_s_split, g_sprime, psi_s
 
 
@@ -210,3 +211,32 @@ def test_seed_vec_is_read_only():
     raw[0] = 5
     assert seed.vec.tolist() == [1, 0, 1]
 
+
+@pytest.mark.parametrize("build", [
+    lambda: SeedS(np.array([0.9, 1.5, 1.2]), 4, 1, 1, 2),
+    lambda: SeedS(np.array([True, False, True]), 4, 1, 1, 2),
+    lambda: SeedSPrime(["1", "0"], 2, 1, 2),
+    lambda: SeedSPrime([1.0, 0.0], 2, 1, 2),
+    lambda: toeplitz_apply_batch([1.9, 0, 0], [1, 1], 2, 2, 3),
+])
+def test_seeds_refuse_non_integer_input(build):
+    # these were truncated to [0, 1, 1], parsed or counted as residues
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
+def test_seed_attributes_cannot_be_assigned():
+    # a seed owns its spectrum, so nothing it was built from can change under it
+    rng = np.random.default_rng(3)
+    seed_s = SeedS(rng.integers(0, 2, (4, 127)), 128, 48, 16, 2)
+    seed_sp = SeedSPrime(rng.integers(0, 2, (4, 3)), 2, 2, 2)
+    assert seed_s.spectrum is not None and seed_sp.spectrum is None
+    for seed in (seed_s, seed_sp, seed_s.rows(np.array([2, 0])), Toeplitz([1, 0, 1], 2, 2, 3)):
+        for name in ("vec", "d1", "d2", "p", "spectrum", "_spectrum", "n1", "n2", "n3"):
+            with pytest.raises(AttributeError):
+                setattr(seed, name, None)
+        with pytest.raises(AttributeError):
+            seed.other = 1
+        with pytest.raises(AttributeError):
+            del seed.vec
+    assert seed_s.n1 == 128 and seed_s.d1 == 64 and seed_s.vec.shape == (4, 127)

@@ -5,7 +5,8 @@ masses far below 1e-15, which count) and the syndrome law behind quantum
 Eve's leakage bound, the syndrome-law form of her exact leakage against
 her dense states, the verification-variable comparison's slope-order
 fill and joint against vertex enumeration, HiGHS and the cell-by-cell loop,
-the hit-only channel sampler against the dense one, the protocol engine's
+the hit-only channel sampler against the dense one, a row subset of a
+Toeplitz seed against a fresh seed of those rows, the protocol engine's
 row-subset hashing against every row rehashed, and the bounded refinement
 against scipy's ``minimize_scalar``.
 
@@ -178,6 +179,55 @@ def _check_against_reference(case):
     one = toeplitz_apply_batch(flat_s[:1], flat_x[:1], d1, d2, p)
     assert one.shape == (1, d1)
     assert one[0].tolist() == toeplitz_apply_batch(flat_s[0], flat_x[0], d1, d2, p).tolist()
+
+
+@st.composite
+def row_subset_cases(draw):
+    """A seed batch on either product path, a row subset of it, and inputs."""
+    p = draw(st.sampled_from(PRIMES))
+    if draw(st.booleans()):  # the FFT path
+        d1 = draw(st.integers(32, 160))
+        d2 = draw(st.integers(-(-gf._FFT_MIN_PRODUCT // d1), 160))
+    else:
+        d1 = draw(st.integers(1, 63))
+        d2 = draw(st.integers(1, min(128, (gf._FFT_MIN_PRODUCT - 1) // d1)))
+    rows = draw(st.integers(1, 6))
+    batch = (rows,) + tuple(draw(st.lists(st.integers(1, 3), max_size=1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = rng.integers(0, p, batch + (d1 + d2 - 1,))
+    seed = SeedSPrime(vec, d2, d1, p) if draw(st.booleans()) else gf.Toeplitz(vec, d1, d2, p)
+    idx = draw(st.one_of(
+        st.just(slice(None)),
+        st.just(np.array([], dtype=np.int64)),
+        st.integers(0, rows - 1).map(lambda r: np.array([r])),
+        st.sets(st.integers(0, rows - 1)).map(lambda r: np.array(sorted(r), dtype=np.int64))))
+    sub_batch = vec[idx].shape[:-1]
+    xs = rng.integers(0, p, (d2,) if draw(st.booleans()) else sub_batch + (d2,))
+    return seed, idx, xs
+
+
+@SETTINGS
+@given(row_subset_cases())
+def test_row_subset_is_a_fresh_seed_of_those_rows(case):
+    seed, idx, xs = case
+    spectrum = seed.spectrum  # the batch's one transform
+    with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+        sub = seed.rows(idx)
+        got = sub(xs)
+    # only the input is transformed, and only on the FFT path
+    assert rfft.call_count == (spectrum is not None)
+    fresh = gf.Toeplitz(seed.vec[idx], seed.d1, seed.d2, seed.p)
+    assert got.dtype == np.int64 and np.array_equal(got, fresh(xs))
+    assert type(sub) is type(seed) and (sub.d1, sub.d2, sub.p) == (seed.d1, seed.d2, seed.p)
+    assert np.array_equal(sub.vec, fresh.vec) and not sub.vec.flags.writeable
+    if spectrum is None:
+        assert sub.spectrum is None
+    else:
+        assert np.array_equal(sub.spectrum, fresh.spectrum)
+    if isinstance(idx, slice):
+        assert sub is seed
+    if isinstance(seed, SeedSPrime):
+        assert (sub.n2, sub.n3) == (seed.n2, seed.n3)
 
 
 @st.composite

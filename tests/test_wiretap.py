@@ -196,6 +196,22 @@ def test_random_linear_caps():
         random_linear_code(2, 5, 3, dep2(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: identity_code(2, 0),
+    lambda: identity_code(2, -1),
+    lambda: repetition_code(2, 4, 0, dep2()),
+    lambda: repetition_code(2, 0, 2, dep2()),
+    lambda: random_linear_code(2, 2, 5, dep2(), np.random.default_rng(0)),
+    lambda: random_linear_code(2, 2, 0, dep2(), np.random.default_rng(0)),
+    lambda: random_linear_code(2, 0, 0, dep2(), np.random.default_rng(0)),
+])
+def test_code_builders_refuse_parameters_that_give_no_code(build):
+    # these built an n = -1 or 0-length code, or drew 200 generators that can
+    # never have full rank before a RuntimeError
+    with pytest.raises(ValueError, match="need"):
+        build()
+
+
 def test_noise_over_another_field_rejected():
     # a law over another field would be read with the wrong pair labels:
     # refused when the code (or the check) is built, not when decoding
@@ -611,6 +627,18 @@ def test_exact_leakage_refuses_an_empty_seed_set():
     for eve in (QuantumEveChannel(depolarizing(0.1, 2), 1), eve_noiseless(2, 1)):
         with pytest.raises(ValueError, match="seed set is empty"):
             exact_leakage(code, 1, 0, eve, seeds=np.empty((0, code.n1 - 1), dtype=np.int64))
+
+
+def test_exact_leakage_reads_supplied_seeds_as_hash_seeds():
+    # supplied seeds go through the hash-seed constructor: a float seed is
+    # refused rather than truncated, and residues outside [0, p) are the
+    # seeds they reduce to
+    code, eve = identity_code(2, 2), eve_additive(depolarizing(0.1, 2), 2)
+    one = exact_leakage(code, 1, 1, eve, seeds=np.array([[1, 0, 1]]))
+    assert exact_leakage(code, 1, 1, eve, seeds=np.array([[3, -2, 1]])) == one
+    for bad in (np.array([[0.5, 0, 1]]), np.array([[1, 0]])):
+        with pytest.raises(ValueError):
+            exact_leakage(code, 1, 1, eve, seeds=bad)
 
 
 def test_additive_eve_for_fewer_pairs_is_refused():
