@@ -3,10 +3,15 @@
 Everything downstream (hashing, coding, protocol transcripts) works with
 residues modulo a prime p held in int64 numpy arrays.  FieldVec is the
 validated message type at the API edge; inside, vectors are plain arrays
-with leading batch axes.  The batched layers reduce mod p through
-``_mod``, which equals ``a % p`` for every int64 array but computes
-a - (a // p) p on large arrays: numpy divides by a scalar through a
-precomputed multiplier, while its ``%`` runs a hardware division per entry.
+with leading batch axes.  This module owns the one order of F_p words:
+``all_vectors(p, L)`` lists all p^L words of length L lexicographically,
+``word_index`` maps a word back to its row there (the word read as a
+base-p number), and ``_check_enum`` refuses, before any array is built,
+an enumeration of more than ``_ENUM_CAP`` cells.  The batched layers
+reduce mod p through ``_mod``, which equals ``a % p`` for every int64
+array but computes a - (a // p) p on large arrays: numpy divides by a
+scalar through a precomputed multiplier, while its ``%`` runs a hardware
+division per entry.
 ``Toeplitz`` is the one Toeplitz product in the package: an immutable
 batch of seeds, reduced mod p into a read-only array, applied to any batch
 of inputs by one of two algorithms that return the same integers: a
@@ -66,6 +71,12 @@ _ENUM_CAP = 10**6
 
 class SizeCapError(ValueError):
     """An instance exceeds a size cap; raised before its arrays are built."""
+
+
+def _check_enum(total: int, what: str) -> None:
+    """SizeCapError when an enumeration of ``total`` ``what`` exceeds ``_ENUM_CAP``."""
+    if total > _ENUM_CAP:
+        raise SizeCapError(f"enumeration of {total} {what} exceeds cap {_ENUM_CAP}")
 
 
 class FieldVec:
@@ -141,10 +152,25 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     return np.subtract(a, out, out=out)
 
 
+def _place_values(p: int, length: int) -> np.ndarray:
+    """p^{length-1}, ..., p, 1: the base-p place value of each symbol of a word."""
+    return p ** np.arange(length - 1, -1, -1, dtype=np.int64)
+
+
 def all_vectors(p: int, length: int) -> np.ndarray:
     """All p**length vectors over F_p, one per row, in lexicographic order."""
     idx = np.arange(p**length, dtype=np.int64)
-    return idx[:, None] // p ** np.arange(length - 1, -1, -1, dtype=np.int64) % p
+    return idx[:, None] // _place_values(p, length) % p
+
+
+def word_index(words, p: int) -> np.ndarray:
+    """The row of each (..., L) word of residues in ``all_vectors(p, L)``.
+
+    The word read as a base-p number, one int64 per word; the symbols must
+    lie in [0, p), which is not checked.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    return words @ _place_values(p, words.shape[-1])
 
 
 # Smallest d1*d2 that takes the FFT path.  Measured with one BLAS thread on
@@ -180,8 +206,10 @@ class Toeplitz:
     indices y[i] = sum_k V[i+k] x[d2-1-k].  Seeds must be integers (floats,
     strings and bools raise ValueError rather than being truncated, parsed
     or counted); they are reduced mod p into a read-only int64 ``vec``.
-    Inputs must be residues in [0, p), which both algorithms assume.  A
-    seed is immutable: assigning any attribute raises AttributeError.
+    Inputs must be residues in [0, p), which both algorithms assume; any
+    other input raises ValueError, as at ``FieldVec``, rather than returning
+    wrong integers.  A seed is immutable: assigning any attribute raises
+    AttributeError.
 
     Direct: each seed is viewed through a read-only (d1, d2) strided window
     and contracted with x reversed by an int64 einsum; no matrix is ever
@@ -265,6 +293,8 @@ class Toeplitz:
         """
         xs = np.asarray(xs, dtype=np.int64)
         _check_len("input", xs, self.d2)
+        if xs.size and xs.view(np.uint64).max() >= self.p:  # negatives read >= 2^63
+            raise ValueError(f"input symbols must be residues in [0, {self.p})")
         d1, d2, p, spectrum = self.d1, self.d2, self.p, self.spectrum
         if spectrum is not None:
             n = 1 << (d1 + d2 - 2).bit_length()
@@ -286,7 +316,8 @@ class Toeplitz:
 def toeplitz_apply_batch(seeds, xs, d1: int, d2: int, p: int) -> np.ndarray:
     """Row-wise y = T(seed) x mod p, ``Toeplitz(seeds, d1, d2, p)(xs)``.
 
-    The seeds are reduced mod p; a seed applied to several inputs should be
-    built once as a ``Toeplitz``, so that its spectrum is computed once.
+    The seeds are reduced mod p and the inputs must be residues.  A seed
+    applied to several inputs should be built once as a ``Toeplitz``, so
+    that its spectrum is computed once.
     """
     return Toeplitz(seeds, d1, d2, p)(xs)

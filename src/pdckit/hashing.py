@@ -13,7 +13,9 @@ variable Y occupies the first n3 symbols and the message M the last n2.
 Everything is batch-first: a seed holds an int array of shape (..., length)
 and every input is an int array whose last axis is the vector; leading
 axes broadcast, so one call hashes a whole Monte Carlo batch and a single
-vector is just the unbatched case.  Seeds are drawn by the protocol layer
+vector is just the unbatched case.  What a Toeplitz product reads (L2 in
+f_S and psi_S, M in g_S') must hold residues in [0, p); anything else
+raises ValueError.  Seeds are drawn by the protocol layer
 from its seeded RNG streams; hashing itself is deterministic.
 
 A seed is a ``gf.Toeplitz`` batch with the hash's split and a prime

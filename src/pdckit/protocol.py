@@ -43,7 +43,7 @@ import numpy as np
 
 from .bounds import eps_E_bound
 from .dists import PauliDist, convolve
-from .gf import FieldVec, SizeCapError, _mod, all_vectors
+from .gf import FieldVec, _check_enum, _mod, all_vectors, word_index
 from .hashing import SeedS, SeedSPrime, f_s_split, g_sprime, psi_s
 from .wiretap import ClassicalChannelWc, LinearCodeSpec
 
@@ -307,7 +307,7 @@ def monte_carlo(config: ProtocolConfig, trials: int,
             "trials": trials, "abort_rate": 1.0, "undetected_error_rate": 0.0,
             "accepted_and_correct_rate": 0.0, "ecc_block_error_rate": None,
             "abort_ci": (1.0, 1.0), "undetected_ci": (0.0, 0.0),
-            "accepted_correct_ci": (0.0, 0.0),
+            "accepted_correct_ci": (0.0, 0.0), "wrong_trials": 0,
             "eps_E_bound": eps_E_bound(config.n, n1 - n2 - n3, config.P),
         }
     streams = config.streams()
@@ -392,13 +392,12 @@ def lnm_check(p: int, n2: int, n3: int, eve_kernel: np.ndarray) -> tuple[float, 
     if (kernel.ndim != 2 or kernel.shape[1] != m_count * y_count or not np.all(kernel >= 0.0)
             or not np.all(np.abs(kernel.sum(axis=0) - 1.0) <= 1e-9)):
         raise ValueError("kernel must hold a probability column per (Y, M) pair")
-    if kernel.size * s_count > 10**6:
-        raise SizeCapError("instance too large for exact enumeration")
+    _check_enum(kernel.size * s_count, "cells of the verification joint")
     seeds = SeedSPrime(all_vectors(p, n2 + n3 - 1)[:, None, None], n2, n3, p)
     covers = g_sprime(seeds, all_vectors(p, n2)[:, None], all_vectors(p, n3))  # (s', m, y)
     eve = (1.0 / (m_count * y_count * s_count) * kernel).T.reshape(y_count, m_count, -1)
     joint = np.zeros((m_count, s_count, y_count, len(kernel)))  # (m, s', c, e')
     joint[np.arange(m_count)[:, None], np.arange(s_count)[:, None, None],
-          covers @ p ** np.arange(n3 - 1, -1, -1)] = eve.swapaxes(0, 1)
+          word_index(covers, p)] = eve.swapaxes(0, 1)
     return (_min_sigma_distance(joint.reshape(m_count, -1)),
             _min_sigma_distance(kernel.T / (m_count * y_count)))

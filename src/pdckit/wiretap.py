@@ -50,18 +50,14 @@ import numpy as np
 
 from . import qexact
 from .dists import PauliDist, renyi_entropy, sibson_mutual_info
-from .gf import _ENUM_CAP, SizeCapError, Toeplitz, _check_int64_dot, _mod, all_vectors
+from .gf import (SizeCapError, Toeplitz, _check_enum, _check_int64_dot, _mod, all_vectors,
+                 word_index)
 
 # theorem1_bound's t grids
 _QUANTUM_T_GRID = np.linspace(0.05, 1.0, 20)
 _CLASSICAL_T_GRID = np.linspace(0.01, 1.0, 100)
 _QUANTUM_T_GRID.flags.writeable = False
 _CLASSICAL_T_GRID.flags.writeable = False
-
-
-def _check_enum(total: int, what: str) -> None:
-    if total > _ENUM_CAP:
-        raise SizeCapError(f"enumeration of {total} {what} exceeds cap {_ENUM_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +167,9 @@ def _batch_ml_decoder(p: int, table: np.ndarray, messages: np.ndarray,
     Returns ``decode_batch`` on (..., 2n) received words, read mod p, with
     the decisions of ``_ml_scorer``.  When (p^2)^n * n_codewords is at most
     ``_TABLE_MAX_WORK``, every received pattern is scored once, here, into a
-    decision table (standard-array decoding, Slepian 1956).  A word's row in
-    it is the word read as a base-p number, which is its pair labels read in
-    base p^2, so decoding is one matrix-vector product and one ``take``.
+    decision table (standard-array decoding, Slepian 1956).  Its rows follow
+    ``all_vectors``, so a word's row is its ``word_index`` and decoding is
+    one matrix-vector product and one ``take``.
     Above that size each call scores its own words.  Raises ValueError when
     the noise law is over another field than the code.
     """
@@ -182,10 +178,9 @@ def _batch_ml_decoder(p: int, table: np.ndarray, messages: np.ndarray,
     length = table.shape[1]
     if int(p) ** length * table.shape[0] <= _TABLE_MAX_WORK:
         decisions = decide(_pair_labels(all_vectors(p, length), p))
-        weights = p ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
         def decode_batch(words: np.ndarray) -> np.ndarray:
-            return np.take(decisions, _mod(np.asarray(words, dtype=np.int64), p) @ weights,
+            return np.take(decisions, word_index(_mod(np.asarray(words, dtype=np.int64), p), p),
                            axis=0)
     else:
         def decode_batch(words: np.ndarray) -> np.ndarray:
@@ -204,7 +199,11 @@ def identity_code(p: int, n: int) -> LinearCodeSpec:
     return LinearCodeSpec(p=p, n=n, n1=2 * n, encode=ident, decode_batch=ident)
 
 
-def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist) -> LinearCodeSpec:
+def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist) -> LinearCodeSpec | None:
+    """The code v -> G v mod p with exhaustive ML decoding, or None when two
+    messages share a codeword.  Encode is linear, so that is a nonzero
+    message encoding to the zero word, and over a field it holds exactly
+    when G has rank below n1."""
     n1 = G.shape[1]
     _check_int64_dot(p, n1)  # encode's v @ G.T must not overflow int64
 
@@ -212,8 +211,11 @@ def _generator_code(G: np.ndarray, p: int, n: int, noise: PauliDist) -> LinearCo
         return _mod(_mod(np.asarray(v, dtype=np.int64), p) @ G.T, p)
 
     msgs = all_vectors(p, n1)
+    table = encode(msgs)
+    if not table[1:].any(axis=1).all():  # row 0 is the zero message
+        return None
     return LinearCodeSpec(p=p, n=n, n1=n1, encode=encode,
-                          decode_batch=_batch_ml_decoder(p, encode(msgs), msgs, noise))
+                          decode_batch=_batch_ml_decoder(p, table, msgs, noise))
 
 
 def repetition_code(p: int, n1: int, r: int, noise: PauliDist) -> LinearCodeSpec:
@@ -258,39 +260,18 @@ def random_linear_code(p: int, n: int, n1: int, noise: PauliDist,
     """Random full-rank generator with exhaustive ML decoding (2n <= 8, p <= 3).
 
     A full-rank 2n x n1 generator needs 1 <= n1 <= 2n; ValueError otherwise.
+    A drawn generator is kept when no two messages share a codeword in its
+    table (``_generator_code``), else another is drawn.
     """
     if not 1 <= n1 <= 2 * n:
         raise ValueError(f"need 1 <= n1 <= 2n, got n1={n1}, n={n}")
     if 2 * n > 8 or p > 3:
         raise SizeCapError("random linear baseline limited to 2n <= 8, p <= 3")
     for _ in range(200):
-        G = rng.integers(0, p, size=(2 * n, n1))
-        if _gf_rank(G, p) == n1:
-            return _generator_code(G.astype(np.int64), p, n, noise)
+        code = _generator_code(rng.integers(0, p, size=(2 * n, n1)), p, n, noise)
+        if code is not None:
+            return code
     raise RuntimeError("failed to draw a full-rank generator")
-
-
-def _gf_rank(mat: np.ndarray, p: int) -> int:
-    m = mat.astype(np.int64) % p
-    m = m.copy()
-    rank = 0
-    rows, cols = m.shape
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if m[r, c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] = (m[r] - m[r, c] * m[rank]) % p
-        rank += 1
-    return rank
 
 
 def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None = None,
@@ -305,12 +286,21 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
     uniform words and ``samples`` noisy codewords.  Last, ``decode_batch``
     must read received symbols mod p: adding p to every symbol of the words
     the ML check used, or else of the encoded batch, leaves its output
-    unchanged.  Raises ValueError on the first violated property.
+    unchanged.  Every decision must be a residue in [0, p): one that is
+    only congruent would be miscounted as a block error by the protocol
+    engine.  Raises ValueError on the first violated property.
     """
     rng = rng or np.random.default_rng(0)
     p, n1 = code.p, code.n1
     if noise is not None:
         _check_noise_modulus(p, noise)
+
+    def decode(words):
+        out = np.asarray(code.decode_batch(words))
+        if np.any((out < 0) | (out >= p)):
+            raise ValueError(f"decode_batch must return residues in [0, {p})")
+        return out
+
     zero = code.encode(np.zeros(n1, dtype=np.int64))
     if zero.shape != (2 * code.n,) or zero.any():
         raise ValueError("encode(0) must be the zero word of length 2n")
@@ -323,23 +313,22 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
         raise ValueError("encode of a batch differs from encode of its rows")
     if not np.array_equal(code.encode((a + c * b) % p) % p, (coded + c * code.encode(b)) % p):
         raise ValueError("encode is not linear")
-    if not np.array_equal(code.decode_batch(coded) % p, a):
+    if not np.array_equal(decode(coded), a):
         raise ValueError("decode_batch(encode(x)) != x on noiseless input")
     checked = coded
     if p**n1 <= 4096:
         table = code.all_codewords()
-        if len({tuple(w.tolist()) for w in table}) != p**n1:
+        if len(np.unique(table, axis=0)) != p**n1:
             raise ValueError("encode is not injective")
         if noise is not None:
             sent = table[rng.integers(0, p**n1, samples)]
             words = np.concatenate([rng.integers(0, p, (samples, 2 * code.n)),
                                     ClassicalChannelWc(noise).sample_batch(sent, rng)])
-            got = code.decode_batch(words)
             ml = _batch_ml_decoder(p, table, code.all_messages(), noise)(words)
-            if not np.array_equal(np.asarray(got) % p, ml):
+            if not np.array_equal(decode(words), ml):
                 raise ValueError("decode disagrees with exhaustive ML decoding")
             checked = words
-    if not np.array_equal(code.decode_batch(checked + p), code.decode_batch(checked)):
+    if not np.array_equal(code.decode_batch(checked + p), decode(checked)):
         raise ValueError("decode_batch does not read received symbols mod p")
 
 
@@ -400,10 +389,8 @@ class ClassicalEveChannel:
         ``_ENUM_CAP``, before the kernel runs, and ValueError unless each word
         gets a probability row over the outputs."""
         words = np.asarray(words, dtype=np.int64)
-        if len(words) * self.outputs > _ENUM_CAP:
-            raise SizeCapError(
-                f"Eve's law of {len(words)} words x {self.outputs} outputs "
-                f"exceeds cap {_ENUM_CAP}")
+        _check_enum(len(words) * self.outputs,
+                    f"cells of Eve's law ({len(words)} words x {self.outputs} outputs)")
         rows = np.asarray(self._kernel(words), dtype=float)
         if (rows.shape != (len(words), self.outputs) or np.any(rows < 0.0)
                 or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9)):
@@ -412,12 +399,11 @@ class ClassicalEveChannel:
 
 
 def eve_noiseless(p: int, n: int) -> ClassicalEveChannel:
-    """Eve sees the transmitted word exactly: a point mass on its base-p index."""
-    weights = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+    """Eve sees the transmitted word exactly: a point mass on its ``word_index``."""
 
     def kernel(words):
         rows = np.zeros((len(words), p ** (2 * n)))
-        rows[np.arange(len(words)), words @ weights] = 1.0
+        rows[np.arange(len(words)), word_index(words, p)] = 1.0
         return rows
 
     return ClassicalEveChannel(kernel, p ** (2 * n), p, n)
@@ -484,10 +470,11 @@ def _seed_norms(code: LinearCodeSpec, k: int, eve, seeds):
     The hash is f_S(x) = x1 + T x2 (M' = L1 + T(S) L2, n1 = k allowed), with
     a vector v = (v1, v2) of F_p^{n1} split after k = n2 + n3 symbols.  T is
     read off the seed, with no product: T[i, j] = V[i + n1-k-1 - j] (0-based),
-    the seed's sliding windows of length n1 - k, each reversed.  Each row v of the p^{n1}
-    enumeration, a word for classical Eve and a syndrome for quantum Eve,
-    gets a label, and one stable sort of the base-p labels groups the rows
-    into equal-size groups, each in index order.
+    the seed's sliding windows of length n1 - k, each reversed.  Each row v
+    of the p^{n1} enumeration, a word for classical Eve and a syndrome for
+    quantum Eve, gets a label, and one stable sort of the labels by
+    ``word_index`` groups the rows into equal-size groups, each in index
+    order.
 
     Classical Eve gets one l1 norm per message, in index order: her laws
     averaged over the preimage of m' (labelled f_S(x)) minus the overall
@@ -527,7 +514,7 @@ def _seed_norms(code: LinearCodeSpec, k: int, eve, seeds):
     for seed_vec in seeds:
         t = np.lib.stride_tricks.sliding_window_view(seed_vec, n1 - k)[:, ::-1]  # T(seed)
         labels = _mod(v2 - v1 @ t if eve.is_quantum else v1 + v2 @ t.T, p)
-        order = np.argsort(labels @ p ** np.arange(labels.shape[1] - 1, -1, -1), kind="stable")
+        order = np.argsort(word_index(labels, p), kind="stable")
         if eve.is_quantum:
             r = root[order.reshape(-1, p**k)]
             blocks = r[:, :, None] * (r[:, None, :] - r[:, :, None] * np.eye(p**k))

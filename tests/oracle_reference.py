@@ -11,11 +11,12 @@ evaluation for the reference value, and the oracle's Bell machinery built
 label by label (Bell states, the Bell-diagonal state, the purification, the
 covariant eigenbasis by search and the setting statistics cell by cell),
 and the pair-noise channel sampled densely, every pair through the inverse
-CDF.  The package computes none of them on a command path; the tests use
-them as independent anchors for ``qexact``'s solver and Bell basis,
+CDF, and the rank of a matrix over F_p by Gauss-Jordan elimination.  The
+package computes none of them on a command path; the tests use them as
+independent anchors for ``qexact``'s solver and Bell basis,
 ``estimation``'s character table and setting statistics, ``wiretap``'s
-coset-block leakage and hit-only channel sampler, ``protocol.lnm_check``
-and ``identities.check_identities``.
+coset-block leakage, hit-only channel sampler and full-rank generator
+check, ``protocol.lnm_check`` and ``identities.check_identities``.
 """
 
 import math
@@ -418,3 +419,21 @@ def dense_sample_batch(noise: PauliDist, codewords, rng: np.random.Generator) ->
     labels = cdf.searchsorted(rng.random((math.prod(cw.shape[:-1]), cw.shape[-1] // 2)),
                               side="right")
     return _mod(cw + np.take(all_vectors(p, 2), labels, axis=0).reshape(cw.shape), p)
+
+
+def gf_rank(mat: np.ndarray, p: int) -> int:
+    """The rank of an integer matrix over F_p, by Gauss-Jordan elimination."""
+    m = mat.astype(np.int64) % p
+    rank = 0
+    rows, cols = m.shape
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if m[r, c]), None)
+        if piv is None:
+            continue
+        m[[rank, piv]] = m[[piv, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, c]), p - 2, p) % p
+        for r in range(rows):
+            if r != rank and m[r, c]:
+                m[r] = (m[r] - m[r, c] * m[rank]) % p
+        rank += 1
+    return rank

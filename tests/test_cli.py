@@ -148,6 +148,7 @@ def test_simulate_intercept_reports_bound(capsys, config_file):
     payload = json.loads(out)
     assert payload["stats"]["abort_rate"] == 1.0
     assert payload["stats"]["eps_E_bound"] is not None
+    assert payload["stats"]["wrong_trials"] == 0
 
 
 def test_simulate_csv_stats(capsys, config_file):

@@ -2,8 +2,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdckit.gf import FieldVec, all_vectors, toeplitz_apply_batch
+from pdckit.gf import FieldVec, all_vectors, toeplitz_apply_batch, word_index
 
 
 def naive_toeplitz_matvec(seed_values, d1, d2, x, p):
@@ -65,6 +67,20 @@ def test_all_vectors_lexicographic():
     assert out.shape == (27, 3) and out.dtype == np.int64
     assert [tuple(r) for r in out.tolist()] == list(product(range(3), repeat=3))
     assert all_vectors(5, 0).shape == (1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 6),
+       st.lists(st.integers(0, 3), max_size=2), st.integers(0, 2**32 - 1))
+def test_word_index_inverts_all_vectors(p, length, lead, seed):
+    table = all_vectors(p, length)
+    idx = word_index(table, p)
+    assert idx.dtype == np.int64
+    np.testing.assert_array_equal(idx, np.arange(p**length))
+    words = np.random.default_rng(seed).integers(0, p, tuple(lead) + (length,))
+    got = word_index(words, p)
+    assert got.shape == words.shape[:-1]
+    np.testing.assert_array_equal(table[got], words)
 
 
 # ---------------------------------------------------------------
@@ -159,6 +175,24 @@ def test_toeplitz_errors():
         toeplitz_apply_batch([1, 0, 1], [1], 2, 2, 3)
     with pytest.raises(ValueError):
         toeplitz_apply_batch([1, 0], [1, 1], 2, 2, 3)
+
+
+@pytest.mark.parametrize("p", [3, 31])
+@pytest.mark.parametrize("d1,d2", [(4, 4), (64, 64)])  # the einsum and the FFT path
+def test_toeplitz_refuses_inputs_outside_residues(p, d1, d2):
+    # a product reduces its seeds but not its inputs, and both algorithms
+    # assume residues: an input merely congruent to one is refused
+    rng = np.random.default_rng(p + d2)
+    seeds = rng.integers(0, p, (2, d1 + d2 - 1))
+    x = rng.integers(0, p, (2, d2))
+    x[:, 0] = [0, p - 1]
+    want = [naive_toeplitz_matvec(s, d1, d2, row, p) for s, row in zip(seeds, x)]
+    assert toeplitz_apply_batch(seeds, x, d1, d2, p).tolist() == want
+    for shift in (p, -p, 3 * 10**15, 3 * 2**60, -(2**62)):
+        bad = x.copy()
+        bad[1, -1] += shift
+        with pytest.raises(ValueError, match="residues"):
+            toeplitz_apply_batch(seeds, bad, d1, d2, p)
 
 
 def test_toeplitz_overflow_guard_large_prime():

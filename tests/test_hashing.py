@@ -240,3 +240,24 @@ def test_seed_attributes_cannot_be_assigned():
         with pytest.raises(AttributeError):
             del seed.vec
     assert seed_s.n1 == 128 and seed_s.d1 == 64 and seed_s.vec.shape == (4, 127)
+
+
+@pytest.mark.parametrize("n2,shift", [(64, 3 * 10**15), (4, 3 * 2**60)])
+def test_hashes_refuse_inputs_outside_residues(n2, shift):
+    # n2 = n3 = 64 takes the FFT product and 4 the einsum; neither returns
+    # the hash of an input outside [0, p), so both refuse it
+    p, n3 = 3, n2
+    rng = np.random.default_rng(n2)
+    seed = SeedSPrime(rng.integers(0, p, n2 + n3 - 1), n2, n3, p)
+    M, Y = rng.integers(0, p, n2), rng.integers(0, p, n3)
+    g_sprime(seed, M, Y)
+    with pytest.raises(ValueError, match="residues"):
+        g_sprime(seed, M + shift, Y)
+    n1 = n2 + n3 + 2
+    seed_s = SeedS(rng.integers(0, p, n1 - 1), n1, n2, n3, p)
+    L = rng.integers(0, p, n1)
+    L[-1] -= p
+    with pytest.raises(ValueError, match="residues"):
+        f_s(seed_s, L)
+    with pytest.raises(ValueError, match="residues"):
+        psi_s(seed_s, M, Y, L[n2 + n3:])

@@ -49,8 +49,8 @@ from pdckit.wiretap import (_QUANTUM_T_GRID, _TABLE_MAX_WORK, ClassicalChannelWc
                             _pair_labels, _syndrome_law, exact_leakage, identity_code,
                             random_linear_code, repetition_code)
 
-from oracle_reference import (dense_sample_batch, min_sigma_distance_lp, quantum_eve_leakage,
-                              verification_joints)
+from oracle_reference import (dense_sample_batch, gf_rank, min_sigma_distance_lp,
+                              quantum_eve_leakage, verification_joints)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -329,6 +329,24 @@ def test_code_decode_batch_inverts_encode(case):
     for empty in [(0,), (0, 3), (2, 0)]:
         got = code.decode_batch(np.zeros(empty + (2 * code.n,), dtype=np.int64))
         assert got.shape == empty + (code.n1,)
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(1, 4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_generator_code_refuses_exactly_the_rank_deficient(p, n, n1, dependent, seed):
+    # a generator whose messages share a codeword is refused; over F_p that
+    # is rank below n1, which the reference eliminates for
+    n1 = min(n1, 2 * n)
+    rng = np.random.default_rng(seed)
+    G = rng.integers(0, p, (2 * n, n1))
+    if dependent:  # one column a combination of the others (zero when alone)
+        j = rng.integers(n1)
+        others = np.delete(G, j, axis=1)
+        G[:, j] = others @ rng.integers(0, p, n1 - 1) % p
+    code = _generator_code(G, p, n, depolarizing(0.1, p))
+    assert (code is None) == (gf_rank(G, p) < n1)
+    assert code is None or not dependent
 
 
 @st.composite

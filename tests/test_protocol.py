@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pdckit.dists import PauliDist, convolve, depolarizing
-from pdckit.gf import FieldVec
+from pdckit import gf
+from pdckit.gf import FieldVec, SizeCapError
 from pdckit.hashing import SeedSPrime
 from pdckit.protocol import (AdversaryMode, ProtocolConfig, lnm_check,
                              monte_carlo, run_protocol1, run_protocol3,
@@ -50,6 +51,14 @@ def test_intercept_aborts_and_reports_bound():
     stats = monte_carlo(cfg, 10, AdversaryMode.intercept())
     assert stats["abort_rate"] == 1.0
     assert stats["eps_E_bound"] is not None
+
+
+def test_monte_carlo_returns_one_key_set_in_every_mode():
+    modes = [AdversaryMode.none(), AdversaryMode.intercept(), AdversaryMode.tamper(),
+             AdversaryMode.tamper(lambda x, rng: x)]
+    stats = [monte_carlo(dep_config(5), 20, mode) for mode in modes]
+    assert all(s.keys() == stats[0].keys() for s in stats)
+    assert stats[1]["wrong_trials"] == 0
 
 
 def test_transcript_determinism():
@@ -241,6 +250,14 @@ def test_lnm_past_one_symbol(p, n2, n3, outputs):
     kernel /= kernel.sum(axis=0)
     left, right = lnm_check(p, n2, n3, kernel)
     assert left <= right + 1e-12
+
+
+def test_lnm_refuses_a_joint_above_the_enumeration_cap():
+    # at p = 2, n2 = n3 = 1 the joint holds 2 seeds x 4 (Y, M) x E cells
+    outputs = gf._ENUM_CAP // 8 + 1
+    kernel = np.full((outputs, 4), 1.0 / outputs)
+    with pytest.raises(SizeCapError, match="verification joint"):
+        lnm_check(2, 1, 1, kernel)
 
 
 @pytest.mark.parametrize("kernel", [

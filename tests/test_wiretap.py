@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from pdckit import gf
 from pdckit import qexact as qx
 from pdckit import wiretap
 from pdckit.dists import PauliDist, convolve, depolarizing, sibson_mutual_info
@@ -165,6 +168,18 @@ def test_conformance_rejects_decoder_not_reading_mod_p():
         check_code_conformance(code)
 
 
+@pytest.mark.parametrize("offset", [2, -2])
+def test_conformance_rejects_decisions_outside_residues(offset):
+    # decisions only congruent to the information word would count as block
+    # errors in the protocol engine and be refused by f_S
+    noise = dep2()
+    for code in (identity_code(2, 2), repetition_code(2, 4, 4, noise)):
+        decode = code.decode_batch
+        code.decode_batch = lambda w, decode=decode: decode(w) + offset
+        with pytest.raises(ValueError, match="residues"):
+            check_code_conformance(code, noise=noise)
+
+
 def test_conformance_rejects_non_ml_decoder():
     noise = dep2()
     code = repetition_code(2, 4, 4, noise)
@@ -189,6 +204,18 @@ def test_repetition_decodes_small_noise():
     corrupted = word.copy()
     corrupted[0] ^= 1
     assert np.array_equal(code.decode_batch(corrupted), [1, 0])
+
+
+def test_random_linear_codes_pinned():
+    # the codeword tables of seeded random linear codes, as int64 bytes in
+    # loop order: a change to how generators are drawn or accepted shows here
+    h = hashlib.sha256()
+    for p in (2, 3):
+        for n, n1 in ((1, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 8)):
+            for s in range(5):
+                code = random_linear_code(p, n, n1, depolarizing(0.1, p), np.random.default_rng(s))
+                h.update(code.all_codewords().astype(np.int64).tobytes())
+    assert h.hexdigest() == "45b2da5fefd9e4e5197a722b7ecc8ffd59d49a8babafa23d53ef4088c1494381"
 
 
 def test_random_linear_caps():
@@ -713,7 +740,7 @@ def test_classical_eve_channel_checks_its_rows():
 
 def test_classical_eve_law_cap():
     # words x outputs above _ENUM_CAP is refused before the kernel runs
-    cap = wiretap._ENUM_CAP
+    cap = gf._ENUM_CAP
     words = identity_code(2, 1).all_codewords()
 
     def uniform(w):
