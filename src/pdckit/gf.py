@@ -11,7 +11,8 @@ an enumeration of more than ``_ENUM_CAP`` cells.  The batched layers
 reduce mod p through ``_mod``, which equals ``a % p`` for every int64
 array but computes a - (a // p) p on large arrays: numpy divides by a
 scalar through a precomputed multiplier, while its ``%`` runs a hardware
-division per entry.
+division per entry.  A large array that already holds residues is copied,
+not divided again.
 ``Toeplitz`` is the one Toeplitz product in the package: an immutable
 batch of seeds, reduced mod p into a read-only array, applied to any batch
 of inputs by one of two algorithms that return the same integers: a
@@ -123,8 +124,9 @@ class FieldVec:
 
 
 def _check_int64_dot(p: int, length: int) -> None:
-    """Raise ValueError unless a sum of ``length`` products of residues fits int64."""
-    if (p - 1) ** 2 * length >= 2**63:
+    """Raise ValueError unless a sum of ``length`` products of residues, plus
+    one more residue, fits int64."""
+    if (p - 1) ** 2 * length + p - 1 >= 2**63:
         raise ValueError(
             f"a length-{length} dot product of residues mod {p} can overflow int64")
 
@@ -139,14 +141,19 @@ _DIV_MIN_SIZE = 1024
 def _mod(a: np.ndarray, p: int) -> np.ndarray:
     """``a % p`` for an int64 array and a prime p, as a new array.
 
-    Large arrays take a - (a // p) p, computed in the one output array.  It
-    is exact for every int64 entry: where q p wraps near INT64_MIN, the true
-    result fits int64, so the wrap in the subtraction cancels it.  Every
-    step is an array ufunc with ``out=``, so a 0-d input cannot reach
-    numpy's scalar arithmetic, which warns on the wrap.
+    The result never shares memory with ``a``, so a caller may write into
+    it.  Large arrays that already hold residues are copied, not divided:
+    one unsigned max finds them, since a negative entry reads as at least
+    2^63 there.  Other large arrays take a - (a // p) p, computed in the one
+    output array.  It is exact for every int64 entry: where q p wraps near
+    INT64_MIN, the true result fits int64, so the wrap in the subtraction
+    cancels it.  Every step is an array ufunc with ``out=``, so a 0-d input
+    cannot reach numpy's scalar arithmetic, which warns on the wrap.
     """
     if a.size < _DIV_MIN_SIZE:
         return a % p
+    if a.view(np.uint64).max() < p:
+        return a.copy()
     out = np.floor_divide(a, p, out=np.empty_like(a))
     np.multiply(out, p, out=out)
     return np.subtract(a, out, out=out)
@@ -213,9 +220,10 @@ class Toeplitz:
 
     Direct: each seed is viewed through a read-only (d1, d2) strided window
     and contracted with x reversed by an int64 einsum; no matrix is ever
-    materialized.  The constructor raises ValueError when (p-1)^2 d2 can
-    overflow int64, so no product is attempted that neither algorithm can
-    return exactly.
+    materialized.  The constructor raises ValueError when (p-1)^2 d2 plus a
+    residue can overflow int64, so no product is attempted that neither
+    algorithm can return exactly, and a hash can add a residue to the
+    unreduced product (``_product``) and reduce the sum once.
 
     FFT: y is entries d2-1 .. d1+d2-2 of the linear convolution V * x,
     which a circular convolution of length N >= d1+d2-1 holds unwrapped.
@@ -284,7 +292,12 @@ class Toeplitz:
         return sub
 
     def __call__(self, xs) -> np.ndarray:
-        """T(seed) xs mod p, row-wise.
+        """T(seed) xs mod p, row-wise."""
+        return _mod(self._product(xs), self.p)
+
+    def _product(self, xs) -> np.ndarray:
+        """T(seed) xs over the integers, row-wise, each entry in
+        [0, (p-1)^2 d2].
 
         The FFT path transforms x from one padded buffer and, when the seeds
         do not broadcast x to more rows, multiplies in place and transforms
@@ -295,7 +308,7 @@ class Toeplitz:
         _check_len("input", xs, self.d2)
         if xs.size and xs.view(np.uint64).max() >= self.p:  # negatives read >= 2^63
             raise ValueError(f"input symbols must be residues in [0, {self.p})")
-        d1, d2, p, spectrum = self.d1, self.d2, self.p, self.spectrum
+        d1, d2, spectrum = self.d1, self.d2, self.spectrum
         if spectrum is not None:
             n = 1 << (d1 + d2 - 2).bit_length()
             buf = _padded(xs, n)
@@ -306,11 +319,11 @@ class Toeplitz:
                 prod, buf = prod * spectrum, None
             full = np.fft.irfft(prod, n, out=buf)[..., d2 - 1:d1 + d2 - 1]
             del prod
-            return _mod(np.rint(full, out=full).astype(np.int64), p)
+            return np.rint(full, out=full).astype(np.int64)
         step = self.vec.strides[-1]
         window = as_strided(self.vec, self.vec.shape[:-1] + (d1, d2),
                             self.vec.strides[:-1] + (step, step), writeable=False)
-        return _mod(np.einsum("...ik,...k->...i", window, xs[..., ::-1]), p)
+        return np.einsum("...ik,...k->...i", window, xs[..., ::-1])
 
 
 def toeplitz_apply_batch(seeds, xs, d1: int, d2: int, p: int) -> np.ndarray:

@@ -24,7 +24,10 @@ it owns its Toeplitz spectrum, computed on first use and reused by every
 later hash under that seed (psi_S at encode and f_S at decode share one;
 the two g_S' calls of a run share another).  ``seed.rows(idx)`` is the
 seed of a row subset of a batch, with those rows of the spectrum, so
-hashing a few rows of a batch transforms no seed again.
+hashing a few rows of a batch transforms no seed again.  Each hash adds
+into the seed's exact, unreduced Toeplitz product and reduces the sum mod
+p once; psi_S reduces only its first n2+n3 symbols, since L2 is a residue
+word already.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def f_s(seed: SeedS, L) -> np.ndarray:
     """
     L = np.asarray(L, dtype=np.int64)
     _check_len("input", L, seed.n1)
-    return _mod(L[..., :seed.d1] + seed(L[..., seed.d1:]), seed.p)
+    return _mod(L[..., :seed.d1] + seed._product(L[..., seed.d1:]), seed.p)
 
 
 def f_s_split(seed: SeedS, L) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +84,7 @@ def g_sprime(seed: SeedSPrime, M, Y) -> np.ndarray:
     """Error-verification hash C = Y + T(S') M, row-wise."""
     Y = np.asarray(Y, dtype=np.int64)
     _check_len("Y", Y, seed.n3)
-    return _mod(Y + seed(M), seed.p)
+    return _mod(Y + seed._product(M), seed.p)
 
 
 def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
@@ -95,5 +98,5 @@ def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
     _check_len("M", M, seed.n2)
     _check_len("Y", Y, seed.n3)
     word = np.concatenate([Y, M, L2], axis=-1)
-    word[..., :seed.d1] -= seed(L2)
-    return _mod(word, seed.p)
+    word[..., :seed.d1] = _mod(word[..., :seed.d1] - seed._product(L2), seed.p)
+    return word

@@ -286,38 +286,44 @@ def check_code_conformance(code: LinearCodeSpec, rng: np.random.Generator | None
     uniform words and ``samples`` noisy codewords.  Last, ``decode_batch``
     must read received symbols mod p: adding p to every symbol of the words
     the ML check used, or else of the encoded batch, leaves its output
-    unchanged.  Every decision must be a residue in [0, p): one that is
-    only congruent would be miscounted as a block error by the protocol
-    engine.  Raises ValueError on the first violated property.
+    unchanged.  Every codeword and every decision must be a residue in
+    [0, p): a decision that is only congruent would be miscounted as a block
+    error by the protocol engine, and a codeword that is only congruent
+    would be read as another word by ``word_index`` in the leakage layers.
+    Raises ValueError on the first violated property.
     """
     rng = rng or np.random.default_rng(0)
     p, n1 = code.p, code.n1
     if noise is not None:
         _check_noise_modulus(p, noise)
 
-    def decode(words):
-        out = np.asarray(code.decode_batch(words))
-        if np.any((out < 0) | (out >= p)):
-            raise ValueError(f"decode_batch must return residues in [0, {p})")
-        return out
+    def residues(fn, name):
+        def checked(words):
+            out = np.asarray(fn(words))
+            if np.any((out < 0) | (out >= p)):
+                raise ValueError(f"{name} must return residues in [0, {p})")
+            return out
+        return checked
 
-    zero = code.encode(np.zeros(n1, dtype=np.int64))
+    encode = residues(code.encode, "encode")
+    decode = residues(code.decode_batch, "decode_batch")
+    zero = encode(np.zeros(n1, dtype=np.int64))
     if zero.shape != (2 * code.n,) or zero.any():
         raise ValueError("encode(0) must be the zero word of length 2n")
     a = rng.integers(0, p, (samples, n1))
     b = rng.integers(0, p, (samples, n1))
     c = rng.integers(0, p, (samples, 1))
-    coded = code.encode(a)
+    coded = encode(a)
     if coded.shape != (samples, 2 * code.n) or any(
-            not np.array_equal(w, code.encode(v)) for w, v in zip(coded, a)):
+            not np.array_equal(w, encode(v)) for w, v in zip(coded, a)):
         raise ValueError("encode of a batch differs from encode of its rows")
-    if not np.array_equal(code.encode((a + c * b) % p) % p, (coded + c * code.encode(b)) % p):
+    if not np.array_equal(encode((a + c * b) % p), (coded + c * encode(b)) % p):
         raise ValueError("encode is not linear")
     if not np.array_equal(decode(coded), a):
         raise ValueError("decode_batch(encode(x)) != x on noiseless input")
     checked = coded
     if p**n1 <= 4096:
-        table = code.all_codewords()
+        table = encode(code.all_messages())
         if len(np.unique(table, axis=0)) != p**n1:
             raise ValueError("encode is not injective")
         if noise is not None:

@@ -7,12 +7,14 @@ her dense states, the verification-variable comparison's slope-order
 fill and joint against vertex enumeration, HiGHS and the cell-by-cell loop,
 the hit-only channel sampler against the dense one, a row subset of a
 Toeplitz seed against a fresh seed of those rows, the protocol engine's
-row-subset hashing against every row rehashed, and the bounded refinement
-against scipy's ``minimize_scalar``.
+row-subset hashing against every row rehashed, the engine over random row
+chunks against one pass, and the bounded refinement against scipy's
+``minimize_scalar``.
 
 Primes up to 31, random lengths and random batch shapes (including the
 batch of one that a protocol transcript uses).  The reduction mod p is
-compared with numpy's ``%`` over the whole int64 range.  The Toeplitz
+compared with numpy's ``%`` over the whole int64 range, and on arrays
+just inside and just outside [0, p) around its division threshold.  The Toeplitz
 kernel is compared against a pure-Python-int double loop, so the reference
 cannot share an overflow or an indexing slip with the code under test;
 long blocks and primes up to 2^31 - 1 reach both of its algorithms (the
@@ -89,6 +91,31 @@ def test_mod_equals_remainder_on_all_int64(p, shape, picks, seed):
                 assert got.shape == arr.shape and got.dtype == np.int64
                 assert np.array_equal(got, arr % p)
                 assert np.array_equal(arr, before)
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 31, 65521, 2**31 - 1]),
+       st.sampled_from(["residues", "one p", "one -1", "below 2p", "negatives"]),
+       st.sampled_from([gf._DIV_MIN_SIZE - 1, gf._DIV_MIN_SIZE, gf._DIV_MIN_SIZE + 1,
+                        3 * gf._DIV_MIN_SIZE]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_mod_of_near_residues_is_a_fresh_remainder(p, kind, size, sliced, seed):
+    # arrays that already hold residues are copied, not divided; residues
+    # with one entry p or -1 are the nearest arrays that must be divided
+    rng = np.random.default_rng(seed)
+    lo, hi, edge = {"residues": (0, p, p - 1), "one p": (0, p, p), "one -1": (0, p, -1),
+                    "below 2p": (0, 2 * p, p), "negatives": (-p, p, -1)}[kind]
+    cols = 16 if size % 16 == 0 else 1
+    a = rng.integers(lo, hi, (size // cols, cols + sliced))
+    a = a[:, :cols] if sliced else a  # psi_S reduces such a column slice
+    a[rng.integers(0, len(a)), rng.integers(0, cols)] = edge
+    before = a.copy()
+    got = gf._mod(a, p)
+    assert got.shape == a.shape and got.dtype == np.int64
+    assert np.array_equal(got, a % p)
+    assert not np.shares_memory(got, a)
+    got[...] = -7  # sample_batch writes into the result
+    assert np.array_equal(a, before)
 
 
 @st.composite
@@ -1106,6 +1133,46 @@ def test_engine_row_subsets_equal_every_row_rehashed(case):
     # information word exactly when its codeword differs from the sent one
     assert np.array_equal(run["block_error"],
                           np.any(config.code.encode(decoded) != run["x"], axis=-1))
+
+
+@st.composite
+def chunked_engine_cases(draw):
+    config, msgs, adversary, masked = draw(engine_cases())
+    trials = len(msgs)
+    cuts = draw(st.sets(st.integers(1, trials - 1), max_size=trials - 1)) if trials > 1 else set()
+    return config, trials, sorted(cuts), adversary, masked
+
+
+def _chunked_engine(config, cuts, trials, adversary, masked):
+    """The engine over the row chunks between ``cuts`` on one stream dict,
+    each chunk's messages drawn just before it, as ``monte_carlo`` runs it;
+    every array joined back along the rows."""
+    streams, runs = config.streams(), []
+    for lo, hi in zip([0, *cuts], [*cuts, trials]):
+        msgs = streams["message"].integers(0, config.p, (hi - lo, config.n2))
+        runs.append(dict(protocol._engine(config, msgs, streams, adversary, masked),
+                         msgs=msgs))
+    return {key: None if runs[0][key] is None else np.concatenate([r[key] for r in runs])
+            for key in runs[0]}
+
+
+@SETTINGS
+@given(chunked_engine_cases())
+@example((_fft_engine_case(protocol.AdversaryMode.none(), False)[0], 60, [1, 17, 40],
+          protocol.AdversaryMode.none(), False))
+@example((_fft_engine_case(protocol.AdversaryMode.none(), False)[0], 60, [59],
+          protocol.AdversaryMode.tamper(_shift_some(2)), True))
+def test_engine_row_chunks_equal_one_pass(case):
+    # monte_carlo's chunks must not move a drawn value, decision or verdict
+    config, trials, cuts, adversary, masked = case
+    one = _chunked_engine(config, [], trials, adversary, masked)
+    chunked = _chunked_engine(config, cuts, trials, adversary, masked)
+    assert one.keys() == chunked.keys()
+    for key, want in one.items():
+        got = chunked[key]
+        assert (got is None) == (want is None), key
+        if want is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want), key
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdckit.dists import PauliDist, convolve, depolarizing
-from pdckit import gf
+from pdckit import gf, protocol
 from pdckit.gf import FieldVec, SizeCapError
 from pdckit.hashing import SeedSPrime
 from pdckit.protocol import (AdversaryMode, ProtocolConfig, lnm_check,
@@ -197,7 +197,8 @@ def test_monte_carlo_long_repetition_code(n1, trials):
 
 def test_monte_carlo_transforms_each_seed_once(monkeypatch):
     # the mc_hash benchmark shape: all four Toeplitz products take the FFT
-    # path; S serves psi_S and f_S, S' both g_S' calls, each transformed once
+    # path; per row chunk, S serves psi_S and f_S and S' both g_S' calls,
+    # each transformed once
     calls = {"rfft": 0, "irfft": 0}
     for name in calls:
         fn = getattr(np.fft, name)
@@ -206,9 +207,13 @@ def test_monte_carlo_transforms_each_seed_once(monkeypatch):
     d = depolarizing(1e-3, 2)
     config = ProtocolConfig(p=2, n=256, n1=512, n2=128, n3=64, P=d, P_tilde=d,
                             code=identity_code(2, 256), master_seed=21)
-    stats = monte_carlo(config, 250)
-    assert calls == {"rfft": 6, "irfft": 4}
-    assert stats["trials"] == 250
+    rows = protocol._CHUNK_BYTES // (16 * config.n)
+    assert 250 > rows and 250 % rows  # several chunks, the last one ragged
+    for trials, chunks in ((250, math.ceil(250 / rows)), (rows - 1, 1)):
+        calls.update(rfft=0, irfft=0)
+        stats = monte_carlo(config, trials)
+        assert calls == {"rfft": 6 * chunks, "irfft": 4 * chunks}
+        assert stats["trials"] == trials
 
 
 def test_wilson_interval():

@@ -180,6 +180,15 @@ def test_conformance_rejects_decisions_outside_residues(offset):
             check_code_conformance(code, noise=noise)
 
 
+def test_conformance_rejects_codewords_outside_residues():
+    # congruent codewords passed before, and exact_leakage then read the
+    # word 3 * e_1 as row 6 of a 4-row table (IndexError)
+    code = identity_code(2, 1)
+    code.encode = lambda v: 3 * np.asarray(v)
+    with pytest.raises(ValueError, match="encode must return residues"):
+        check_code_conformance(code)
+
+
 def test_conformance_rejects_non_ml_decoder():
     noise = dep2()
     code = repetition_code(2, 4, 4, noise)
