@@ -253,6 +253,23 @@ README_SIMULATE_CONFIG = {"p": 2, "n": 8, "n1": 4, "n2": 1, "n3": 2,
 README_SIMULATE = ("simulate --config {config} --trials 10000 --adversary tamper",
                    "89bcc4aa9b91a289f2c29f636a40b6f10259e6a44850d075056635d40513f4ff")
 
+# sha256 of the stdout of the README simulate invocation with --format csv,
+# by adversary; intercept leaves the ecc_block_error_rate column empty
+README_SIMULATE_CSV = {
+    "tamper": "5aee02e423cea2d8241b34d8601a5fa8edca9808bc4446842aa1cd92b6b27cf0",
+    "none": "b8f2eb19692c9c28256d846547fc1c4d9cf11b3810413a5e10b27b002de3d4cb",
+    "intercept": "8c763bda0139f9dff853c5ebed9255b6525a10903c2e9aa112456c17d0f6b219",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(README_SIMULATE_CSV))
+def test_simulate_csv_stdout_pinned(mode, tmp_path, capsys):
+    config = tmp_path / "simulate.json"
+    config.write_text(json.dumps(README_SIMULATE_CONFIG))
+    argv = f"simulate --config {config} --trials 10000 --adversary {mode} --format csv"
+    assert main(argv.split()) == 0
+    assert _digest(capsys.readouterr().out) == README_SIMULATE_CSV[mode]
+
 # Imports every pdckit module, runs the given commands and the
 # verification-variable comparison, and prints which scipy modules were
 # loaded before and after.
