@@ -35,6 +35,7 @@ inside it); otherwise it refines.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,27 +439,15 @@ def _report(targets: SecurityTargets, n: int, secrecy: _SecrecyBound,
         raise InfeasibleTargets(
             f"eps_E = {targets.eps_E} unreachable even sacrificing all 2n symbols"
         )
-    lo, hi = 0, 2 * n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if secrecy.meets(n, mid, targets.eps_E):
-            hi = mid
-        else:
-            lo = mid + 1
-    m2 = lo
+    m2 = bisect_left(range(2 * n), True, key=lambda m: secrecy.meets(n, m, targets.eps_E))
 
     if not completeness.meets(n, 0, targets.eps_C):
         raise InfeasibleTargets(
             f"eps_C = {targets.eps_C} unreachable even at coding length 0"
         )
-    lo, hi = 0, 2 * n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if completeness.meets(n, mid, targets.eps_C):
-            lo = mid
-        else:
-            hi = mid - 1
-    m1 = lo
+    # the last length that meets eps_C: the first mirrored index i = 2n - m that does
+    m1 = 2 * n - bisect_left(range(2 * n), True,
+                             key=lambda i: completeness.meets(n, 2 * n - i, targets.eps_C))
 
     return FiniteLengthReport(
         n=n, m1=m1, m2=m2, m3=m3,

@@ -2,7 +2,12 @@
 
 Subcommands: rates, finite, simulate, estimate, leakage, verify-identities.
 No plotting: the figures are reproduced as data files renderable by any
-plotting tool.  All numeric output uses 12 significant digits and is
+plotting tool.  This module is the only one that formats a printed number.
+Every command hands plain data (records' dicts built from their own
+fields) to one of two writers: ``_table`` for CSV or JSON tables, the
+simulate CSV row included, and ``_json`` for sorted-key JSON, one object
+per line.  Both print every float at 12 significant digits, through
+``_fmt``, and write through ``_emit`` to stdout or ``--out``.  Output is
 byte-identical for identical flags and master seed; for verify-identities
 only with one BLAS thread, since its residuals sit near 1e-14 and their
 printed low digits follow the BLAS summation order.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,15 +34,23 @@ from .gf import FieldVec, SizeCapError
 
 
 def _fmt(x) -> str:
+    """A float at 12 significant digits, negative zero as zero."""
     return f"{float(x) + 0.0:.12g}"
 
 
-def _round12(x):
-    return float(_fmt(x))
+def _roundtree(obj):
+    """``obj`` with every float rounded to 12 significant digits, tuples as lists."""
+    if isinstance(obj, float):
+        return float(_fmt(obj))
+    if isinstance(obj, dict):
+        return {k: _roundtree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_roundtree(v) for v in obj]
+    return obj
 
 
 def _emit(text: str, out: str | None) -> None:
-    """The one writer: stdout, or the file ``out`` (unopenable is exit 2)."""
+    """Where all output goes: stdout, or the file ``out`` (unopenable is exit 2)."""
     if out is None or out == "-":
         sys.stdout.write(text)
         return
@@ -48,26 +62,20 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
+def _json(*objs, out: str | None) -> None:
+    """Each object as one line of sorted-key JSON, its floats rounded."""
+    _emit("".join(json.dumps(_roundtree(obj), sort_keys=True) + "\n" for obj in objs), out)
+
+
 def _table(header: list[str], rows: list[list], args) -> None:
     """Rows as CSV, or with --format json as a list of objects keyed by header."""
     if args.format == "json":
-        payload = [_roundtree(dict(zip(header, row))) for row in rows]
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _json([dict(zip(header, row)) for row in rows], out=args.out)
         return
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     _emit("\n".join(lines) + "\n", args.out)
-
-
-def _roundtree(obj):
-    if isinstance(obj, float):
-        return _round12(obj)
-    if isinstance(obj, dict):
-        return {k: _roundtree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_roundtree(v) for v in obj]
-    return obj
 
 
 # grid points one --mix-grid may ask for, about 1,000 times the README's 101
@@ -208,21 +216,26 @@ def cmd_simulate(args) -> int:
             config.n, config.n1 - config.n2 - config.n3, config.P),
         "eps_C_bound_random_coding": bounds.eps_C_bound(config.n, config.n1, p_eff),
     }
-    if args.format == "csv":
-        _emit(protocol.stats_csv(stats), args.out)
-    else:
-        payload = {"stats": _roundtree(stats),
-                   "analytic_bounds": _roundtree(analytic)}
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+    if args.format == "json":
+        _json({"stats": stats, "analytic_bounds": analytic}, out=args.out)
+        return 0
+    # counts, rates and Wilson 95% intervals; intercept mode decodes nothing
+    ecc = stats["ecc_block_error_rate"]
+    _table(["trials", "abort_rate", "abort_lo", "abort_hi",
+            "undetected_error_rate", "undetected_lo", "undetected_hi",
+            "accepted_and_correct_rate", "accepted_correct_lo",
+            "accepted_correct_hi", "ecc_block_error_rate"],
+           [[stats["trials"], stats["abort_rate"], *stats["abort_ci"],
+             stats["undetected_error_rate"], *stats["undetected_ci"],
+             stats["accepted_and_correct_rate"], *stats["accepted_correct_ci"],
+             "" if ecc is None else ecc]], args)
     return 0
 
 
 def cmd_estimate(args) -> int:
     P = depolarizing(args.mix, args.p)
     rng = np.random.default_rng(_seed(args.seed))
-    report = estimation.estimate(P, args.shots, rng)
-    _emit(json.dumps(_roundtree(report.to_json_dict()), sort_keys=True) + "\n",
-          args.out)
+    _json(estimation.estimate(P, args.shots, rng).to_json_dict(), out=args.out)
     return 0
 
 
@@ -254,14 +267,10 @@ def cmd_leakage(args) -> int:
         raise InfeasibleTargets("need at least one sacrificed symbol")
     exact = wiretap.exact_leakage(code, args.n2, args.n3, eve)
     bound = wiretap.theorem1_bound(p**sacrifice, eve, code)
-    payload = {
-        "exact_leakage": _round12(exact),
-        "theorem_bound": _round12(bound),
-        "dominated": bool(exact <= bound + 1e-12),
-        "eve": args.eve, "code": args.code,
-        "n": args.n, "n1": n1, "n2": args.n2, "n3": args.n3,
-    }
-    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+    _json({"exact_leakage": exact, "theorem_bound": bound,
+           "dominated": bool(exact <= bound + 1e-12),
+           "eve": args.eve, "code": args.code,
+           "n": args.n, "n1": n1, "n2": args.n2, "n3": args.n3}, out=args.out)
     return 0
 
 
@@ -269,26 +278,14 @@ def cmd_verify_identities(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(_seed(args.seed))
-    tol = 1e-8
-    lines = []
-    all_ok = True
+    cases = []
     for i in range(args.count):
         P = identities.random_pauli_dist(args.p, rng)
         Pt = identities.random_pauli_dist(args.p, rng)
         res = identities.check_identities(P, Pt)
-        ok = res.within(tol)
-        all_ok = all_ok and ok
-        lines.append(json.dumps({
-            "case": i, "ok": ok,
-            "shannon_ab": _round12(res.shannon_ab),
-            "shannon_ae": _round12(res.shannon_ae),
-            "petz_down_ab": _round12(res.petz_down_ab),
-            "sandwich_ae_min_slack": _round12(res.sandwich_ae_min_slack),
-            "lemma_petz_mi": _round12(res.lemma_petz_mi),
-            "lemma_sandwich_mi": _round12(res.lemma_sandwich_mi),
-        }, sort_keys=True))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+        cases.append({"case": i, "ok": res.within(1e-8), **asdict(res)})
+    _json(*cases, out=args.out)
+    return 0 if all(case["ok"] for case in cases) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +296,29 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pdckit",
                                  description="private dense coding toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    # every subcommand writes through _emit: stdout, or the file --out
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    r = sub.add_parser("rates", help="asymptotic rate curve over a mixing grid")
+    r = sub.add_parser("rates", parents=[out], help="asymptotic rate curve over a mixing grid")
     r.add_argument("--p", type=int, default=2)
     r.add_argument("--mix-grid", required=True, help="start:stop:step")
     r.add_argument("--mix-tilde", type=float, default=None,
                    help="fixed forward-leg mixing (defaults to the grid value)")
-    r.add_argument("--out", default=None)
     r.add_argument("--format", choices=("csv", "json"), default="csv")
     r.set_defaults(fn=cmd_rates)
 
-    f = sub.add_parser("finite", help="finite-length rates at target epsilons")
+    f = sub.add_parser("finite", parents=[out], help="finite-length rates at target epsilons")
     f.add_argument("--p", type=int, default=2)
     f.add_argument("--mix", type=float, required=True)
     f.add_argument("--n-grid", required=True, help="comma-separated block lengths")
     f.add_argument("--eps-c", type=float, default=0.2)
     f.add_argument("--eps-e", type=float, default=1e-9)
     f.add_argument("--eps-b", type=float, default=1e-9)
-    f.add_argument("--out", default=None)
     f.add_argument("--format", choices=("csv", "json"), default="csv")
     f.set_defaults(fn=cmd_finite)
 
-    s = sub.add_parser("simulate", help="Monte Carlo protocol runs")
+    s = sub.add_parser("simulate", parents=[out], help="Monte Carlo protocol runs")
     s.add_argument("--config", required=True, help="JSON config file")
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--adversary", choices=("none", "intercept", "tamper"),
@@ -333,19 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--message", default=None,
                    help="comma-separated message symbols for the transcript")
     s.add_argument("--format", choices=("json", "csv"), default="json")
-    s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_simulate)
 
-    e = sub.add_parser("estimate", help="state estimation from local settings")
+    e = sub.add_parser("estimate", parents=[out], help="state estimation from local settings")
     e.add_argument("--p", type=int, default=2)
     e.add_argument("--mix", type=float, required=True)
     e.add_argument("--shots", type=int, default=10000,
                    help="shots per setting (0 = exact marginals)")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_estimate)
 
-    lk = sub.add_parser("leakage", help="exact leakage vs the finite-length bound")
+    lk = sub.add_parser("leakage", parents=[out], help="exact leakage vs the finite-length bound")
     lk.add_argument("--p", type=int, default=2)
     lk.add_argument("--n", type=int, default=1)
     lk.add_argument("--n1", type=int, default=None)
@@ -356,14 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     lk.add_argument("--eve", default="quantum:0.25",
                     help="noiseless | constant | additive:mix | first-symbol | quantum:mix")
     lk.add_argument("--seed", type=int, default=0)
-    lk.add_argument("--out", default=None)
     lk.set_defaults(fn=cmd_leakage)
 
-    v = sub.add_parser("verify-identities", help="entropy identity suite")
+    v = sub.add_parser("verify-identities", parents=[out], help="entropy identity suite")
     v.add_argument("--p", type=int, default=2)
     v.add_argument("--count", type=int, default=5)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify_identities)
     return ap
 

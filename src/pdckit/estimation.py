@@ -15,7 +15,7 @@ this on the exact oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -141,16 +141,7 @@ class EstimationReport:
     tv_to_truth: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "shots_per_setting": self.shots_per_setting,
-            "settings": [list(s) for s in self.settings],
-            "empirical_marginals": self.empirical_marginals,
-            "estimate": self.estimate.to_json(),
-            "projection_applied": self.projection_applied,
-            "negative_mass": self.negative_mass,
-            "tv_to_truth": self.tv_to_truth,
-        }
+        return {**asdict(self), "estimate": self.estimate.to_json()}
 
 
 def estimate(P_true: PauliDist, shots_per_setting: int,

@@ -131,6 +131,19 @@ def _check_int64_dot(p: int, length: int) -> None:
             f"a length-{length} dot product of residues mod {p} can overflow int64")
 
 
+def _residues(a: np.ndarray, p: int) -> bool:
+    """Whether every entry of the int64 array ``a`` lies in [0, p).
+
+    One unsigned max: a negative entry reads as at least 2^63 there.
+    """
+    return not a.size or a.view(np.uint64).max() < p
+
+
+def _check_residues(name: str, a: np.ndarray, p: int) -> None:
+    if not _residues(a, p):
+        raise ValueError(f"{name} symbols must be residues in [0, {p})")
+
+
 # Smallest array that ``_mod`` reduces by division: below it one ``%`` beats
 # three ufunc calls.  Measured on a 2-vCPU machine for (1, size) arrays at
 # p = 2, 31 and 65521: the two meet between 512 and 1,024 entries; at 2,048
@@ -142,9 +155,8 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     """``a % p`` for an int64 array and a prime p, as a new array.
 
     The result never shares memory with ``a``, so a caller may write into
-    it.  Large arrays that already hold residues are copied, not divided:
-    one unsigned max finds them, since a negative entry reads as at least
-    2^63 there.  Other large arrays take a - (a // p) p, computed in the one
+    it.  Large arrays that already hold residues (``_residues``) are
+    copied, not divided.  Other large arrays take a - (a // p) p, computed in the one
     output array.  It is exact for every int64 entry: where q p wraps near
     INT64_MIN, the true result fits int64, so the wrap in the subtraction
     cancels it.  Every step is an array ufunc with ``out=``, so a 0-d input
@@ -152,7 +164,7 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     """
     if a.size < _DIV_MIN_SIZE:
         return a % p
-    if a.view(np.uint64).max() < p:
+    if _residues(a, p):
         return a.copy()
     out = np.floor_divide(a, p, out=np.empty_like(a))
     np.multiply(out, p, out=out)
@@ -306,8 +318,7 @@ class Toeplitz:
         """
         xs = np.asarray(xs, dtype=np.int64)
         _check_len("input", xs, self.d2)
-        if xs.size and xs.view(np.uint64).max() >= self.p:  # negatives read >= 2^63
-            raise ValueError(f"input symbols must be residues in [0, {self.p})")
+        _check_residues("input", xs, self.p)
         d1, d2, spectrum = self.d1, self.d2, self.spectrum
         if spectrum is not None:
             n = 1 << (d1 + d2 - 2).bit_length()

@@ -13,10 +13,12 @@ variable Y occupies the first n3 symbols and the message M the last n2.
 Everything is batch-first: a seed holds an int array of shape (..., length)
 and every input is an int array whose last axis is the vector; leading
 axes broadcast, so one call hashes a whole Monte Carlo batch and a single
-vector is just the unbatched case.  What a Toeplitz product reads (L2 in
-f_S and psi_S, M in g_S') must hold residues in [0, p); anything else
-raises ValueError.  Seeds are drawn by the protocol layer
-from its seeded RNG streams; hashing itself is deterministic.
+vector is just the unbatched case.  Every input (L in f_S, Y and M in
+g_S', Y, M and L2 in psi_S) must hold residues in [0, p); anything else
+raises ValueError: the Toeplitz product checks what it reads, and each
+hash checks what it adds to the unreduced product in int64.  Seeds
+are drawn by the protocol layer from its seeded RNG streams; hashing itself
+is deterministic.
 
 A seed is a ``gf.Toeplitz`` batch with the hash's split and a prime
 modulus: immutable, with its ``vec`` reduced mod p once and read-only, so
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import Toeplitz, _check_len, _check_prime, _mod
+from .gf import Toeplitz, _check_len, _check_prime, _check_residues, _mod
 
 
 class SeedS(Toeplitz):
@@ -71,7 +73,9 @@ def f_s(seed: SeedS, L) -> np.ndarray:
     """
     L = np.asarray(L, dtype=np.int64)
     _check_len("input", L, seed.n1)
-    return _mod(L[..., :seed.d1] + seed._product(L[..., seed.d1:]), seed.p)
+    L1 = L[..., :seed.d1]
+    _check_residues("input", L1, seed.p)  # the product checks L2
+    return _mod(L1 + seed._product(L[..., seed.d1:]), seed.p)
 
 
 def f_s_split(seed: SeedS, L) -> tuple[np.ndarray, np.ndarray]:
@@ -84,6 +88,7 @@ def g_sprime(seed: SeedSPrime, M, Y) -> np.ndarray:
     """Error-verification hash C = Y + T(S') M, row-wise."""
     Y = np.asarray(Y, dtype=np.int64)
     _check_len("Y", Y, seed.n3)
+    _check_residues("Y", Y, seed.p)
     return _mod(Y + seed._product(M), seed.p)
 
 
@@ -98,5 +103,7 @@ def psi_s(seed: SeedS, M, Y, L2) -> np.ndarray:
     _check_len("M", M, seed.n2)
     _check_len("Y", Y, seed.n3)
     word = np.concatenate([Y, M, L2], axis=-1)
-    word[..., :seed.d1] = _mod(word[..., :seed.d1] - seed._product(L2), seed.p)
+    head = word[..., :seed.d1]  # (Y, M); the product checks L2
+    _check_residues("input", head, seed.p)
+    head[...] = _mod(head - seed._product(L2), seed.p)
     return word

@@ -41,7 +41,7 @@ is the one the full computation gives:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -167,13 +167,7 @@ class Transcript:
     events: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "s": self.s, "s_prime": self.s_prime, "c": self.c,
-            "x_bar": self.x_bar, "x": self.x, "x_hat": self.x_hat,
-            "m_hat": self.m_hat, "y_hat": self.y_hat,
-            "verdict": self.verdict, "events": self.events,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def verify(seed_sprime: SeedSPrime, m_hat, y_hat, c) -> np.ndarray:
@@ -358,21 +352,6 @@ def monte_carlo(config: ProtocolConfig, trials: int,
         "wrong_trials": n_wrong,
         "eps_E_bound": None,
     }
-
-
-def stats_csv(stats: dict) -> str:
-    """Monte Carlo stats as CSV: counts, rates, and Wilson 95% intervals."""
-    header = ["trials", "abort_rate", "abort_lo", "abort_hi",
-              "undetected_error_rate", "undetected_lo", "undetected_hi",
-              "accepted_and_correct_rate", "accepted_correct_lo",
-              "accepted_correct_hi", "ecc_block_error_rate"]
-    ecc = stats.get("ecc_block_error_rate")
-    row = [stats["trials"], stats["abort_rate"], *stats["abort_ci"],
-           stats["undetected_error_rate"], *stats["undetected_ci"],
-           stats["accepted_and_correct_rate"], *stats["accepted_correct_ci"],
-           "" if ecc is None else ecc]
-    fmt = [str(row[0])] + [f"{v:.12g}" if v != "" else "" for v in row[1:]]
-    return ",".join(header) + "\n" + ",".join(fmt) + "\n"
 
 
 # ---------------------------------------------------------------------------

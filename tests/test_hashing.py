@@ -261,3 +261,21 @@ def test_hashes_refuse_inputs_outside_residues(n2, shift):
         f_s(seed_s, L)
     with pytest.raises(ValueError, match="residues"):
         psi_s(seed_s, M, Y, L[n2 + n3:])
+
+
+@pytest.mark.parametrize("call", [
+    # (2^63 - 1 + 2) mod 3 = 0, but the int64 sum wrapped and returned [2]
+    lambda: g_sprime(SeedSPrime([1, 1], 2, 1, 3), [1, 1], [2**63 - 1]),
+    lambda: g_sprime(SeedSPrime([1, 1], 2, 1, 3), [1, 1], [-1]),
+    # L1, the symbols f_S adds, and Y or M, the symbols psi_S adds
+    lambda: f_s(SeedS([1, 1, 1], 4, 1, 1, 3), [2**63 - 1, 0, 1, 1]),
+    lambda: f_s(SeedS([1, 1, 1], 4, 1, 1, 3), [0, -3, 1, 1]),
+    lambda: psi_s(SeedS([1, 1, 1], 4, 1, 1, 3), [0], [2**63 - 1], [1, 1]),
+    lambda: psi_s(SeedS([1, 1, 1], 4, 1, 1, 3), [3], [0], [1, 1]),
+], ids=["g_sprime-Y-2^63", "g_sprime-Y-neg", "f_s-L1-2^63", "f_s-L1-neg",
+        "psi_s-Y-2^63", "psi_s-M-p"])
+def test_hashes_refuse_added_symbols_outside_residues(call):
+    # the symbols a hash adds to its Toeplitz product are checked like the
+    # ones the product reads: a sum near 2^63 would wrap in int64
+    with pytest.raises(ValueError, match="residues"):
+        call()
