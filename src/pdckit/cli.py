@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -283,7 +282,7 @@ def cmd_verify_identities(args) -> int:
         P = identities.random_pauli_dist(args.p, rng)
         Pt = identities.random_pauli_dist(args.p, rng)
         res = identities.check_identities(P, Pt)
-        cases.append({"case": i, "ok": res.within(1e-8), **asdict(res)})
+        cases.append({"case": i, "ok": res.within(1e-8), **vars(res)})
     _json(*cases, out=args.out)
     return 0 if all(case["ok"] for case in cases) else 1
 

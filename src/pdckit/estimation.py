@@ -15,7 +15,7 @@ this on the exact oracle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,7 +141,7 @@ class EstimationReport:
     tv_to_truth: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "estimate": self.estimate.to_json()}
+        return {**vars(self), "estimate": self.estimate.to_json()}
 
 
 def estimate(P_true: PauliDist, shots_per_setting: int,

@@ -41,7 +41,7 @@ is the one the full computation gives:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -167,7 +167,7 @@ class Transcript:
     events: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def verify(seed_sprime: SeedSPrime, m_hat, y_hat, c) -> np.ndarray:
