@@ -155,8 +155,9 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     """``a % p`` for an int64 array and a prime p, as a new array.
 
     The result never shares memory with ``a``, so a caller may write into
-    it.  Large arrays that already hold residues (``_residues``) are
-    copied, not divided.  Other large arrays take a - (a // p) p, computed in the one
+    it.  Large arrays that already hold residues are copied, not divided:
+    one unsigned max finds them, since a negative entry reads as at least
+    2^63 there.  Other large arrays take a - (a // p) p, computed in the one
     output array.  It is exact for every int64 entry: where q p wraps near
     INT64_MIN, the true result fits int64, so the wrap in the subtraction
     cancels it.  Every step is an array ufunc with ``out=``, so a 0-d input
